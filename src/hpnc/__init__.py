@@ -52,13 +52,7 @@ from .analysis import (
     hpnc_bler_asym_high,
     hpnc_bler_asym_medium,
 )
-from .sim import (
-    RoundOutcome,
-    SimEstimate,
-    estimate,
-    run_round_conventional,
-    run_round_hpnc,
-)
+from .sim import SimEstimate, estimate
 
 __version__ = "0.1.0"
 
@@ -102,9 +96,6 @@ __all__ = [
     "hpnc_bler",
     "hpnc_bler_asym_high",
     "hpnc_bler_asym_medium",
-    "RoundOutcome",
     "SimEstimate",
     "estimate",
-    "run_round_conventional",
-    "run_round_hpnc",
 ]

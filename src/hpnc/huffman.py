@@ -23,10 +23,6 @@ from .model import block_to_int, int_to_block
 
 MAX_BLOCK_LEN = 16
 
-# canonical code values fit an int64 only up to this depth; deeper codebooks
-# fall back to exact Python-int decoding
-FAST_DECODE_MAX_LEN = 62
-
 
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) bit in bits, with 0*log(0) = 0."""
@@ -66,52 +62,42 @@ def _leaf_depths(parent: list[int], leaf_count: int) -> np.ndarray:
     return np.array(depth[:leaf_count], dtype=np.int32)
 
 
-def _huffman_lengths(weights: list[int]) -> np.ndarray:
-    """Optimal code lengths; merge ties broken by (weight, smallest block value)."""
-    count = len(weights)
-    parent = [-1] * (2 * count - 1)
-    heap = [(w, v, v) for v, w in enumerate(weights)]
-    heapq.heapify(heap)
-    next_id = count
-    while len(heap) > 1:
-        wa, ma, ia = heapq.heappop(heap)
-        wb, mb, ib = heapq.heappop(heap)
-        parent[ia] = next_id
-        parent[ib] = next_id
-        heapq.heappush(heap, (wa + wb, min(ma, mb), next_id))
-        next_id += 1
-    return _leaf_depths(parent, count)
+def _ascending(v: int) -> int:
+    """Primary tie-break: equal weights merge the smallest block values first."""
+    return v
 
 
-def _huffman_lengths_alt(weights: list[int]) -> np.ndarray:
-    """Independent re-implementation with a different tie-break.
+def _descending(v: int) -> int:
+    """Alternate tie-break: equal weights merge the largest block values
+    first, so equal-weight nodes pair differently than under the primary
+    key.  Only used as an optimality oracle."""
+    return -v
 
-    Leaves enter the queue in descending block order and ties are broken by
-    insertion order, so equal-weight nodes pair differently than in the
-    primary construction.  Only used as an optimality oracle.
+
+def _huffman_lengths(weights: list[int], key=_ascending) -> np.ndarray:
+    """Optimal code lengths; merge ties broken by (weight, tie-break key).
+
+    A leaf's key is key(block value) and a merged node takes the smaller of
+    its children's keys, so the keys of live nodes stay distinct and the
+    node id is never compared.
     """
     count = len(weights)
     parent = [-1] * (2 * count - 1)
-    heap = []
-    tick = 0
-    for v in range(count - 1, -1, -1):
-        heap.append((weights[v], tick, v))
-        tick += 1
+    heap = [(w, key(v), v) for v, w in enumerate(weights)]
     heapq.heapify(heap)
     next_id = count
     while len(heap) > 1:
-        wa, _, ia = heapq.heappop(heap)
-        wb, _, ib = heapq.heappop(heap)
+        wa, ka, ia = heapq.heappop(heap)
+        wb, kb, ib = heapq.heappop(heap)
         parent[ia] = next_id
         parent[ib] = next_id
-        heapq.heappush(heap, (wa + wb, tick, next_id))
-        tick += 1
+        heapq.heappush(heap, (wa + wb, min(ka, kb), next_id))
         next_id += 1
     return _leaf_depths(parent, count)
 
 
 def cross_check_optimality(n: int, rho: float) -> tuple[int, int]:
-    """Exact weighted total lengths from the two constructions.
+    """Exact weighted total lengths under the two tie-break keys.
 
     Both run on the same exact integer weights, so if each tree is optimal
     the two totals are equal as integers even when codeword assignments
@@ -119,7 +105,7 @@ def cross_check_optimality(n: int, rho: float) -> tuple[int, int]:
     """
     weights = _integer_weights(n, rho)
     primary = _huffman_lengths(weights)
-    alt = _huffman_lengths_alt(weights)
+    alt = _huffman_lengths(weights, _descending)
     total_primary = sum(w * int(l) for w, l in zip(weights, primary))
     total_alt = sum(w * int(l) for w, l in zip(weights, alt))
     return total_primary, total_alt
@@ -128,10 +114,9 @@ def cross_check_optimality(n: int, rho: float) -> tuple[int, int]:
 class HuffmanCodebook:
     """Canonical prefix code over all 2^n blocks.
 
-    Blocks are identified with integers via MSB-first bit order.  The decode
-    side exploits the canonical structure: codewords of one length are
-    consecutive integers, so a received word is valid iff its value falls in
-    that length's range.
+    Blocks are identified with integers via MSB-first bit order.  A received
+    word decodes through its (length, canonical value) pair, so only a word
+    of exactly one codeword's length and value decodes.
     """
 
     def __init__(self, n: int, rho: float, lengths: np.ndarray):
@@ -172,21 +157,6 @@ class HuffmanCodebook:
             (int(lengths[v]), code_values[v]): v for v in range(size)
         }
 
-        # per-length tables over the canonical order, for vectorised decoding
-        self._canon_blocks = np.array(order, dtype=np.int64)
-        counts = np.bincount(lengths, minlength=self.max_len + 1).astype(np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
-        self._len_counts = counts
-        self._len_offsets = offsets
-        if self.max_len <= FAST_DECODE_MAX_LEN:
-            firsts = np.zeros(self.max_len + 1, dtype=np.int64)
-            for length in range(self.max_len + 1):
-                if counts[length]:
-                    firsts[length] = code_values[order[offsets[length]]]
-            self._len_firsts = firsts
-        else:
-            self._len_firsts = None
-
     def length_of(self, block: np.ndarray) -> int:
         return int(self.lengths[block_to_int(block)])
 
@@ -197,13 +167,6 @@ class HuffmanCodebook:
     def kraft_terms(self) -> int:
         """Sum of 2^(max_len - length) over all blocks; equals 2^max_len iff complete."""
         return sum(1 << (self.max_len - int(l)) for l in self.lengths)
-
-    def decode_tables(self):
-        """(first_value, count, offset, canonical blocks) int64 tables, or None
-        when codewords exceed 62 bits and need exact Python-int decoding."""
-        if self._len_firsts is None:
-            return None
-        return self._len_firsts, self._len_counts, self._len_offsets, self._canon_blocks
 
     def decode_value(self, length: int, value: int) -> int | None:
         """Block value for an exact-length canonical code value, else None."""
@@ -271,7 +234,7 @@ def length_distribution(cb: HuffmanCodebook, rho: float) -> LengthDistribution:
     ones = np.array([bin(v).count("1") for v in range(1 << n)], dtype=np.float64)
     probs = rho ** (n - ones) * (1.0 - rho) ** ones
     mass = np.bincount(cb.lengths, weights=probs, minlength=cb.max_len + 1)
-    support = tuple(int(k) for k in np.nonzero(cb._len_counts)[0])
+    support = tuple(int(k) for k in np.unique(cb.lengths))
     pmf = {k: float(mass[k]) for k in support}
     mean = math.fsum(k * pmf[k] for k in support)
     return LengthDistribution(support=support, pmf=pmf, mean=mean)

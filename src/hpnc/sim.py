@@ -4,47 +4,36 @@ estimate() splits the round budget into chunks; chunk k draws from an
 independent PCG64 stream seeded with SeedSequence((seed, k)), and results
 are commutative sums of per-chunk counters, so estimates are bit-identical
 for a fixed (seed, chunks) regardless of how chunks would be scheduled.
-Within a chunk, rounds are simulated in fixed-size vectorised sub-batches
-with a fixed draw order (source bits, agreement uniforms, uplink noise,
-then downlink noise for each destination in turn).
 
-run_round_hpnc / run_round_conventional execute a single round through the
-same physical chain for inspection and testing; they draw per-round, so
-they do not share the chunk engine's stream layout.
+Both schemes run the same chain kernel: the conventional baseline is the
+compressed chain with the rho = 0.5 code, which is the identity
+fixed-length code, fed with uncorrelated sources.  Within a chunk, rounds
+are simulated in vectorised sub-batches of up to 2^16 rounds.  Each
+sub-batch draws, in this order:
+
+1. the source bits a1, an (m, n) integer array;
+2. the agreement uniforms that set a2, an (m, n) array;
+3. the uplink noise, (m, n) standard normals;
+4. the downlink noise towards T1, then towards T2: one standard normal for
+   each codeword bit the relay sends, lens.sum() in all, where lens holds
+   the lengths of the m codewords.  Nothing is drawn for padding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .huffman import HuffmanCodebook, build_codebook, decode_exact, encode
-from .model import SystemParams, generate_correlated_pair, xor_block
-from .phy import awgn, bpsk_modulate, hard_demod
-from .pnc import PncThreshold, optimal_threshold, pnc_decide
+from .huffman import HuffmanCodebook, build_codebook
+from .model import SystemParams
+from .pnc import PncThreshold, optimal_threshold
 
 SCHEME_HPNC = "hpnc"
 SCHEME_CONVENTIONAL = "conventional"
 
 _SUBBATCH = 1 << 16
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """Result of one exchange round.
-
-    t1_correct: the block recovered at T1 equals a2 (direction 2 -> 1).
-    t2_correct: the block recovered at T2 equals a1 (direction 1 -> 2).
-    downlink_bits: broadcast payload length for this round.
-    relay_block_correct: diagnostic, relay XOR estimate equals the true XOR.
-    """
-
-    t1_correct: bool
-    t2_correct: bool
-    downlink_bits: int
-    relay_block_correct: bool
 
 
 @dataclass(frozen=True)
@@ -82,68 +71,6 @@ def relay_threshold(params: SystemParams) -> PncThreshold:
     return optimal_threshold(params.gamma, params.rho)
 
 
-def run_round_hpnc(
-    params: SystemParams,
-    cb: HuffmanCodebook,
-    thr: PncThreshold,
-    rng: np.random.Generator,
-) -> RoundOutcome:
-    """One compressed-relay exchange round scored against ground truth."""
-    a1, a2 = generate_correlated_pair(params, rng)
-    b = xor_block(a1, a2)
-    y_up = awgn(bpsk_modulate(a1) + bpsk_modulate(a2), params.gamma, rng)
-    b_hat = pnc_decide(y_up, thr)
-    codeword = encode(cb, b_hat)
-    tx = bpsk_modulate(codeword)
-
-    correct = []
-    for own, want in ((a1, a2), (a2, a1)):
-        rx = hard_demod(awgn(tx, params.gamma, rng))
-        decoded = decode_exact(cb, rx)
-        if decoded is None:
-            correct.append(False)
-        else:
-            correct.append(bool(np.array_equal(xor_block(own, decoded), want)))
-
-    return RoundOutcome(
-        t1_correct=correct[0],
-        t2_correct=correct[1],
-        downlink_bits=int(codeword.size),
-        relay_block_correct=bool(np.array_equal(b_hat, b)),
-    )
-
-
-def run_round_conventional(
-    params: SystemParams,
-    thr_half: PncThreshold,
-    rng: np.random.Generator,
-) -> RoundOutcome:
-    """One non-compressed baseline round.
-
-    The baseline neither knows nor exploits the source correlation: the
-    sources are modelled as uncorrelated and the relay thresholds for
-    rho = 0.5, matching the baseline's reference BLER expression.
-    """
-    half = replace(params, r=0.0)
-    a1, a2 = generate_correlated_pair(half, rng)
-    y_up = awgn(bpsk_modulate(a1) + bpsk_modulate(a2), params.gamma, rng)
-    b_hat = pnc_decide(y_up, thr_half)
-    tx = bpsk_modulate(b_hat)
-
-    correct = []
-    for own, want in ((a1, a2), (a2, a1)):
-        rx = hard_demod(awgn(tx, params.gamma, rng))
-        correct.append(bool(np.array_equal(xor_block(own, rx), want)))
-
-    b = xor_block(a1, a2)
-    return RoundOutcome(
-        t1_correct=correct[0],
-        t2_correct=correct[1],
-        downlink_bits=params.n,
-        relay_block_correct=bool(np.array_equal(b_hat, b)),
-    )
-
-
 def _child_rng(seed: int, chunk_index: int) -> np.random.Generator:
     # published stream derivation: PCG64 seeded from SeedSequence((seed, k))
     return np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
@@ -156,7 +83,7 @@ def _draw_pair_bits(rng, m: int, n: int, rho: float):
     return a1, a2
 
 
-def _chunk_hpnc(
+def _chunk(
     n: int,
     rho: float,
     gamma: float,
@@ -165,15 +92,22 @@ def _chunk_hpnc(
     rounds: int,
     rng: np.random.Generator,
 ):
+    """Error counters of `rounds` exchange rounds through the chain.
+
+    The receiver is granted the codeword length (genie framing), so it
+    recovers the right block exactly when the codeword of the true XOR
+    block has the sent length and the received bits equal it.  The noise is
+    symmetric, so a sent bit flips exactly when sigma * z < -1, whatever
+    its sign; a round the relay got right then succeeds when its codeword
+    takes no flip, and a relay-wrong round when its flips turn cw(b_hat)
+    into cw(b).
+    """
     sigma = math.sqrt(0.5 / gamma)
+    flip_below = -1.0 / sigma
     lengths = cb.lengths.astype(np.int64)
     code_bits = cb._code_bits
-    max_len = cb.max_len
-    tables = cb.decode_tables()
-    pow_n = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
-    if tables is not None:
-        firsts, counts, offsets, canon_blocks = tables
-        pow_l = (1 << np.arange(max_len - 1, -1, -1)).astype(np.int64)
+    # MSB-first block values; n <= 16, so they fit the uint16 products
+    pow_n = (1 << np.arange(n - 1, -1, -1)).astype(np.uint16)
 
     err = [0, 0]  # [direction 2->1 at T1, direction 1->2 at T2]
     relay_err = 0
@@ -183,76 +117,41 @@ def _chunk_hpnc(
         m = min(_SUBBATCH, remaining)
         remaining -= m
         a1, a2 = _draw_pair_bits(rng, m, n, rho)
-        y = (
-            (1.0 - 2.0 * a1)
-            + (1.0 - 2.0 * a2)
-            + sigma * rng.standard_normal((m, n))
-        )
-        b_hat = (np.abs(y) <= tau).astype(np.uint8)
-        v_true = (a1 ^ a2).astype(np.int64) @ pow_n
-        v_hat = b_hat.astype(np.int64) @ pow_n
-        relay_err += int(np.count_nonzero(v_hat != v_true))
+        # received superposition (1 - 2 a1) + (1 - 2 a2) + sigma z
+        y = sigma * rng.standard_normal((m, n))
+        y += 2 - 2 * (a1 + a2).astype(np.int8)
+        b_hat = np.abs(y, out=y) <= tau
+        v_true = (a1 ^ a2) @ pow_n
+        v_hat = b_hat.view(np.uint8) @ pow_n
+        wrong = v_hat != v_true
+        relay_wrong = int(np.count_nonzero(wrong))
+        relay_err += relay_wrong
 
         lens = lengths[v_hat]
-        dl_bits += int(lens.sum())
-        cw = code_bits[v_hat]
-        tx = 1.0 - 2.0 * cw
-        mask = np.arange(max_len) < lens[:, None]
+        ends = np.cumsum(lens)
+        sent = int(ends[-1])
+        dl_bits += sent
+        # relay-wrong rounds whose true codeword has the sent length: the
+        # only wrong rounds that flips can still deliver correctly
+        cand = np.flatnonzero(wrong & (lengths[v_true] == lens))
 
         for d in range(2):
-            rx = (tx + sigma * rng.standard_normal((m, max_len))) < 0
-            rx &= mask
-            if tables is not None:
-                full = rx.astype(np.int64) @ pow_l
-                value = full >> (max_len - lens)
-                pos = value - firsts[lens]
-                hit = (counts[lens] > 0) & (pos >= 0) & (pos < counts[lens])
-                block = canon_blocks[np.where(hit, offsets[lens] + pos, 0)]
-                ok = hit & (block == v_true)
-            else:
-                # deep codebook: exact Python-int decode per round
-                ok = np.zeros(m, dtype=bool)
-                for i in range(m):
-                    value = 0
-                    for bit in rx[i, : lens[i]]:
-                        value = (value << 1) | int(bit)
-                    ok[i] = cb.decode_value(int(lens[i]), value) == v_true[i]
-            err[d] += m - int(np.count_nonzero(ok))
+            flips = rng.standard_normal(sent) < flip_below
+            # a round is hit when a flip position falls inside its segment
+            hit = np.zeros(m, dtype=bool)
+            hit[np.searchsorted(ends, np.flatnonzero(flips), side="right")] = True
+            ok = m - relay_wrong - int(np.count_nonzero(hit & ~wrong))
+            # cw(b_hat) != cw(b), so a candidate needs at least one flip
+            c = cand[hit[cand]]
+            if c.size:
+                cols = np.arange(int(lens[c].max()))
+                inside = cols < lens[c, None]
+                seen = flips[np.where(inside, (ends[c] - lens[c])[:, None] + cols, 0)] & inside
+                want = code_bits[v_hat[c], : cols.size] != code_bits[v_true[c], : cols.size]
+                ok += int(np.count_nonzero(np.all(seen == want, axis=1)))
+            err[d] += m - ok
 
     return err[1], err[0], relay_err, dl_bits
-
-
-def _chunk_conventional(
-    n: int,
-    gamma: float,
-    tau: float,
-    rounds: int,
-    rng: np.random.Generator,
-):
-    sigma = math.sqrt(0.5 / gamma)
-    err = [0, 0]
-    relay_err = 0
-    remaining = rounds
-    while remaining:
-        m = min(_SUBBATCH, remaining)
-        remaining -= m
-        a1, a2 = _draw_pair_bits(rng, m, n, 0.5)
-        y = (
-            (1.0 - 2.0 * a1)
-            + (1.0 - 2.0 * a2)
-            + sigma * rng.standard_normal((m, n))
-        )
-        b_hat = (np.abs(y) <= tau).astype(np.uint8)
-        b = a1 ^ a2
-        relay_err += int(np.count_nonzero(np.any(b_hat != b, axis=1)))
-
-        tx = 1.0 - 2.0 * b_hat
-        for d in range(2):
-            rx = ((tx + sigma * rng.standard_normal((m, n))) < 0).astype(np.uint8)
-            ok = np.all(rx == b, axis=1)
-            err[d] += m - int(np.count_nonzero(ok))
-
-    return err[1], err[0], relay_err, rounds * n
 
 
 def estimate(
@@ -277,11 +176,13 @@ def estimate(
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
     if scheme == SCHEME_HPNC:
-        cb = build_codebook(params.n, params.rho)
+        rho = params.rho
         tau = relay_threshold(params).tau
     else:
-        cb = None
+        # the baseline neither knows nor exploits the correlation
+        rho = 0.5
         tau = optimal_threshold(params.gamma, 0.5).tau
+    cb = build_codebook(params.n, rho)
 
     base, extra = divmod(rounds, chunks)
     err12 = err21 = relay_err = dl_bits = 0
@@ -289,15 +190,9 @@ def estimate(
         chunk_rounds = base + (1 if k < extra else 0)
         if chunk_rounds == 0:
             continue
-        rng = _child_rng(seed, k)
-        if scheme == SCHEME_HPNC:
-            e12, e21, rerr, dl = _chunk_hpnc(
-                params.n, params.rho, params.gamma, cb, tau, chunk_rounds, rng
-            )
-        else:
-            e12, e21, rerr, dl = _chunk_conventional(
-                params.n, params.gamma, tau, chunk_rounds, rng
-            )
+        e12, e21, rerr, dl = _chunk(
+            params.n, rho, params.gamma, cb, tau, chunk_rounds, _child_rng(seed, k)
+        )
         err12 += e12
         err21 += e21
         relay_err += rerr

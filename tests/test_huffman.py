@@ -17,6 +17,7 @@ from hpnc.huffman import (
     encode,
     length_distribution,
     theoretical_rate,
+    _descending,
     _huffman_lengths,
     _integer_weights,
 )
@@ -139,6 +140,15 @@ def test_construction_is_deterministic():
     assert codebook_to_table(build_codebook(5, 0.9)) == codebook_to_table(
         build_codebook(5, 0.9)
     )
+
+
+def test_alternate_tie_break_is_a_different_code():
+    # the optimality cross-check means something only if the two keys
+    # can build different trees from the same weights
+    weights = _integer_weights(6, 0.85)
+    primary = _huffman_lengths(weights)
+    alt = _huffman_lengths(weights, _descending)
+    assert not np.array_equal(primary, alt)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
