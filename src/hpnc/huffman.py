@@ -15,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,17 +49,9 @@ def compression_rate(n: int, mean_len: float) -> float:
 
 def _integer_weights(n: int, rho: float) -> list[int]:
     """Exact block weights: rho^zeros (1-rho)^ones scaled by a common denominator."""
-    frac = Fraction(rho)
-    num = frac.numerator
-    comp = frac.denominator - num
-    return [num ** (n - bin(v).count("1")) * comp ** bin(v).count("1") for v in range(1 << n)]
-
-
-def _leaf_depths(parent: list[int], leaf_count: int) -> np.ndarray:
-    depth = [0] * len(parent)
-    for i in range(len(parent) - 2, -1, -1):
-        depth[i] = depth[parent[i]] + 1
-    return np.array(depth[:leaf_count], dtype=np.int32)
+    num, den = Fraction(rho).as_integer_ratio()
+    by_ones = [num ** (n - k) * (den - num) ** k for k in range(n + 1)]
+    return [by_ones[v.bit_count()] for v in range(1 << n)]
 
 
 def _ascending(v: int) -> int:
@@ -89,11 +81,13 @@ def _huffman_lengths(weights: list[int], key=_ascending) -> np.ndarray:
     while len(heap) > 1:
         wa, ka, ia = heapq.heappop(heap)
         wb, kb, ib = heapq.heappop(heap)
-        parent[ia] = next_id
-        parent[ib] = next_id
+        parent[ia] = parent[ib] = next_id
         heapq.heappush(heap, (wa + wb, min(ka, kb), next_id))
         next_id += 1
-    return _leaf_depths(parent, count)
+    depth = [0] * len(parent)
+    for i in range(len(parent) - 2, -1, -1):
+        depth[i] = depth[parent[i]] + 1
+    return np.array(depth[:count], dtype=np.int32)
 
 
 def cross_check_optimality(n: int, rho: float) -> tuple[int, int]:
@@ -111,12 +105,18 @@ def cross_check_optimality(n: int, rho: float) -> tuple[int, int]:
     return total_primary, total_alt
 
 
+def _left_aligned(value: int, length: int, nbytes: int) -> bytes:
+    """A length-bit code value as nbytes big-endian bytes, zero-padded on the right."""
+    return (value << (8 * nbytes - length)).to_bytes(nbytes, "big")
+
+
 class HuffmanCodebook:
     """Canonical prefix code over all 2^n blocks.
 
     Blocks are identified with integers via MSB-first bit order.  A received
     word decodes through its (length, canonical value) pair, so only a word
-    of exactly one codeword's length and value decodes.
+    of exactly one codeword's length and value decodes.  Codeword bits are
+    derived on demand from the stored lengths and canonical values.
     """
 
     def __init__(self, n: int, rho: float, lengths: np.ndarray):
@@ -129,48 +129,43 @@ class HuffmanCodebook:
         self.lengths = lengths
         self.max_len = int(lengths.max())
 
-        order = sorted(range(size), key=lambda v: (int(lengths[v]), v))
+        lens = lengths.tolist()
+        order = np.lexsort((np.arange(size), lengths)).tolist()
         code_values: list[int] = [0] * size
-        code = 0
-        prev_len: int | None = None
+        code = -1
+        prev_len = lens[order[0]]
         for v in order:
-            length = int(lengths[v])
-            if prev_len is not None:
-                code = (code + 1) << (length - prev_len)
+            code = (code + 1) << (lens[v] - prev_len)
             code_values[v] = code
-            prev_len = length
+            prev_len = lens[v]
         # a Huffman code is complete, so the last canonical value must
         # exhaust its level
         if code + 1 != 1 << prev_len:
             raise ValueError("code lengths do not satisfy Kraft equality")
         self._code_values = code_values
+        self._decode_map = dict(zip(zip(lens, code_values), range(size)))
 
-        bits = np.zeros((size, self.max_len), dtype=np.uint8)
-        for v in range(size):
-            length = int(lengths[v])
-            value = code_values[v]
-            for j in range(length):
-                bits[v, j] = (value >> (length - 1 - j)) & 1
-        self._code_bits = bits
-
-        self._decode_map = {
-            (int(lengths[v]), code_values[v]): v for v in range(size)
-        }
-
-    def length_of(self, block: np.ndarray) -> int:
-        return int(self.lengths[block_to_int(block)])
+    @cached_property
+    def packed_codewords(self) -> np.ndarray:
+        """Left-aligned codewords, one row of ceil(max_len / 8) bytes per block."""
+        nbytes = (self.max_len + 7) // 8
+        rows = b"".join(
+            _left_aligned(value, length, nbytes)
+            for value, length in zip(self._code_values, self.lengths.tolist())
+        )
+        return np.frombuffer(rows, dtype=np.uint8).reshape(-1, nbytes)
 
     def codeword_bits(self, value: int) -> np.ndarray:
         """Codeword of the block with the given integer value, as a bit array."""
-        return self._code_bits[value, : int(self.lengths[value])].copy()
+        if not 0 <= value < self.lengths.size:
+            raise ValueError(f"block value must be in [0, {self.lengths.size}), got {value}")
+        length = int(self.lengths[value])
+        row = _left_aligned(self._code_values[value], length, (length + 7) // 8)
+        return np.unpackbits(np.frombuffer(row, dtype=np.uint8), count=length)
 
     def kraft_terms(self) -> int:
         """Sum of 2^(max_len - length) over all blocks; equals 2^max_len iff complete."""
-        return sum(1 << (self.max_len - int(l)) for l in self.lengths)
-
-    def decode_value(self, length: int, value: int) -> int | None:
-        """Block value for an exact-length canonical code value, else None."""
-        return self._decode_map.get((length, value))
+        return sum(1 << (self.max_len - l) for l in self.lengths.tolist())
 
 
 @lru_cache(maxsize=256)
@@ -206,11 +201,8 @@ def decode_exact(cb: HuffmanCodebook, bits: np.ndarray) -> np.ndarray | None:
     length = int(bits.size)
     if length == 0 or length > cb.max_len:
         return None
-    value = block_to_int(bits)
-    block = cb.decode_value(length, value)
-    if block is None:
-        return None
-    return int_to_block(block, cb.n)
+    block = cb._decode_map.get((length, block_to_int(bits)))
+    return None if block is None else int_to_block(block, cb.n)
 
 
 @dataclass(frozen=True)
@@ -231,7 +223,7 @@ def length_distribution(cb: HuffmanCodebook, rho: float) -> LengthDistribution:
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"equal factor rho must be in [0, 1], got {rho}")
     n = cb.n
-    ones = np.array([bin(v).count("1") for v in range(1 << n)], dtype=np.float64)
+    ones = np.array([v.bit_count() for v in range(1 << n)], dtype=np.float64)
     probs = rho ** (n - ones) * (1.0 - rho) ** ones
     mass = np.bincount(cb.lengths, weights=probs, minlength=cb.max_len + 1)
     support = tuple(int(k) for k in np.unique(cb.lengths))
@@ -271,8 +263,12 @@ def codebook_from_table(text: str) -> HuffmanCodebook:
         raise ValueError(f"expected {size} rows for n = {n}, got {len(rows)}")
     lengths = np.zeros(size, dtype=np.int32)
     listed = {}
-    for bits_str, len_str, code_str in rows:
+    for i, (bits_str, len_str, code_str) in enumerate(rows, 1):
+        if len(bits_str) != n:
+            raise ValueError(f"row {i}: block {bits_str} is not {n} bits wide")
         v = int(bits_str, 2)
+        if v in listed:
+            raise ValueError(f"row {i}: block {bits_str} is listed twice")
         length = int(len_str)
         if length != len(code_str):
             raise ValueError(f"row {bits_str}: length field {length} does not match codeword")

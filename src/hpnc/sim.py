@@ -105,7 +105,6 @@ def _chunk(
     sigma = math.sqrt(0.5 / gamma)
     flip_below = -1.0 / sigma
     lengths = cb.lengths.astype(np.int64)
-    code_bits = cb._code_bits
     # MSB-first block values; n <= 16, so they fit the uint16 products
     pow_n = (1 << np.arange(n - 1, -1, -1)).astype(np.uint16)
 
@@ -147,8 +146,12 @@ def _chunk(
                 cols = np.arange(int(lens[c].max()))
                 inside = cols < lens[c, None]
                 seen = flips[np.where(inside, (ends[c] - lens[c])[:, None] + cols, 0)] & inside
-                want = code_bits[v_hat[c], : cols.size] != code_bits[v_true[c], : cols.size]
-                ok += int(np.count_nonzero(np.all(seen == want, axis=1)))
+                # compared packed (both zero past each codeword); the table is
+                # built on first use, so never at r = 1, where no round is wrong
+                packed = cb.packed_codewords
+                width = (cols.size + 7) // 8
+                want = packed[v_hat[c], :width] ^ packed[v_true[c], :width]
+                ok += int(np.count_nonzero(np.all(np.packbits(seen, axis=1) == want, axis=1)))
             err[d] += m - ok
 
     return err[1], err[0], relay_err, dl_bits

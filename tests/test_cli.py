@@ -1,5 +1,6 @@
 """CLI surface: config handling, output schemas, byte stability, validation."""
 
+import hashlib
 import json
 
 import pytest
@@ -169,4 +170,26 @@ def test_export_codebook(tmp_path, capsys):
 
 def test_export_codebook_rejects_bad_r(capsys):
     assert main(["export-codebook", "--n", "2", "--r", "1.5"]) == 2
+    capsys.readouterr()
+
+
+# SHA-256 of the output files; any change to the canonical codeword order,
+# the lengths or the number formatting shows up here
+PINNED_OUTPUTS = [
+    (["export-codebook", "--n", "10", "--r", "1.0"],
+     "01d361788b57816f52ca6cd0fa10770987a65c90dfb08765da8d331a7eb16ee2"),
+    (["export-codebook", "--n", "8", "--r", "0.9"],
+     "11fc8ff37cf3a4aa4e3888e2a194e4aa8345d72ad107b06fbd9e8ba1ecf01c70"),
+    (["rate-table", "--n-stop", "8"],
+     "83afc14b5e1ad58bf87661d74e478d398ac1fd97b2e1a4aaedbd3f87ce9c1c6e"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,digest", PINNED_OUTPUTS, ids=[" ".join(args) for args, _ in PINNED_OUTPUTS]
+)
+def test_output_digest_is_pinned(tmp_path, capsys, args, digest):
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     capsys.readouterr()

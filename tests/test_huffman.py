@@ -204,3 +204,22 @@ def test_table_import_rejects_tampering():
         codebook_from_table("\n".join(lines))
     with pytest.raises(ValueError):
         codebook_from_table("")
+
+
+def test_table_import_names_a_malformed_block_row():
+    lines = codebook_to_table(build_codebook(3, 0.9)).splitlines()
+    bits, length, code = lines[5].split()
+    wide = lines[:5] + [f"0{bits} {length} {code}"] + lines[6:]
+    with pytest.raises(ValueError, match=r"row 6: block 0101 is not 3 bits wide"):
+        codebook_from_table("\n".join(wide))
+    duplicate = lines[:5] + [lines[4]] + lines[6:]
+    with pytest.raises(ValueError, match=r"row 6: block 100 is listed twice"):
+        codebook_from_table("\n".join(duplicate))
+
+
+def test_codeword_bits_rejects_out_of_range_values():
+    cb = build_codebook(3, 0.9)
+    assert np.array_equal(cb.codeword_bits(7), encode(cb, int_to_block(7, 3)))
+    for value in (-1, 8):
+        with pytest.raises(ValueError, match="block value"):
+            cb.codeword_bits(value)

@@ -1,0 +1,63 @@
+"""Property tests of the canonical codebook over n <= 10 and rho in [0.5, 1]."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hpnc.huffman import build_codebook, decode_exact, encode
+from hpnc.model import int_to_block
+
+designs = st.tuples(
+    st.integers(min_value=1, max_value=10),
+    st.floats(min_value=0.5, max_value=1.0) | st.sampled_from([0.5, 0.9, 0.95, 1.0]),
+)
+
+
+def _bit_table(cb) -> np.ndarray:
+    """Codeword bits written out one at a time from the canonical values:
+    row v holds cw(v) MSB first, zero-padded to max_len."""
+    bits = np.zeros((1 << cb.n, cb.max_len), dtype=np.uint8)
+    for v, (value, length) in enumerate(zip(cb._code_values, cb.lengths.tolist())):
+        for j in range(length):
+            bits[v, j] = (value >> (length - 1 - j)) & 1
+    return bits
+
+
+@settings(max_examples=40)
+@given(designs)
+@example((10, 1.0))  # the deepest code in range: max_len 1023
+def test_codeword_bits_match_the_per_bit_table(design):
+    cb = build_codebook(*design)
+    table = _bit_table(cb)
+    packed = cb.packed_codewords
+    assert packed.shape == (1 << cb.n, (cb.max_len + 7) // 8)
+    assert np.array_equal(np.unpackbits(packed, axis=1, count=cb.max_len), table)
+    for v, length in enumerate(cb.lengths.tolist()):
+        assert np.array_equal(cb.codeword_bits(v), table[v, :length])
+
+
+@settings(max_examples=60)
+@given(designs)
+@example((10, 1.0))
+def test_kraft_equality_and_prefix_freedom(design):
+    cb = build_codebook(*design)
+    lengths = cb.lengths.tolist()
+    assert sum(1 << (cb.max_len - length) for length in lengths) == 1 << cb.max_len
+    assert cb.kraft_terms() == 1 << cb.max_len
+    words = sorted(
+        format(value, f"0{length}b") for value, length in zip(cb._code_values, lengths)
+    )
+    assert all(not b.startswith(a) for a, b in zip(words, words[1:]))
+
+
+@settings(max_examples=30)
+@given(designs)
+@example((10, 1.0))
+def test_every_block_round_trips(design):
+    cb = build_codebook(*design)
+    for v in range(1 << cb.n):
+        block = int_to_block(v, cb.n)
+        assert np.array_equal(decode_exact(cb, encode(cb, block)), block)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from hpnc.analysis import conv_bler, hpnc_bler
-from hpnc.huffman import build_codebook, encode, length_distribution
+from hpnc.huffman import build_codebook, decode_exact, encode, length_distribution
 from hpnc.model import SystemParams
 from hpnc.phy import q_function
 from hpnc.pnc import optimal_threshold
-from hpnc.sim import estimate, relay_threshold
+from hpnc.sim import _chunk, _draw_pair_bits, estimate, relay_threshold
 
 NOISELESS = 1e12  # BLER under e^-1e12: no error will ever be sampled
 
@@ -228,3 +228,45 @@ def test_rho_one_uses_zero_threshold():
     assert relay_threshold(params).tau == 0.0
     est = estimate(params, "hpnc", 10_000, seed=2, chunks=2)
     assert est.relay_bler == 0.0  # truth is always the all-zero XOR block
+
+
+@pytest.mark.parametrize(
+    "n,rho,gamma",
+    [
+        (12, 0.5, 1.0),  # the baseline's 12-bit identity code: two bytes per codeword
+        (6, 0.8, 0.5),  # a variable-length code, 2 to 12 bits
+    ],
+)
+def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma):
+    # at these SNRs the downlink delivers some relay errors anyway, so the
+    # kernel's packed candidate check decides part of the count
+    rounds = 4000
+    cb = build_codebook(n, rho)
+    tau = optimal_threshold(gamma, rho).tau
+    got = _chunk(n, rho, gamma, cb, tau, rounds, np.random.default_rng(5))
+
+    # replay the kernel's draw order and decode every round on its own
+    rng = np.random.default_rng(5)
+    sigma = math.sqrt(0.5 / gamma)
+    a1, a2 = _draw_pair_bits(rng, rounds, n, rho)
+    y = sigma * rng.standard_normal((rounds, n)) + (2 - 2 * (a1 + a2).astype(np.int8))
+    b_hat = (np.abs(y) <= tau).astype(np.uint8)
+    words = [encode(cb, row) for row in b_hat]
+    sent = sum(word.size for word in words)
+    errors = []
+    delivered_anyway = 0
+    for _ in range(2):
+        flips = (rng.standard_normal(sent) < -1.0 / sigma).astype(np.uint8)
+        start = err = 0
+        for block, relayed, word in zip(a1 ^ a2, b_hat, words):
+            received = word ^ flips[start:start + word.size]
+            start += word.size
+            decoded = decode_exact(cb, received)
+            if decoded is None or not np.array_equal(decoded, block):
+                err += 1
+            elif not np.array_equal(relayed, block):
+                delivered_anyway += 1
+        errors.append(err)
+    assert delivered_anyway > 0
+    relay_wrong = int(np.count_nonzero(np.any(b_hat != a1 ^ a2, axis=1)))
+    assert got == (errors[1], errors[0], relay_wrong, sent)
