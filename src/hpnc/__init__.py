@@ -5,7 +5,8 @@ The relay maps the superposed uplink to the XOR of the two source blocks
 Huffman code designed from the source correlation, and broadcasts the
 codeword.  The package provides the closed-form compression-rate and
 block-error-rate analysis for this scheme and for the non-compressed
-baseline, plus a seeded Monte Carlo engine to cross-validate them.
+baseline (the same scheme designed for uncorrelated sources), plus a
+seeded Monte Carlo engine to cross-validate them.
 """
 
 from .model import (
@@ -45,8 +46,6 @@ from .analysis import (
     BlerPoint,
     avg_downlink_bler,
     bler_gain,
-    conv_bler,
-    conv_bler_asym,
     downlink_bler_given_k,
     hpnc_bler,
     hpnc_bler_asym_high,
@@ -90,8 +89,6 @@ __all__ = [
     "BlerPoint",
     "avg_downlink_bler",
     "bler_gain",
-    "conv_bler",
-    "conv_bler_asym",
     "downlink_bler_given_k",
     "hpnc_bler",
     "hpnc_bler_asym_high",

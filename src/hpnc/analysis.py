@@ -1,11 +1,14 @@
 """Closed-form end-to-end block error rates and the high-SNR gain.
 
 The compressed scheme's BLER chains the relay decision error with the
-average downlink codeword error; the non-compressed baseline uses a fixed
-n-bit downlink and a relay threshold designed for uncorrelated sources.
-Relay-then-downlink error events are treated as independent, and downlink
-bit flips that happen to restore the correct block are ignored, so a small
-systematic gap to a ground-truth-scored simulation appears at very low SNR.
+average downlink codeword error.  The non-compressed baseline is the same
+scheme designed for r = 0 (the rho = 0.5 threshold and code, which sends
+every block as its n bits), so its forms are the compressed ones at
+rho = 0.5 with mean length n.  The relay term comes from pnc, which also
+knows that the relay never errs at rho = 1.  Relay-then-downlink error
+events are treated as independent, and downlink bit flips that happen to
+restore the correct block are ignored, so a small systematic gap to a
+ground-truth-scored simulation appears at very low SNR.
 """
 
 from __future__ import annotations
@@ -15,15 +18,7 @@ from dataclasses import dataclass
 
 from .huffman import LengthDistribution
 from .phy import q_function
-from .pnc import pnc_symbol_error_closed
-
-
-def _relay_symbol_error(gamma: float, rho: float) -> float:
-    # rho = 1 collapses the relay decision: the XOR block is deterministically
-    # all-zero and the zero-threshold rule recovers it almost surely
-    if rho >= 1.0:
-        return 0.0
-    return pnc_symbol_error_closed(gamma, rho)
+from .pnc import pnc_block_error, pnc_symbol_error_closed
 
 
 def downlink_bler_given_k(gamma: float, k: int) -> float:
@@ -42,15 +37,13 @@ def avg_downlink_bler(gamma: float, ld: LengthDistribution) -> float:
 
 def hpnc_bler(gamma: float, rho: float, n: int, ld: LengthDistribution) -> float:
     """End-to-end BLER of the compressed scheme (one direction)."""
-    if n < 1:
-        raise ValueError(f"block length n must be >= 1, got {n}")
-    relay = 1.0 - (1.0 - _relay_symbol_error(gamma, rho)) ** n
+    relay = pnc_block_error(gamma, rho, n)
     return 1.0 - (1.0 - relay) * (1.0 - avg_downlink_bler(gamma, ld))
 
 
 def hpnc_bler_asym_medium(gamma: float, rho: float, n: int, mean_len: float) -> float:
     """First-order expansion of the exact BLER: n*P_sym + mean_len*Q(sqrt(2*gamma))."""
-    return n * _relay_symbol_error(gamma, rho) + mean_len * q_function(
+    return n * pnc_symbol_error_closed(gamma, rho) + mean_len * q_function(
         math.sqrt(2.0 * gamma)
     )
 
@@ -65,30 +58,11 @@ def hpnc_bler_asym_high(gamma: float, rho: float, n: int, mean_len: float) -> fl
     log-odds offset, tau_bar = sqrt(2*gamma) + delta/sqrt(2*gamma) with
     delta = ln(2*(1-rho)/rho)/2, so P_sym ~ 2*sqrt(2*rho*(1-rho)) * Q.  The
     two coefficients agree only at rho = 2/3; elsewhere (2 - rho) is larger,
-    and at rho = 1, where the relay never errs, it still charges n*Q.
+    and at rho = 1, where the relay never errs, it still charges n*Q.  At
+    rho = 0.5 with mean length n this is the baseline's (5n/2) * Q, whose
+    MAP limit is (1 + sqrt(2)) * n * Q.
     """
     return (2.0 * n - rho * n + mean_len) * q_function(math.sqrt(2.0 * gamma))
-
-
-def conv_bler(gamma: float, n: int) -> float:
-    """End-to-end BLER of the non-compressed baseline.
-
-    The baseline relay thresholds for uncorrelated sources (rho = 0.5) and
-    broadcasts all n XOR bits uncompressed.
-    """
-    if n < 1:
-        raise ValueError(f"block length n must be >= 1, got {n}")
-    relay = 1.0 - (1.0 - pnc_symbol_error_closed(gamma, 0.5)) ** n
-    return 1.0 - (1.0 - relay) * (1.0 - downlink_bler_given_k(gamma, n))
-
-
-def conv_bler_asym(gamma: float, n: int) -> float:
-    """High-SNR form of the baseline BLER: (5n/2) * Q(sqrt(2*gamma)).
-
-    This is hpnc_bler_asym_high at rho = 0.5 with mean length n, so it carries
-    the same midpoint-threshold coefficient; the MAP limit is (1 + sqrt(2))*n.
-    """
-    return 2.5 * n * q_function(math.sqrt(2.0 * gamma))
 
 
 def bler_gain(c_hpnc: float, rho: float) -> float:
@@ -126,11 +100,5 @@ def hpnc_bler_point(gamma: float, rho: float, n: int, ld: LengthDistribution) ->
 
 
 def conv_bler_point(gamma: float, n: int) -> BlerPoint:
-    # the baseline is the compressed chain at rho = 0.5 with mean length n,
-    # so its medium asymptote reuses that form and its high form is (5n/2)Q
-    return BlerPoint(
-        gamma=gamma,
-        exact=conv_bler(gamma, n),
-        asym_medium=min(1.0, hpnc_bler_asym_medium(gamma, 0.5, n, float(n))),
-        asym_high=min(1.0, conv_bler_asym(gamma, n)),
-    )
+    """The baseline's point: the compressed chain at rho = 0.5, every codeword n bits."""
+    return hpnc_bler_point(gamma, 0.5, n, LengthDistribution((n,), {n: 1.0}, float(n)))

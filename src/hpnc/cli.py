@@ -44,6 +44,9 @@ SWEEP_SCHEMA = (
     "rounds",
     "seed",
 )
+# the columns each sweep command prints; both write every SWEEP_SCHEMA column
+BLER_COLUMNS = ("bler_exact", "bler_asym13", "bler_asym14", "bler_sim", "bler_sim_se")
+THROUGHPUT_COLUMNS = ("thr_sim", "c_hpnc", "c_theo")
 
 RATE_SCHEMA = ("n", "r", "mean_len", "c_hpnc", "c_theo", "gap")
 
@@ -80,6 +83,10 @@ class ExperimentConfig:
         for value in self.r:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"r: values must be in [0, 1], got {value}")
+        for name in ("snr_db_start", "snr_db_stop", "snr_db_step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite, got {value}")
         if self.snr_db_step <= 0.0:
             raise ValueError(f"snr_db_step: must be > 0, got {self.snr_db_step}")
         if self.snr_db_stop < self.snr_db_start:
@@ -144,44 +151,32 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     sim_cache: dict = {}
     for scheme in cfg.schemes:
         for r in cfg.r:
-            rho = equal_factor(r)
-            if scheme == SCHEME_HPNC:
-                cb = build_codebook(cfg.n, rho)
-                ld = length_distribution(cb, rho)
-                c_hpnc = compression_rate(cfg.n, ld.mean)
-                c_theo = theoretical_rate(r)
+            # the baseline is the scheme designed for r = 0, whatever r is
+            design_r = r if scheme == SCHEME_HPNC else 0.0
+            rho = equal_factor(design_r)
+            ld = length_distribution(build_codebook(cfg.n, rho), rho)
+            c_hpnc = compression_rate(cfg.n, ld.mean)
+            c_theo = theoretical_rate(design_r)
             for snr_db in cfg.snr_grid_db:
                 gamma = 10.0 ** (snr_db / 10.0)
                 if scheme == SCHEME_HPNC:
                     point = hpnc_bler_point(gamma, rho, cfg.n, ld)
                 else:
                     point = conv_bler_point(gamma, cfg.n)
-                # the baseline ignores r, so its simulations are shared
-                key = (scheme, cfg.n, r if scheme == SCHEME_HPNC else None, snr_db)
+                # the baseline's rows share one simulation per SNR point
+                key = (scheme, design_r, snr_db)
                 if key not in sim_cache:
-                    params = SystemParams(n=cfg.n, r=r, gamma=gamma)
-                    sim_cache[key] = estimate(
-                        params, scheme, cfg.rounds, cfg.seed, cfg.chunks
-                    )
+                    params = SystemParams(n=cfg.n, r=design_r, gamma=gamma)
+                    sim_cache[key] = estimate(params, scheme, cfg.rounds, cfg.seed, cfg.chunks)
                 est = sim_cache[key]
-                rows.append(
-                    {
-                        "scheme": scheme,
-                        "n": cfg.n,
-                        "r": r,
-                        "snr_db": snr_db,
-                        "bler_exact": point.exact,
-                        "bler_asym13": point.asym_medium,
-                        "bler_asym14": point.asym_high,
-                        "bler_sim": est.bler_12,
-                        "bler_sim_se": est.bler_12_se,
-                        "thr_sim": est.throughput,
-                        "c_hpnc": c_hpnc if scheme == SCHEME_HPNC else 1.0,
-                        "c_theo": c_theo if scheme == SCHEME_HPNC else 1.0,
-                        "rounds": cfg.rounds,
-                        "seed": cfg.seed,
-                    }
+                # one value per SWEEP_SCHEMA column, in its order
+                values = (
+                    scheme, cfg.n, r, snr_db,
+                    point.exact, point.asym_medium, point.asym_high,
+                    est.bler_12, est.bler_12_se, est.throughput,
+                    c_hpnc, c_theo, cfg.rounds, cfg.seed,
                 )
+                rows.append(dict(zip(SWEEP_SCHEMA, values)))
     return rows
 
 
@@ -201,16 +196,10 @@ def _print_sweep(rows, columns) -> None:
         print("  ".join(cells))
 
 
-def cmd_bler_sweep(cfg: ExperimentConfig) -> int:
+def cmd_sweep(args, columns) -> int:
+    cfg = _config_from_args(args)
     rows = run_sweep(cfg)
-    _print_sweep(rows, ("bler_exact", "bler_asym13", "bler_asym14", "bler_sim", "bler_sim_se"))
-    _write_output(cfg.format, cfg.out, SWEEP_SCHEMA, rows)
-    return 0
-
-
-def cmd_throughput_sweep(cfg: ExperimentConfig) -> int:
-    rows = run_sweep(cfg)
-    _print_sweep(rows, ("thr_sim", "c_hpnc", "c_theo"))
+    _print_sweep(rows, columns)
     _write_output(cfg.format, cfg.out, SWEEP_SCHEMA, rows)
     return 0
 
@@ -327,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bler-sweep", help="analytical vs simulated block error rates")
     _add_sweep_arguments(p)
-    p.set_defaults(run=lambda args: cmd_bler_sweep(_config_from_args(args)))
+    p.set_defaults(run=lambda args: cmd_sweep(args, BLER_COLUMNS))
 
     p = sub.add_parser("throughput-sweep", help="simulated throughput with noiseless ceilings")
     _add_sweep_arguments(p)
-    p.set_defaults(run=lambda args: cmd_throughput_sweep(_config_from_args(args)))
+    p.set_defaults(run=lambda args: cmd_sweep(args, THROUGHPUT_COLUMNS))
 
     p = sub.add_parser("rate-table", help="compression rate vs the entropy floor")
     p.add_argument("--n-start", type=int, default=1)

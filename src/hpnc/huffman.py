@@ -263,16 +263,21 @@ def codebook_from_table(text: str) -> HuffmanCodebook:
         raise ValueError(f"expected {size} rows for n = {n}, got {len(rows)}")
     lengths = np.zeros(size, dtype=np.int32)
     listed = {}
-    for i, (bits_str, len_str, code_str) in enumerate(rows, 1):
+    for i, fields in enumerate(rows, 1):
+        if len(fields) != 3:
+            raise ValueError(f"row {i}: expected 3 fields, got {len(fields)}")
+        bits_str, len_str, code_str = fields
         if len(bits_str) != n:
             raise ValueError(f"row {i}: block {bits_str} is not {n} bits wide")
+        # int(x, 2) alone would also take signs, "0b" prefixes and underscores
+        if not set(bits_str + code_str) <= {"0", "1"}:
+            raise ValueError(f"row {i}: block {bits_str} or codeword {code_str} is not binary")
         v = int(bits_str, 2)
         if v in listed:
             raise ValueError(f"row {i}: block {bits_str} is listed twice")
-        length = int(len_str)
-        if length != len(code_str):
-            raise ValueError(f"row {bits_str}: length field {length} does not match codeword")
-        lengths[v] = length
+        if len_str != str(len(code_str)):
+            raise ValueError(f"row {i}: length field {len_str} does not match codeword")
+        lengths[v] = len(code_str)
         listed[v] = int(code_str, 2)
     cb = HuffmanCodebook(n, math.nan, lengths)
     for v in range(size):

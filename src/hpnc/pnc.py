@@ -6,6 +6,10 @@ The relay observes the superposition of two antipodal transmissions
 disagreed (XOR 1).  This module provides the posterior-optimal threshold,
 the per-symbol decision, the closed-form per-symbol error probability, and
 an independent quadrature evaluation of the same error used as an oracle.
+
+It is the one place that knows the rho = 1 rule: fully correlated sources
+always agree, so the XOR block is all-zero, the threshold is 0 (every sample
+declares XOR 0) and the relay never errs.
 """
 
 from __future__ import annotations
@@ -30,11 +34,8 @@ class PncThreshold:
 def _check_gamma_rho(gamma: float, rho: float) -> None:
     if not gamma > 0.0:
         raise ValueError(f"SNR gamma must be > 0, got {gamma}")
-    if not 0.5 <= rho < 1.0:
-        raise ValueError(
-            f"equal factor rho must be in [0.5, 1) (rho = 1 makes the relay "
-            f"decision deterministic and needs no threshold), got {rho}"
-        )
+    if not 0.5 <= rho <= 1.0:
+        raise ValueError(f"equal factor rho must be in [0.5, 1], got {rho}")
 
 
 def optimal_threshold(gamma: float, rho: float) -> PncThreshold:
@@ -42,9 +43,12 @@ def optimal_threshold(gamma: float, rho: float) -> PncThreshold:
 
     When the agreement prior is strong enough that the middle region vanishes,
     i.e. ((1-rho)/rho) * e^{4*gamma} <= 1, the threshold degenerates to 0 and
-    every sample is declared an agreeing pair.
+    every sample is declared an agreeing pair.  rho = 1 is that branch at
+    every SNR.
     """
     _check_gamma_rho(gamma, rho)
+    if rho == 1.0:
+        return PncThreshold(0.0, 0.0)
     log_odds = math.log((1.0 - rho) / rho)
     if log_odds + 4.0 * gamma <= 0.0:
         return PncThreshold(0.0, 0.0)
@@ -67,7 +71,10 @@ def pnc_decide(y: np.ndarray, thr: PncThreshold) -> np.ndarray:
 
 
 def pnc_symbol_error_closed(gamma: float, rho: float) -> float:
-    """Per-symbol XOR decision error at the optimal threshold (closed form)."""
+    """Per-symbol XOR decision error at the optimal threshold (closed form).
+
+    At rho = 1 the zero threshold leaves rho*Q(s) - rho*Q(s), exactly 0.
+    """
     _check_gamma_rho(gamma, rho)
     if math.isinf(gamma):
         return 0.0

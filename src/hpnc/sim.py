@@ -6,10 +6,10 @@ are commutative sums of per-chunk counters, so estimates are bit-identical
 for a fixed (seed, chunks) regardless of how chunks would be scheduled.
 
 Both schemes run the same chain kernel: the conventional baseline is the
-compressed chain with the rho = 0.5 code, which is the identity
-fixed-length code, fed with uncorrelated sources.  Within a chunk, rounds
-are simulated in vectorised sub-batches of up to 2^16 rounds.  Each
-sub-batch draws, in this order:
+compressed scheme designed for r = 0, that is the rho = 0.5 threshold and
+code (the identity fixed-length code), fed with uncorrelated sources.
+Within a chunk, rounds are simulated in vectorised sub-batches of up to
+2^16 rounds.  Each sub-batch draws, in this order:
 
 1. the source bits a1, an (m, n) integer array;
 2. the agreement uniforms that set a2, an (m, n) array;
@@ -22,7 +22,7 @@ sub-batch draws, in this order:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,13 +61,7 @@ class SimEstimate:
 
 
 def relay_threshold(params: SystemParams) -> PncThreshold:
-    """Decision threshold the compressed relay uses for these parameters.
-
-    r = 1 has a deterministic all-zero XOR block; the zero threshold then
-    declares XOR 0 almost surely, which is the posterior-optimal rule.
-    """
-    if params.rho >= 1.0:
-        return PncThreshold(0.0, 0.0)
+    """Decision threshold the compressed relay uses for these parameters."""
     return optimal_threshold(params.gamma, params.rho)
 
 
@@ -178,28 +172,20 @@ def estimate(
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
-    if scheme == SCHEME_HPNC:
-        rho = params.rho
-        tau = relay_threshold(params).tau
-    else:
-        # the baseline neither knows nor exploits the correlation
-        rho = 0.5
-        tau = optimal_threshold(params.gamma, 0.5).tau
+    # the baseline is the scheme designed for r = 0: it neither knows nor
+    # exploits the correlation
+    design = params if scheme == SCHEME_HPNC else replace(params, r=0.0)
+    rho = design.rho
+    tau = relay_threshold(design).tau
     cb = build_codebook(params.n, rho)
 
     base, extra = divmod(rounds, chunks)
-    err12 = err21 = relay_err = dl_bits = 0
-    for k in range(chunks):
-        chunk_rounds = base + (1 if k < extra else 0)
-        if chunk_rounds == 0:
-            continue
-        e12, e21, rerr, dl = _chunk(
-            params.n, rho, params.gamma, cb, tau, chunk_rounds, _child_rng(seed, k)
-        )
-        err12 += e12
-        err21 += e21
-        relay_err += rerr
-        dl_bits += dl
+    # chunks past the round budget would be empty, so they are not run
+    counts = [
+        _chunk(params.n, rho, params.gamma, cb, tau, base + (k < extra), _child_rng(seed, k))
+        for k in range(min(chunks, rounds))
+    ]
+    err12, err21, relay_err, dl_bits = (sum(column) for column in zip(*counts))
 
     p12 = err12 / rounds
     p21 = err21 / rounds

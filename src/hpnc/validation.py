@@ -23,7 +23,7 @@ from .huffman import (
 from .model import int_to_block
 from .phy import q_function
 from .pnc import optimal_threshold, pnc_symbol_error_closed, pnc_symbol_error_numeric
-from .analysis import bler_gain, conv_bler_asym, hpnc_bler_asym_high
+from .analysis import bler_gain, hpnc_bler_asym_high
 
 DEFAULT_SNR_DB_GRID = (0.0, 2.5, 5.0, 7.5, 10.0)
 DEFAULT_RHO_GRID = (0.7, 0.8, 0.85, 0.9, 0.95)
@@ -151,7 +151,9 @@ def formula_checks(n_grid=(2, 4, 6, 8, 12), r_grid=(0.0, 0.2, 0.4, 0.6, 0.8, 0.9
             point = {"n": n, "r": r}
             ld = length_distribution(build_codebook(n, rho), rho)
             c = compression_rate(n, ld.mean)
-            ratio = conv_bler_asym(gamma, n) / hpnc_bler_asym_high(gamma, rho, n, ld.mean)
+            # the baseline is the compressed scheme at rho = 0.5 with mean length n
+            conv = hpnc_bler_asym_high(gamma, 0.5, n, float(n))
+            ratio = conv / hpnc_bler_asym_high(gamma, rho, n, ld.mean)
             dev = abs(ratio / bler_gain(c, rho) - 1.0)
             out.append(_check("asym_ratio_equals_gain_formula", point, dev, 1e-12))
             gap = c - theoretical_rate(r)
@@ -160,7 +162,9 @@ def formula_checks(n_grid=(2, 4, 6, 8, 12), r_grid=(0.0, 0.2, 0.4, 0.6, 0.8, 0.9
             out.append(_check("rate_sandwich", point, ok_gap, 0))
     for n in (2, 4, 6):
         point = {"n": n, "rho": 0.5}
-        dev = abs(hpnc_bler_asym_high(gamma, 0.5, n, float(n)) - conv_bler_asym(gamma, n))
+        # the paper's baseline form, (5n/2) * Q(sqrt(2 gamma))
+        literal = 2.5 * n * q_function(math.sqrt(2.0 * gamma))
+        dev = abs(hpnc_bler_asym_high(gamma, 0.5, n, float(n)) - literal)
         out.append(_check("high_snr_coefficient_identity_rho_half", point, dev, 0))
     xs = np.linspace(-6.0, 6.0, 25)
     dev = float(np.max(np.abs(q_function(xs) + q_function(-xs) - 1.0)))

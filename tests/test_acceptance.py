@@ -13,8 +13,7 @@ import pytest
 
 from hpnc.analysis import (
     bler_gain,
-    conv_bler,
-    conv_bler_asym,
+    conv_bler_point,
     hpnc_bler,
     hpnc_bler_asym_high,
     hpnc_bler_asym_medium,
@@ -80,7 +79,7 @@ def test_criterion_1_analytic_vs_simulated_bler():
             if scheme == "hpnc":
                 expected = hpnc_bler(gamma, rho, N_BITS, ld_for(N_BITS, r))
             else:
-                expected = conv_bler(gamma, N_BITS)
+                expected = conv_bler_point(gamma, N_BITS).exact
             if expected < 1e-4:
                 continue
             est = sim_point(scheme, r, snr_db)
@@ -166,9 +165,9 @@ def test_criterion_5_gain_formula():
             rho = (1.0 + r) / 2.0
             mean = ld_for(n, r).mean
             gain = bler_gain(compression_rate(n, mean), rho)
-            ratio = conv_bler_asym(gamma_any, n) / hpnc_bler_asym_high(
-                gamma_any, rho, n, mean
-            )
+            # the baseline is the compressed scheme at rho = 0.5, mean length n
+            conv = hpnc_bler_asym_high(gamma_any, 0.5, n, float(n))
+            ratio = conv / hpnc_bler_asym_high(gamma_any, rho, n, mean)
             if abs(ratio / gain - 1.0) > 1e-12:
                 failures.append(
                     f"  n={n} r={r}: asymptotic ratio {ratio!r} != gain {gain!r}"
@@ -178,7 +177,8 @@ def test_criterion_5_gain_formula():
         rho = (1.0 + r) / 2.0
         ld = ld_for(N_BITS, r)
         gain = bler_gain(compression_rate(N_BITS, ld.mean), rho)
-        exact_ratio = conv_bler(gamma14, N_BITS) / hpnc_bler(gamma14, rho, N_BITS, ld)
+        conv = conv_bler_point(gamma14, N_BITS).exact
+        exact_ratio = conv / hpnc_bler(gamma14, rho, N_BITS, ld)
         dev = abs(exact_ratio / gain - 1.0)
         if dev > 0.10:
             failures.append(

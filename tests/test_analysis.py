@@ -9,8 +9,6 @@ from scipy.integrate import quad
 from hpnc.analysis import (
     avg_downlink_bler,
     bler_gain,
-    conv_bler,
-    conv_bler_asym,
     conv_bler_point,
     downlink_bler_given_k,
     hpnc_bler,
@@ -19,6 +17,7 @@ from hpnc.analysis import (
     hpnc_bler_point,
 )
 from hpnc.huffman import LengthDistribution, build_codebook, compression_rate, length_distribution
+from hpnc.phy import q_function
 
 
 def q_oracle(x: float) -> float:
@@ -96,10 +95,20 @@ def test_hpnc_bler_rho_one_is_downlink_only():
 
 
 def test_conv_bler_values():
-    assert conv_bler(1.0, 6) == pytest.approx(0.6941687775175711, abs=1e-12)
-    assert conv_bler(1e9, 6) < 1e-15
+    assert conv_bler_point(1.0, 6).exact == pytest.approx(0.6941687775175711, abs=1e-12)
+    assert conv_bler_point(1e9, 6).exact < 1e-15
     with pytest.raises(ValueError):
-        conv_bler(1.0, 0)
+        conv_bler_point(1.0, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_conv_point_is_the_hpnc_point_of_the_uniform_code(n):
+    # the baseline is the compressed scheme designed for r = 0: the rho = 0.5
+    # threshold and the rho = 0.5 code, whose codewords are all n bits long
+    ld = length_distribution(build_codebook(n, 0.5), 0.5)
+    for db in range(-4, 17, 2):
+        gamma = 10.0 ** (db / 10.0)
+        assert conv_bler_point(gamma, n) == hpnc_bler_point(gamma, 0.5, n, ld)
 
 
 def test_asym_medium_tracks_exact_at_high_snr():
@@ -114,11 +123,12 @@ def test_asym_medium_tracks_exact_at_high_snr():
 
 
 def test_high_snr_coefficient_identity():
-    # at rho = 0.5 the baseline is the compressed chain with mean length n
+    # at rho = 0.5 with mean length n the compressed form is the paper's
+    # baseline form (5n/2) * Q(sqrt(2 gamma))
     gamma = 7.5
     for n in (2, 6, 9):
         assert hpnc_bler_asym_high(gamma, 0.5, n, float(n)) == pytest.approx(
-            conv_bler_asym(gamma, n), abs=1e-18
+            2.5 * n * q_function(math.sqrt(2.0 * gamma)), abs=1e-18
         )
 
 
@@ -135,8 +145,8 @@ def test_every_curve_decreases_with_snr():
         lambda g: hpnc_bler(g, 0.9, 6, ld),
         lambda g: hpnc_bler_asym_medium(g, 0.9, 6, ld.mean),
         lambda g: hpnc_bler_asym_high(g, 0.9, 6, ld.mean),
-        lambda g: conv_bler(g, 6),
-        lambda g: conv_bler_asym(g, 6),
+        lambda g: conv_bler_point(g, 6).exact,
+        lambda g: hpnc_bler_asym_high(g, 0.5, 6, 6.0),
     ):
         values = [fn(g) for g in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -158,7 +168,8 @@ def test_gain_equals_ratio_of_asymptotic_forms(n, r):
     mean = ld_for(n, r).mean
     c = compression_rate(n, mean)
     gamma = 12.0
-    ratio = conv_bler_asym(gamma, n) / hpnc_bler_asym_high(gamma, rho, n, mean)
+    conv = hpnc_bler_asym_high(gamma, 0.5, n, float(n))
+    ratio = conv / hpnc_bler_asym_high(gamma, rho, n, mean)
     assert ratio == pytest.approx(bler_gain(c, rho), rel=1e-13)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -37,12 +38,29 @@ def test_config_rejects_bad_fields():
         ExperimentConfig(snr_db_step=0.0).validate()
     with pytest.raises(ValueError, match="format"):
         ExperimentConfig(format="xml").validate()
+    for name in ("snr_db_start", "snr_db_stop", "snr_db_step"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name}: must be finite"):
+                ExperimentConfig(**{name: value}).validate()
 
 
 def test_invalid_config_sets_exit_code(capsys):
-    code = main(["bler-sweep", "--rounds", "0"])
-    assert code == 2
-    assert "rounds" in capsys.readouterr().err
+    for args, field in [
+        (["--rounds", "0"], "rounds"),
+        (["--snr-db-stop", "inf"], "snr_db_stop"),
+        (["--snr-db-start=-inf"], "snr_db_start"),
+        (["--snr-db-step", "nan"], "snr_db_step"),
+        (["--snr-db-step", "inf"], "snr_db_step"),
+    ]:
+        assert main(["bler-sweep", *args]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+
+
+def test_config_file_rejects_infinite_snr(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"snr_db_stop": Infinity}')
+    assert main(["bler-sweep", "--config", str(cfg_path)]) == 2
+    assert "snr_db_stop: must be finite" in capsys.readouterr().err
 
 
 def test_bler_sweep_csv_schema_and_stability(tmp_path, capsys):

@@ -217,6 +217,25 @@ def test_table_import_names_a_malformed_block_row():
         codebook_from_table("\n".join(duplicate))
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("101 3", r"row 6: expected 3 fields, got 2"),
+        ("101 3 110 1", r"row 6: expected 3 fields, got 4"),
+        ("1x1 3 110", r"row 6: block 1x1 or codeword 110 is not binary"),
+        ("101 3 1_0", r"row 6: block 101 or codeword 1_0 is not binary"),
+        ("101 3 12a", r"row 6: block 101 or codeword 12a is not binary"),
+        ("101 three 110", r"row 6: length field three does not match codeword"),
+        ("101 2.5 110", r"row 6: length field 2.5 does not match codeword"),
+        ("101 2 110", r"row 6: length field 2 does not match codeword"),
+    ],
+)
+def test_table_import_names_a_malformed_field_row(row, message):
+    lines = codebook_to_table(build_codebook(3, 0.9)).splitlines()
+    with pytest.raises(ValueError, match=message):
+        codebook_from_table("\n".join(lines[:5] + [row] + lines[6:]))
+
+
 def test_codeword_bits_rejects_out_of_range_values():
     cb = build_codebook(3, 0.9)
     assert np.array_equal(cb.codeword_bits(7), encode(cb, int_to_block(7, 3)))

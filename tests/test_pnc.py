@@ -42,11 +42,21 @@ def test_threshold_high_snr_limit():
 
 def test_threshold_rejects_invalid_inputs():
     with pytest.raises(ValueError):
-        optimal_threshold(1.0, 1.0)
+        optimal_threshold(1.0, 1.01)
     with pytest.raises(ValueError):
         optimal_threshold(1.0, 0.4)
     with pytest.raises(ValueError):
         optimal_threshold(0.0, 0.7)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.5, 1.0, 10.0, 1e9, math.inf])
+def test_rho_one_relay_never_errs(gamma):
+    # fully correlated sources always agree: zero threshold, zero error
+    assert optimal_threshold(gamma, 1.0) == PncThreshold(0.0, 0.0)
+    assert pnc_symbol_error_closed(gamma, 1.0) == 0.0
+    assert pnc_block_error(gamma, 1.0, 16) == 0.0
+    if not math.isinf(gamma):
+        assert pnc_symbol_error_numeric(gamma, 1.0, 0.0) == 0.0
 
 
 def test_decide_noiseless_regions():

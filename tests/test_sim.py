@@ -1,11 +1,12 @@
 """Monte Carlo engine: determinism, noiseless chains, analytical agreement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hpnc.analysis import conv_bler, hpnc_bler
+from hpnc.analysis import conv_bler_point, hpnc_bler
 from hpnc.huffman import build_codebook, decode_exact, encode, length_distribution
 from hpnc.model import SystemParams
 from hpnc.phy import q_function
@@ -58,6 +59,13 @@ def test_estimate_is_deterministic():
     assert first == second
     third = estimate(params, "hpnc", 40_000, seed=21, chunks=5)
     assert third != first  # chunk layout is part of the stream derivation
+
+
+def test_chunks_beyond_the_round_budget_are_empty():
+    # chunk k >= rounds gets no rounds, so it changes nothing and costs nothing
+    params = SystemParams(n=6, r=0.8, gamma=1.0)
+    many = estimate(params, "hpnc", 10, seed=21, chunks=10**9)
+    assert replace(many, chunks=10) == estimate(params, "hpnc", 10, seed=21, chunks=10)
 
 
 def test_estimate_validates_inputs():
@@ -201,7 +209,7 @@ def test_conventional_agrees_with_analysis_at_high_snr():
     params = SystemParams(n=6, r=0.8, gamma=gamma)
     rounds = 400_000
     est = estimate(params, "conventional", rounds, seed=4321, chunks=8)
-    expected = conv_bler(gamma, 6)
+    expected = conv_bler_point(gamma, 6).exact
     se = math.sqrt(expected * (1.0 - expected) / rounds)
     assert abs(est.bler_12 - expected) <= 3.0 * se
 
@@ -213,6 +221,16 @@ def test_conventional_ignores_correlation():
     assert low.bler_12 == high.bler_12
     assert low.bler_21 == high.bler_21
     assert low.throughput == high.throughput
+
+
+@pytest.mark.parametrize("n", [4, 12])
+@pytest.mark.parametrize("r", [0.4, 1.0])
+def test_conventional_is_hpnc_designed_for_r_zero(n, r):
+    params = SystemParams(n=n, r=r, gamma=10.0 ** 0.2)
+    conv = estimate(params, "conventional", 20_000, seed=13, chunks=3)
+    hpnc = estimate(replace(params, r=0.0), "hpnc", 20_000, seed=13, chunks=3)
+    assert replace(conv, scheme="hpnc", params=hpnc.params) == hpnc
+    assert conv.relay_bler > 0.0
 
 
 def test_mean_downlink_bits_matches_design_at_high_snr():
