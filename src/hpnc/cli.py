@@ -48,6 +48,9 @@ SWEEP_SCHEMA = (
 BLER_COLUMNS = ("bler_exact", "bler_asym13", "bler_asym14", "bler_sim", "bler_sim_se")
 THROUGHPUT_COLUMNS = ("thr_sim", "c_hpnc", "c_theo")
 
+# bound on a sweep's SNR grid, so a tiny step cannot ask for an endless sweep
+MAX_SNR_POINTS = 10_000
+
 RATE_SCHEMA = ("n", "r", "mean_len", "c_hpnc", "c_theo", "gap")
 
 THROUGHPUT_NOTE = (
@@ -91,6 +94,14 @@ class ExperimentConfig:
             raise ValueError(f"snr_db_step: must be > 0, got {self.snr_db_step}")
         if self.snr_db_stop < self.snr_db_start:
             raise ValueError("snr_db_stop: must be >= snr_db_start")
+        # the grid has floor(span / step + 1e-9) + 1 points; compared as a
+        # float, because the quotient can overflow to inf
+        span = self.snr_db_stop - self.snr_db_start
+        if not span / self.snr_db_step + 1e-9 < MAX_SNR_POINTS:
+            raise ValueError(
+                f"snr_db_step: {self.snr_db_step!r} gives more than {MAX_SNR_POINTS} "
+                f"SNR points from {self.snr_db_start!r} to {self.snr_db_stop!r} dB"
+            )
         if self.rounds < 1:
             raise ValueError(f"rounds: must be >= 1, got {self.rounds}")
         if self.chunks < 1:

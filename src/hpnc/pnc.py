@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .phy import q_function
 
@@ -101,6 +100,10 @@ def pnc_symbol_error_numeric(gamma: float, rho: float, tau: float) -> float:
         raise ValueError(f"equal factor rho must be in [0, 1], got {rho}")
     if tau < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
+    # imported here: scipy.integrate costs about 0.4 s, and only this oracle
+    # uses it, so the simulator and the sweeps start without it
+    from scipy.integrate import quad
+
     n0 = 1.0 / gamma
     norm = math.sqrt(1.0 / (math.pi * n0))
 

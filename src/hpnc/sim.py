@@ -3,7 +3,12 @@
 estimate() splits the round budget into chunks; chunk k draws from an
 independent PCG64 stream seeded with SeedSequence((seed, k)), and results
 are commutative sums of per-chunk counters, so estimates are bit-identical
-for a fixed (seed, chunks) regardless of how chunks would be scheduled.
+for a fixed (seed, chunks) however the chunks are scheduled.  The non-empty
+chunks run on min(workers, non-empty chunks, usable CPUs) threads, the
+calling thread among them, one per usable CPU by default; numpy's draws and
+array operations release the interpreter lock, so the threads overlap.  Each
+thread fills its own reused buffers through out=, which draws the same
+values as sized calls, so a result is the same for every pool size.
 
 Both schemes run the same chain kernel: the conventional baseline is the
 compressed scheme designed for r = 0, that is the rho = 0.5 threshold and
@@ -22,6 +27,9 @@ Within a chunk, rounds are simulated in vectorised sub-batches of up to
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,11 +78,21 @@ def _child_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
 
 
-def _draw_pair_bits(rng, m: int, n: int, rho: float):
-    a1 = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-    disagree = rng.random((m, n)) >= rho
-    a2 = a1 ^ disagree.astype(np.uint8)
-    return a1, a2
+class _Workspace:
+    """One worker's work arrays, one per dtype, grown on demand and reused.
+
+    The draws fill them through out=, which yields the same values in the same
+    stream order as sized calls, so a result does not depend on the buffers.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def array(self, size: int, dtype) -> np.ndarray:
+        have = self._arrays.get(dtype)
+        if have is None or have.size < size:
+            have = self._arrays[dtype] = np.empty(size, dtype)
+        return have[:size]
 
 
 def _chunk(
@@ -85,6 +103,7 @@ def _chunk(
     tau: float,
     rounds: int,
     rng: np.random.Generator,
+    work: _Workspace,
 ):
     """Error counters of `rounds` exchange rounds through the chain.
 
@@ -109,12 +128,21 @@ def _chunk(
     while remaining:
         m = min(_SUBBATCH, remaining)
         remaining -= m
-        a1, a2 = _draw_pair_bits(rng, m, n, rho)
-        # received superposition (1 - 2 a1) + (1 - 2 a2) + sigma z
-        y = sigma * rng.standard_normal((m, n))
-        y += 2 - 2 * (a1 + a2).astype(np.int8)
-        b_hat = np.abs(y, out=y) <= tau
-        v_true = (a1 ^ a2) @ pow_n
+        a1 = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        # the sources disagree with probability 1 - rho: a2 = a1 XOR xor
+        reals = work.array(m * n, np.float64).reshape(m, n)
+        xor = np.greater_equal(rng.random(out=reals), rho, out=work.array(m * n, bool).reshape(m, n))
+        v_true = xor.view(np.uint8) @ pow_n
+        # superposed level (1 - 2 a1) + (1 - 2 a2) = 2 - 2 (a1 + a2), formed in
+        # place: a2 in xor's memory (b_hat reuses it below), the level in a1's
+        a2 = np.bitwise_xor(xor.view(np.uint8), a1, out=xor.view(np.uint8))
+        level = np.add(a1, a2, out=a1).view(np.int8)
+        np.multiply(level, -2, out=level)
+        np.add(level, 2, out=level)
+        # received superposition level + sigma z, and the relay's decision
+        y = np.multiply(rng.standard_normal(out=reals), sigma, out=reals)
+        np.add(y, level, out=y)
+        b_hat = np.less_equal(np.abs(y, out=y), tau, out=xor)
         v_hat = b_hat.view(np.uint8) @ pow_n
         wrong = v_hat != v_true
         relay_wrong = int(np.count_nonzero(wrong))
@@ -129,7 +157,8 @@ def _chunk(
         cand = np.flatnonzero(wrong & (lengths[v_true] == lens))
 
         for d in range(2):
-            flips = rng.standard_normal(sent) < flip_below
+            noise = rng.standard_normal(out=work.array(sent, np.float64))
+            flips = np.less(noise, flip_below, out=work.array(sent, bool))
             # a round is hit when a flip position falls inside its segment
             hit = np.zeros(m, dtype=bool)
             hit[np.searchsorted(ends, np.flatnonzero(flips), side="right")] = True
@@ -140,8 +169,7 @@ def _chunk(
                 cols = np.arange(int(lens[c].max()))
                 inside = cols < lens[c, None]
                 seen = flips[np.where(inside, (ends[c] - lens[c])[:, None] + cols, 0)] & inside
-                # compared packed (both zero past each codeword); the table is
-                # built on first use, so never at r = 1, where no round is wrong
+                # compared packed (both zero past each codeword)
                 packed = cb.packed_codewords
                 width = (cols.size + 7) // 8
                 want = packed[v_hat[c], :width] ^ packed[v_true[c], :width]
@@ -151,17 +179,29 @@ def _chunk(
     return err[1], err[0], relay_err, dl_bits
 
 
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def estimate(
     params: SystemParams,
     scheme: str,
     rounds: int,
     seed: int,
     chunks: int = 8,
+    workers: int | None = None,
 ) -> SimEstimate:
     """Monte Carlo BLER and throughput estimate over `rounds` exchange rounds.
 
     Rounds are split as evenly as possible over `chunks` independent streams;
-    the result depends only on (params, scheme, rounds, seed, chunks).
+    the result depends only on (params, scheme, rounds, seed, chunks), not on
+    `workers`.  The non-empty chunks run on min(workers, non-empty chunks,
+    usable CPUs) threads, the calling thread among them; workers=None asks
+    for one per usable CPU.
     """
     if scheme not in (SCHEME_HPNC, SCHEME_CONVENTIONAL):
         raise ValueError(f"scheme must be 'hpnc' or 'conventional', got {scheme!r}")
@@ -171,6 +211,8 @@ def estimate(
         raise ValueError(f"chunks must be >= 1, got {chunks}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     # the baseline is the scheme designed for r = 0: it neither knows nor
     # exploits the correlation
@@ -178,13 +220,38 @@ def estimate(
     rho = design.rho
     tau = relay_threshold(design).tau
     cb = build_codebook(params.n, rho)
+    if rho < 1.0:
+        # built before the threads start: from Python 3.12 a cached_property
+        # takes no lock, so two threads could each build it.  At rho = 1 the
+        # relay never errs and the table is never read.
+        cb.packed_codewords
 
     base, extra = divmod(rounds, chunks)
     # chunks past the round budget would be empty, so they are not run
-    counts = [
-        _chunk(params.n, rho, params.gamma, cb, tau, base + (k < extra), _child_rng(seed, k))
-        for k in range(min(chunks, rounds))
-    ]
+    active = min(chunks, rounds)
+    cores = _cores()
+    pool = min(workers or cores, active, cores)
+
+    # each thread takes the next chunk when it is free, so a thread that
+    # starts late or runs slower takes fewer chunks
+    todo = iter(range(active))
+    todo_lock = threading.Lock()
+
+    def run() -> list:
+        work = _Workspace()
+        counts = []
+        while True:
+            with todo_lock:
+                k = next(todo, None)
+            if k is None:
+                return counts
+            rng = _child_rng(seed, k)
+            counts.append(_chunk(params.n, rho, params.gamma, cb, tau, base + (k < extra), rng, work))
+
+    # the calling thread is one of the workers, so pool - 1 threads start
+    with ThreadPoolExecutor(pool) as executor:
+        futures = [executor.submit(run) for _ in range(pool - 1)]
+        counts = run() + [count for future in futures for count in future.result()]
     err12, err21, relay_err, dl_bits = (sum(column) for column in zip(*counts))
 
     p12 = err12 / rounds

@@ -72,9 +72,10 @@ def threshold_checks(
     for snr_db in snr_db_grid:
         gamma = 10.0 ** (snr_db / 10.0)
         for rho in rho_grid:
-            if math.log((1.0 - rho) / rho) + 4.0 * gamma <= 0.0:
+            tau = optimal_threshold(gamma, rho).tau
+            if tau == 0.0:
                 continue  # degenerate zero-threshold branch, nothing to optimise
-            tau = optimal_threshold(gamma, rho).tau + tau_offset
+            tau += tau_offset
             point = {"snr_db": snr_db, "rho": rho}
             dev = abs(
                 pnc_symbol_error_numeric(gamma, rho, tau)

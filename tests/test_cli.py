@@ -3,10 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hpnc.cli import SWEEP_SCHEMA, ExperimentConfig, main
+import hpnc
+from hpnc import cli
+from hpnc.cli import MAX_SNR_POINTS, SWEEP_SCHEMA, ExperimentConfig, main
 
 FAST_SWEEP = [
     "--n", "6",
@@ -42,6 +48,19 @@ def test_config_rejects_bad_fields():
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name}: must be finite"):
                 ExperimentConfig(**{name: value}).validate()
+    for kw in (
+        {"snr_db_step": 1e-300},
+        {"snr_db_start": -1e308, "snr_db_stop": 1e308},
+        {"snr_db_start": 0.0, "snr_db_stop": float(MAX_SNR_POINTS), "snr_db_step": 1.0},
+    ):
+        with pytest.raises(ValueError, match="snr_db_step: .* more than 10000 SNR points"):
+            ExperimentConfig(**kw).validate()
+
+
+def test_snr_grid_at_the_cap_is_accepted():
+    cfg = ExperimentConfig(snr_db_start=0.0, snr_db_stop=MAX_SNR_POINTS - 1.0, snr_db_step=1.0)
+    cfg.validate()
+    assert len(cfg.snr_grid_db) == MAX_SNR_POINTS
 
 
 def test_invalid_config_sets_exit_code(capsys):
@@ -51,9 +70,32 @@ def test_invalid_config_sets_exit_code(capsys):
         (["--snr-db-start=-inf"], "snr_db_start"),
         (["--snr-db-step", "nan"], "snr_db_step"),
         (["--snr-db-step", "inf"], "snr_db_step"),
+        (["--snr-db-step", "1e-300"], "snr_db_step"),
     ]:
         assert main(["bler-sweep", *args]) == 2
         assert f"{field}:" in capsys.readouterr().err
+
+
+def test_config_file_rejects_oversized_snr_grid(tmp_path, capsys, monkeypatch):
+    def no_sweep(cfg):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"snr_db_step": 1e-300}')
+    assert main(["throughput-sweep", "--config", str(cfg_path)]) == 2
+    assert "snr_db_step: 1e-300 gives more than 10000 SNR points" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the validate oracle integrates, so start-up should not pay for it
+    src = str(Path(hpnc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, hpnc.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_config_file_rejects_infinite_snr(tmp_path, capsys):

@@ -37,6 +37,22 @@ def test_q_function_values():
         assert abs(q_function(x) - q_oracle(x)) < 1e-12
 
 
+def test_q_function_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+
+    def exact(x):
+        return mpmath.erfc(mpmath.mpf(float(x)) / mpmath.sqrt(2)) / 2
+
+    body = np.linspace(-10.0, 37.0, 1881)  # step 0.025
+    rel = [abs(mpmath.mpf(q_function(x)) - exact(x)) / exact(x) for x in body]
+    assert max(rel) <= 1e-12
+    # past x ~ 37.5, Q falls below the smallest normal double
+    tail = np.linspace(37.0, 38.0, 41)
+    assert max(abs(mpmath.mpf(q_function(x)) - exact(x)) for x in tail) <= 1e-307
+    assert q_function(38.0) == 0.0
+
+
 def test_q_function_symmetry_and_monotonicity():
     xs = np.linspace(-6.0, 6.0, 49)
     vals = q_function(xs)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hpnc import validation
 from hpnc.model import SystemParams, generate_correlated_pair
 from hpnc.pnc import (
     PncThreshold,
@@ -26,6 +27,22 @@ BOUNDARY_GAMMA_RHO95 = 0.7361097447916101  # (1/4) ln(0.95/0.05)
 def test_threshold_zero_branch_boundary():
     assert optimal_threshold(BOUNDARY_GAMMA_RHO95 - 1e-6, 0.95).tau == 0.0
     assert optimal_threshold(BOUNDARY_GAMMA_RHO95 + 1e-6, 0.95).tau > 0.0
+
+
+def test_threshold_checks_skip_exactly_the_zero_threshold_points():
+    # the middle region vanishes when log((1 - rho) / rho) + 4 gamma <= 0
+    # at -4.5 dB, rho = 0.8 is just past the boundary: tau is about 0.18
+    snr_grid, rho_grid = (-5.0, -4.5, -3.0), (0.7, 0.8, 0.9)
+    checks = validation.threshold_checks(snr_grid, rho_grid)
+    checked = {(c["params"]["snr_db"], c["params"]["rho"]) for c in checks}
+    expected = {
+        (snr_db, rho)
+        for snr_db in snr_grid
+        for rho in rho_grid
+        if math.log((1.0 - rho) / rho) + 4.0 * 10.0 ** (snr_db / 10.0) > 0.0
+    }
+    assert checked == expected == {(-5.0, 0.7), (-4.5, 0.7), (-4.5, 0.8), (-3.0, 0.7), (-3.0, 0.8)}
+    assert len(checks) == 2 * len(expected)
 
 
 def test_threshold_closed_form_values():

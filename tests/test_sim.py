@@ -1,6 +1,8 @@
 """Monte Carlo engine: determinism, noiseless chains, analytical agreement."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,8 @@ from hpnc.huffman import build_codebook, decode_exact, encode, length_distributi
 from hpnc.model import SystemParams
 from hpnc.phy import q_function
 from hpnc.pnc import optimal_threshold
-from hpnc.sim import _chunk, _draw_pair_bits, estimate, relay_threshold
+from hpnc import sim
+from hpnc.sim import _chunk, _Workspace, estimate, relay_threshold
 
 NOISELESS = 1e12  # BLER under e^-1e12: no error will ever be sampled
 
@@ -61,11 +64,56 @@ def test_estimate_is_deterministic():
     assert third != first  # chunk layout is part of the stream derivation
 
 
-def test_chunks_beyond_the_round_budget_are_empty():
-    # chunk k >= rounds gets no rounds, so it changes nothing and costs nothing
+def test_chunks_beyond_the_round_budget_are_empty(monkeypatch):
+    # chunk k >= rounds gets no rounds, so it changes nothing, costs nothing
+    # and asks for no thread
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
     params = SystemParams(n=6, r=0.8, gamma=1.0)
-    many = estimate(params, "hpnc", 10, seed=21, chunks=10**9)
-    assert replace(many, chunks=10) == estimate(params, "hpnc", 10, seed=21, chunks=10)
+    # the calling thread is one of the min(workers, chunks run, CPUs) workers
+    for rounds, workers, pool in [(10, None, 10), (10, 3, 3), (10, 2, 2), (1, None, 1)]:
+        started.clear()
+        many = estimate(params, "hpnc", rounds, seed=21, chunks=10**9, workers=workers)
+        assert len(started) == min(pool, sim._cores()) - 1
+        assert replace(many, chunks=rounds) == estimate(params, "hpnc", rounds, seed=21, chunks=rounds)
+
+
+@pytest.mark.parametrize(
+    "scheme,n,r,snr_db,rounds",
+    [
+        ("hpnc", 6, 0.8, 2.0, 30_000),
+        ("conventional", 6, 0.8, 2.0, 30_000),
+        ("hpnc", 6, 1.0, 4.0, 30_000),  # the relay never errs: no packed table
+        ("hpnc", 12, 0.95, -2.0, 20_000),  # many relay errors: packed table read
+        ("hpnc", 4, 0.4, 0.0, 3),  # fewer rounds than chunks
+    ],
+)
+def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds):
+    params = SystemParams(n=n, r=r, gamma=10.0 ** (snr_db / 10.0))
+    if r == 1.0:
+        build_codebook.cache_clear()  # a fresh codebook, packed by no other test
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+    try:
+        for chunks in (1, 2, 5, 8):
+            results = {
+                repr(estimate(params, scheme, rounds, seed=13, chunks=chunks, workers=workers))
+                for workers in (1, 2, 3)
+            }
+            assert len(results) == 1, (chunks, results)
+    finally:
+        sys.setswitchinterval(interval)
+    if r == 1.0:
+        assert "packed_codewords" not in vars(build_codebook(n, 1.0))
+    elif n == 12:
+        est = estimate(params, scheme, rounds, seed=13)
+        assert est.relay_bler > 0.1
 
 
 def test_estimate_validates_inputs():
@@ -78,6 +126,8 @@ def test_estimate_validates_inputs():
         estimate(params, "hpnc", 100, 1, chunks=0)
     with pytest.raises(ValueError):
         estimate(params, "hpnc", 100, -1)
+    with pytest.raises(ValueError, match="workers"):
+        estimate(params, "hpnc", 100, 1, workers=0)
 
 
 def test_noiseless_conventional_throughput_is_one():
@@ -261,12 +311,14 @@ def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma):
     rounds = 4000
     cb = build_codebook(n, rho)
     tau = optimal_threshold(gamma, rho).tau
-    got = _chunk(n, rho, gamma, cb, tau, rounds, np.random.default_rng(5))
+    got = _chunk(n, rho, gamma, cb, tau, rounds, np.random.default_rng(5), _Workspace())
 
-    # replay the kernel's draw order and decode every round on its own
+    # replay the kernel's draw order with sized draws (the kernel fills its
+    # buffers through out=) and decode every round on its own
     rng = np.random.default_rng(5)
     sigma = math.sqrt(0.5 / gamma)
-    a1, a2 = _draw_pair_bits(rng, rounds, n, rho)
+    a1 = rng.integers(0, 2, size=(rounds, n), dtype=np.uint8)
+    a2 = a1 ^ (rng.random((rounds, n)) >= rho).astype(np.uint8)
     y = sigma * rng.standard_normal((rounds, n)) + (2 - 2 * (a1 + a2).astype(np.int8))
     b_hat = (np.abs(y) <= tau).astype(np.uint8)
     words = [encode(cb, row) for row in b_hat]
