@@ -94,10 +94,8 @@ class ExperimentConfig:
             raise ValueError(f"snr_db_step: must be > 0, got {self.snr_db_step}")
         if self.snr_db_stop < self.snr_db_start:
             raise ValueError("snr_db_stop: must be >= snr_db_start")
-        # the grid has floor(span / step + 1e-9) + 1 points; compared as a
-        # float, because the quotient can overflow to inf
-        span = self.snr_db_stop - self.snr_db_start
-        if not span / self.snr_db_step + 1e-9 < MAX_SNR_POINTS:
+        # compared as a float, because the quotient can overflow to inf
+        if not self._snr_steps < MAX_SNR_POINTS:
             raise ValueError(
                 f"snr_db_step: {self.snr_db_step!r} gives more than {MAX_SNR_POINTS} "
                 f"SNR points from {self.snr_db_start!r} to {self.snr_db_stop!r} dB"
@@ -112,8 +110,13 @@ class ExperimentConfig:
             raise ValueError(f"format: must be csv or json, got {self.format!r}")
 
     @property
+    def _snr_steps(self) -> float:
+        # the grid has floor(_snr_steps) + 1 points
+        return (self.snr_db_stop - self.snr_db_start) / self.snr_db_step + 1e-9
+
+    @property
     def snr_grid_db(self) -> list[float]:
-        count = int(math.floor((self.snr_db_stop - self.snr_db_start) / self.snr_db_step + 1e-9)) + 1
+        count = int(math.floor(self._snr_steps)) + 1
         return [self.snr_db_start + k * self.snr_db_step for k in range(count)]
 
     @property

@@ -4,11 +4,11 @@ estimate() splits the round budget into chunks; chunk k draws from an
 independent PCG64 stream seeded with SeedSequence((seed, k)), and results
 are commutative sums of per-chunk counters, so estimates are bit-identical
 for a fixed (seed, chunks) however the chunks are scheduled.  The non-empty
-chunks run on min(workers, non-empty chunks, usable CPUs) threads, the
-calling thread among them, one per usable CPU by default; numpy's draws and
-array operations release the interpreter lock, so the threads overlap.  Each
-thread fills its own reused buffers through out=, which draws the same
-values as sized calls, so a result is the same for every pool size.
+chunks run on a thread pool of min(non-empty chunks, usable CPUs) threads;
+numpy's draws and array operations release the interpreter lock, so the
+threads overlap.  Each chunk fills its own work arrays through out=, which
+draws the same values as sized calls, so a result is the same for every
+pool size.
 
 Both schemes run the same chain kernel: the conventional baseline is the
 compressed scheme designed for r = 0, that is the rho = 0.5 threshold and
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -78,23 +77,6 @@ def _child_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
 
 
-class _Workspace:
-    """One worker's work arrays, one per dtype, grown on demand and reused.
-
-    The draws fill them through out=, which yields the same values in the same
-    stream order as sized calls, so a result does not depend on the buffers.
-    """
-
-    def __init__(self):
-        self._arrays: dict = {}
-
-    def array(self, size: int, dtype) -> np.ndarray:
-        have = self._arrays.get(dtype)
-        if have is None or have.size < size:
-            have = self._arrays[dtype] = np.empty(size, dtype)
-        return have[:size]
-
-
 def _chunk(
     n: int,
     rho: float,
@@ -103,7 +85,6 @@ def _chunk(
     tau: float,
     rounds: int,
     rng: np.random.Generator,
-    work: _Workspace,
 ):
     """Error counters of `rounds` exchange rounds through the chain.
 
@@ -120,6 +101,14 @@ def _chunk(
     lengths = cb.lengths.astype(np.int64)
     # MSB-first block values; n <= 16, so they fit the uint16 products
     pow_n = (1 << np.arange(n - 1, -1, -1)).astype(np.uint16)
+    # work arrays, filled through out=: the same values in the same stream
+    # order as sized draws.  The uplink pair fits the largest sub-batch; the
+    # downlink pair grows to the bits sent.
+    size = min(_SUBBATCH, rounds) * n
+    up_reals = np.empty(size, np.float64)
+    up_mask = np.empty(size, bool)
+    dl_reals = np.empty(0, np.float64)
+    dl_mask = np.empty(0, bool)
 
     err = [0, 0]  # [direction 2->1 at T1, direction 1->2 at T2]
     relay_err = 0
@@ -130,8 +119,8 @@ def _chunk(
         remaining -= m
         a1 = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
         # the sources disagree with probability 1 - rho: a2 = a1 XOR xor
-        reals = work.array(m * n, np.float64).reshape(m, n)
-        xor = np.greater_equal(rng.random(out=reals), rho, out=work.array(m * n, bool).reshape(m, n))
+        reals = up_reals[: m * n].reshape(m, n)
+        xor = np.greater_equal(rng.random(out=reals), rho, out=up_mask[: m * n].reshape(m, n))
         v_true = xor.view(np.uint8) @ pow_n
         # superposed level (1 - 2 a1) + (1 - 2 a2) = 2 - 2 (a1 + a2), formed in
         # place: a2 in xor's memory (b_hat reuses it below), the level in a1's
@@ -156,9 +145,12 @@ def _chunk(
         # only wrong rounds that flips can still deliver correctly
         cand = np.flatnonzero(wrong & (lengths[v_true] == lens))
 
+        if dl_reals.size < sent:
+            dl_reals = np.empty(sent, np.float64)
+            dl_mask = np.empty(sent, bool)
         for d in range(2):
-            noise = rng.standard_normal(out=work.array(sent, np.float64))
-            flips = np.less(noise, flip_below, out=work.array(sent, bool))
+            noise = rng.standard_normal(out=dl_reals[:sent])
+            flips = np.less(noise, flip_below, out=dl_mask[:sent])
             # a round is hit when a flip position falls inside its segment
             hit = np.zeros(m, dtype=bool)
             hit[np.searchsorted(ends, np.flatnonzero(flips), side="right")] = True
@@ -193,15 +185,13 @@ def estimate(
     rounds: int,
     seed: int,
     chunks: int = 8,
-    workers: int | None = None,
 ) -> SimEstimate:
     """Monte Carlo BLER and throughput estimate over `rounds` exchange rounds.
 
     Rounds are split as evenly as possible over `chunks` independent streams;
     the result depends only on (params, scheme, rounds, seed, chunks), not on
-    `workers`.  The non-empty chunks run on min(workers, non-empty chunks,
-    usable CPUs) threads, the calling thread among them; workers=None asks
-    for one per usable CPU.
+    how many threads run them.  The non-empty chunks run on min(non-empty
+    chunks, usable CPUs) threads.
     """
     if scheme not in (SCHEME_HPNC, SCHEME_CONVENTIONAL):
         raise ValueError(f"scheme must be 'hpnc' or 'conventional', got {scheme!r}")
@@ -211,8 +201,6 @@ def estimate(
         raise ValueError(f"chunks must be >= 1, got {chunks}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
     # the baseline is the scheme designed for r = 0: it neither knows nor
     # exploits the correlation
@@ -227,31 +215,14 @@ def estimate(
         cb.packed_codewords
 
     base, extra = divmod(rounds, chunks)
+
+    def run(k: int):
+        return _chunk(params.n, rho, params.gamma, cb, tau, base + (k < extra), _child_rng(seed, k))
+
     # chunks past the round budget would be empty, so they are not run
     active = min(chunks, rounds)
-    cores = _cores()
-    pool = min(workers or cores, active, cores)
-
-    # each thread takes the next chunk when it is free, so a thread that
-    # starts late or runs slower takes fewer chunks
-    todo = iter(range(active))
-    todo_lock = threading.Lock()
-
-    def run() -> list:
-        work = _Workspace()
-        counts = []
-        while True:
-            with todo_lock:
-                k = next(todo, None)
-            if k is None:
-                return counts
-            rng = _child_rng(seed, k)
-            counts.append(_chunk(params.n, rho, params.gamma, cb, tau, base + (k < extra), rng, work))
-
-    # the calling thread is one of the workers, so pool - 1 threads start
-    with ThreadPoolExecutor(pool) as executor:
-        futures = [executor.submit(run) for _ in range(pool - 1)]
-        counts = run() + [count for future in futures for count in future.result()]
+    with ThreadPoolExecutor(min(active, _cores())) as executor:
+        counts = list(executor.map(run, range(active)))
     err12, err21, relay_err, dl_bits = (sum(column) for column in zip(*counts))
 
     p12 = err12 / rounds

@@ -31,6 +31,8 @@ def test_config_defaults_and_grid():
     cfg.validate()
     assert cfg.snr_grid_db == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
     assert cfg.schemes == ["hpnc", "conventional"]
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point: the stop is still a point
+    assert len(ExperimentConfig(snr_db_stop=0.3, snr_db_step=0.1).snr_grid_db) == 4
 
 
 def test_config_rejects_bad_fields():

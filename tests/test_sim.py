@@ -14,7 +14,7 @@ from hpnc.model import SystemParams
 from hpnc.phy import q_function
 from hpnc.pnc import optimal_threshold
 from hpnc import sim
-from hpnc.sim import _chunk, _Workspace, estimate, relay_threshold
+from hpnc.sim import _chunk, estimate, relay_threshold
 
 NOISELESS = 1e12  # BLER under e^-1e12: no error will ever be sampled
 
@@ -76,11 +76,13 @@ def test_chunks_beyond_the_round_budget_are_empty(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     params = SystemParams(n=6, r=0.8, gamma=1.0)
-    # the calling thread is one of the min(workers, chunks run, CPUs) workers
-    for rounds, workers, pool in [(10, None, 10), (10, 3, 3), (10, 2, 2), (1, None, 1)]:
+    # the pool has min(chunks run, CPUs) threads; an idle one may take the
+    # next chunk before another starts
+    for rounds, cores in [(10, 1), (10, 2), (10, 3), (1, 3)]:
+        monkeypatch.setattr(sim, "_cores", lambda: cores)
         started.clear()
-        many = estimate(params, "hpnc", rounds, seed=21, chunks=10**9, workers=workers)
-        assert len(started) == min(pool, sim._cores()) - 1
+        many = estimate(params, "hpnc", rounds, seed=21, chunks=10**9)
+        assert 1 <= len(started) <= min(rounds, cores)
         assert replace(many, chunks=rounds) == estimate(params, "hpnc", rounds, seed=21, chunks=rounds)
 
 
@@ -94,7 +96,7 @@ def test_chunks_beyond_the_round_budget_are_empty(monkeypatch):
         ("hpnc", 4, 0.4, 0.0, 3),  # fewer rounds than chunks
     ],
 )
-def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds):
+def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds, monkeypatch):
     params = SystemParams(n=n, r=r, gamma=10.0 ** (snr_db / 10.0))
     if r == 1.0:
         build_codebook.cache_clear()  # a fresh codebook, packed by no other test
@@ -102,10 +104,10 @@ def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds):
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
     try:
         for chunks in (1, 2, 5, 8):
-            results = {
-                repr(estimate(params, scheme, rounds, seed=13, chunks=chunks, workers=workers))
-                for workers in (1, 2, 3)
-            }
+            results = set()
+            for cores in (1, 2, 3):  # the pool size, whatever this machine has
+                monkeypatch.setattr(sim, "_cores", lambda: cores)
+                results.add(repr(estimate(params, scheme, rounds, seed=13, chunks=chunks)))
             assert len(results) == 1, (chunks, results)
     finally:
         sys.setswitchinterval(interval)
@@ -126,8 +128,6 @@ def test_estimate_validates_inputs():
         estimate(params, "hpnc", 100, 1, chunks=0)
     with pytest.raises(ValueError):
         estimate(params, "hpnc", 100, -1)
-    with pytest.raises(ValueError, match="workers"):
-        estimate(params, "hpnc", 100, 1, workers=0)
 
 
 def test_noiseless_conventional_throughput_is_one():
@@ -305,38 +305,47 @@ def test_rho_one_uses_zero_threshold():
         (6, 0.8, 0.5),  # a variable-length code, 2 to 12 bits
     ],
 )
-def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma):
+def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monkeypatch):
     # at these SNRs the downlink delivers some relay errors anyway, so the
     # kernel's packed candidate check decides part of the count
     rounds = 4000
     cb = build_codebook(n, rho)
     tau = optimal_threshold(gamma, rho).tau
-    got = _chunk(n, rho, gamma, cb, tau, rounds, np.random.default_rng(5), _Workspace())
+    # one sub-batch, then uneven ones whose downlinks outgrow the work arrays
+    for sub in (sim._SUBBATCH, 1500):
+        monkeypatch.setattr(sim, "_SUBBATCH", sub)
+        got = _chunk(n, rho, gamma, cb, tau, rounds, np.random.default_rng(5))
+        expected, delivered_anyway = replay_chunk(n, rho, gamma, cb, tau, rounds, sub, np.random.default_rng(5))
+        assert delivered_anyway > 0
+        assert got == expected
 
-    # replay the kernel's draw order with sized draws (the kernel fills its
-    # buffers through out=) and decode every round on its own
-    rng = np.random.default_rng(5)
+
+def replay_chunk(n, rho, gamma, cb, tau, rounds, sub, rng):
+    """The kernel's counters, from its draw order replayed with sized draws
+    (the kernel fills work arrays through out=) and every round decoded on
+    its own; also returns how many relay errors were delivered anyway."""
     sigma = math.sqrt(0.5 / gamma)
-    a1 = rng.integers(0, 2, size=(rounds, n), dtype=np.uint8)
-    a2 = a1 ^ (rng.random((rounds, n)) >= rho).astype(np.uint8)
-    y = sigma * rng.standard_normal((rounds, n)) + (2 - 2 * (a1 + a2).astype(np.int8))
-    b_hat = (np.abs(y) <= tau).astype(np.uint8)
-    words = [encode(cb, row) for row in b_hat]
-    sent = sum(word.size for word in words)
-    errors = []
-    delivered_anyway = 0
-    for _ in range(2):
-        flips = (rng.standard_normal(sent) < -1.0 / sigma).astype(np.uint8)
-        start = err = 0
-        for block, relayed, word in zip(a1 ^ a2, b_hat, words):
-            received = word ^ flips[start:start + word.size]
-            start += word.size
-            decoded = decode_exact(cb, received)
-            if decoded is None or not np.array_equal(decoded, block):
-                err += 1
-            elif not np.array_equal(relayed, block):
-                delivered_anyway += 1
-        errors.append(err)
-    assert delivered_anyway > 0
-    relay_wrong = int(np.count_nonzero(np.any(b_hat != a1 ^ a2, axis=1)))
-    assert got == (errors[1], errors[0], relay_wrong, sent)
+    errors = [0, 0]
+    relay_wrong = sent_total = delivered_anyway = 0
+    for first in range(0, rounds, sub):
+        m = min(sub, rounds - first)
+        a1 = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        a2 = a1 ^ (rng.random((m, n)) >= rho).astype(np.uint8)
+        y = sigma * rng.standard_normal((m, n)) + (2 - 2 * (a1 + a2).astype(np.int8))
+        b_hat = (np.abs(y) <= tau).astype(np.uint8)
+        words = [encode(cb, row) for row in b_hat]
+        sent = sum(word.size for word in words)
+        for d in range(2):
+            flips = (rng.standard_normal(sent) < -1.0 / sigma).astype(np.uint8)
+            start = 0
+            for block, relayed, word in zip(a1 ^ a2, b_hat, words):
+                received = word ^ flips[start:start + word.size]
+                start += word.size
+                decoded = decode_exact(cb, received)
+                if decoded is None or not np.array_equal(decoded, block):
+                    errors[d] += 1
+                elif not np.array_equal(relayed, block):
+                    delivered_anyway += 1
+        relay_wrong += int(np.count_nonzero(np.any(b_hat != a1 ^ a2, axis=1)))
+        sent_total += sent
+    return (errors[1], errors[0], relay_wrong, sent_total), delivered_anyway
