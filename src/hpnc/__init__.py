@@ -9,28 +9,18 @@ baseline (the same scheme designed for uncorrelated sources), plus a
 seeded Monte Carlo engine to cross-validate them.
 """
 
-from .model import (
-    SystemParams,
-    block_probability,
-    block_to_int,
-    equal_factor,
-    generate_correlated_pair,
-    int_to_block,
-    xor_block,
-)
-from .phy import awgn, bpsk_modulate, hard_demod, q_function
+from .model import SystemParams, block_to_int, equal_factor, int_to_block
+from .phy import q_function
 from .pnc import (
     PncThreshold,
     optimal_threshold,
     pnc_block_error,
-    pnc_decide,
     pnc_symbol_error_closed,
     pnc_symbol_error_numeric,
 )
 from .huffman import (
     HuffmanCodebook,
     LengthDistribution,
-    average_length,
     binary_entropy,
     build_codebook,
     codebook_from_table,
@@ -57,25 +47,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemParams",
-    "block_probability",
     "block_to_int",
     "equal_factor",
-    "generate_correlated_pair",
     "int_to_block",
-    "xor_block",
-    "awgn",
-    "bpsk_modulate",
-    "hard_demod",
     "q_function",
     "PncThreshold",
     "optimal_threshold",
     "pnc_block_error",
-    "pnc_decide",
     "pnc_symbol_error_closed",
     "pnc_symbol_error_numeric",
     "HuffmanCodebook",
     "LengthDistribution",
-    "average_length",
     "binary_entropy",
     "build_codebook",
     "codebook_from_table",

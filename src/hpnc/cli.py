@@ -77,10 +77,18 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validate(self) -> None:
+        # a JSON config can hold any type: each check names its field.  The
+        # membership tests on scheme and format admit only their strings.
         if self.scheme not in ("hpnc", "conventional", "both"):
             raise ValueError(f"scheme: must be hpnc, conventional or both, got {self.scheme!r}")
+        for name in ("n", "rounds", "seed", "chunks"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name}: must be an integer, got {value!r}")
         if not 1 <= self.n <= MAX_BLOCK_LEN:
             raise ValueError(f"n: must be in [1, {MAX_BLOCK_LEN}], got {self.n}")
+        if not isinstance(self.r, (list, tuple)) or not all(map(_is_number, self.r)):
+            raise ValueError(f"r: must be a list of numbers, got {self.r!r}")
         if not self.r:
             raise ValueError("r: at least one correlation factor is required")
         for value in self.r:
@@ -88,6 +96,8 @@ class ExperimentConfig:
                 raise ValueError(f"r: values must be in [0, 1], got {value}")
         for name in ("snr_db_start", "snr_db_stop", "snr_db_step"):
             value = getattr(self, name)
+            if not _is_number(value):
+                raise ValueError(f"{name}: must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name}: must be finite, got {value}")
         if self.snr_db_step <= 0.0:
@@ -106,6 +116,8 @@ class ExperimentConfig:
             raise ValueError(f"chunks: must be >= 1, got {self.chunks}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out: must be a path, got {self.out!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format: must be csv or json, got {self.format!r}")
 
@@ -124,6 +136,10 @@ class ExperimentConfig:
         if self.scheme == "both":
             return [SCHEME_HPNC, SCHEME_CONVENTIONAL]
         return [self.scheme]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _fmt(value) -> str:
@@ -306,6 +322,8 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError("config: must be a JSON object")
         unknown = set(file_values) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
@@ -314,10 +332,9 @@ def _config_from_args(args) -> ExperimentConfig:
         flag_value = getattr(args, field.name, None)
         if flag_value is not None:
             values[field.name] = flag_value
-    if "r" in values:
-        values["r"] = tuple(float(x) for x in values["r"])
     cfg = ExperimentConfig(**values)
     cfg.validate()
+    cfg.r = tuple(float(x) for x in cfg.r)
     return cfg
 
 

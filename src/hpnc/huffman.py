@@ -232,11 +232,6 @@ def length_distribution(cb: HuffmanCodebook, rho: float) -> LengthDistribution:
     return LengthDistribution(support=support, pmf=pmf, mean=mean)
 
 
-def average_length(ld: LengthDistribution) -> float:
-    """Mean codeword length of a length distribution."""
-    return ld.mean
-
-
 def codebook_to_table(cb: HuffmanCodebook) -> str:
     """Text table, one line per block: block bits, length, canonical codeword."""
     lines = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,55 +32,30 @@ class SystemParams:
             raise ValueError(f"block length n must be >= 1, got {self.n}")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"correlation factor r must be in [0, 1], got {self.r}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"SNR gamma must be > 0, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"SNR gamma must be finite and > 0, got {self.gamma}")
 
     @property
     def rho(self) -> float:
         """Per-position agreement probability derived from r."""
         return equal_factor(self.r)
 
-    @property
-    def n0(self) -> float:
-        return 1.0 / self.gamma
 
+def draw_sources(
+    rho: float, rng: np.random.Generator, reals: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Draw m block pairs into the caller's (m, n) work arrays; return a1.
 
-def generate_correlated_pair(
-    params: SystemParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one block pair: a1 i.i.d. uniform, a2 agreeing with a1 per bit w.p. rho.
-
-    The draw order (a1 bits, then agreement uniforms) is fixed so seeded runs
+    a1 is i.i.d. uniform; a2 agrees with a1 per bit with probability rho, so
+    the XOR block a1 ^ a2, written into the bool array `out`, is 1 where a
+    uniform, drawn into the float64 array `reals`, is >= rho.  The draw
+    order (a1 bits, then agreement uniforms) is fixed so seeded runs
     reproduce across platforms.  With antipodal modulation the construction
     gives E{x1 x2} = 2*rho - 1 = r per position.
     """
-    a1 = rng.integers(0, 2, size=params.n, dtype=np.uint8)
-    agree = rng.random(params.n) < params.rho
-    a2 = np.where(agree, a1, 1 - a1).astype(np.uint8)
-    return a1, a2
-
-
-def xor_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise XOR of two equal-length bit blocks."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"block length mismatch: {a.shape} vs {b.shape}")
-    return np.bitwise_xor(a, b)
-
-
-def block_probability(block: np.ndarray, rho: float) -> float:
-    """Probability of an XOR block: rho^(#zeros) * (1 - rho)^(#ones).
-
-    A zero marks a position where the two sources agree, so the zero count
-    carries all of the distribution's dependence on the block.
-    """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"equal factor rho must be in [0, 1], got {rho}")
-    block = np.asarray(block)
-    zeros = int(np.count_nonzero(block == 0))
-    ones = int(block.size) - zeros
-    return rho**zeros * (1.0 - rho) ** ones
+    a1 = rng.integers(0, 2, size=out.shape, dtype=np.uint8)
+    np.greater_equal(rng.random(out=reals), rho, out=out)
+    return a1
 
 
 def block_to_int(bits: np.ndarray) -> int:

@@ -1,4 +1,4 @@
-"""BPSK over a real AWGN channel and the Gaussian tail function."""
+"""The Gaussian tail function."""
 
 from __future__ import annotations
 
@@ -10,35 +10,7 @@ from scipy.special import erfc
 _SQRT2 = math.sqrt(2.0)
 
 
-def bpsk_modulate(bits: np.ndarray) -> np.ndarray:
-    """Map bits to antipodal symbols: 0 -> +1, 1 -> -1 (amplitude sqrt(Pt) = 1)."""
-    return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
-
-
-def awgn(tx: np.ndarray, gamma: float, rng: np.random.Generator) -> np.ndarray:
-    """Add real zero-mean Gaussian noise of variance N0/2 = 1/(2*gamma) per sample.
-
-    BPSK occupies only the in-phase dimension, so the channel is modelled in
-    real baseband; the noise law then matches the densities used by the
-    decision-error integrals exactly.
-    """
-    if not gamma > 0.0:
-        raise ValueError(f"SNR gamma must be > 0, got {gamma}")
-    tx = np.asarray(tx, dtype=np.float64)
-    sigma = math.sqrt(0.5 / gamma)
-    return tx + sigma * rng.standard_normal(tx.shape)
-
-
 def q_function(x):
     """Gaussian upper-tail probability Q(x) = P{N(0,1) > x}."""
     out = 0.5 * erfc(np.asarray(x, dtype=np.float64) / _SQRT2)
     return float(out) if np.ndim(x) == 0 else out
-
-
-def hard_demod(y: np.ndarray) -> np.ndarray:
-    """Per-sample sign decision: y >= 0 -> bit 0, y < 0 -> bit 1.
-
-    An exactly-zero sample is a measure-zero event; it maps to bit 0 so runs
-    are deterministic.
-    """
-    return (np.asarray(y) < 0).astype(np.uint8)

@@ -4,8 +4,9 @@ The relay observes the superposition of two antipodal transmissions
 (amplitude levels -2, 0, +2 before noise) and decides the XOR bit directly:
 |y| above a threshold tau means the sources agreed (XOR 0), otherwise they
 disagreed (XOR 1).  This module provides the posterior-optimal threshold,
-the per-symbol decision, the closed-form per-symbol error probability, and
-an independent quadrature evaluation of the same error used as an oracle.
+the per-symbol decision the simulator runs, the closed-form per-symbol
+error probability, and an independent quadrature evaluation of the same
+error used as an oracle.
 
 It is the one place that knows the rho = 1 rule: fully correlated sources
 always agree, so the XOR block is all-zero, the threshold is 0 (every sample
@@ -58,15 +59,14 @@ def optimal_threshold(gamma: float, rho: float) -> PncThreshold:
     return PncThreshold(tau, math.sqrt(2.0 * gamma) * tau)
 
 
-def pnc_decide(y: np.ndarray, thr: PncThreshold) -> np.ndarray:
-    """Map received superposition samples to the estimated XOR block.
+def decide_xor(y: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    """Decide the XOR bit of each superposed sample into the bool array `out`.
 
     |y| > tau declares an agreeing pair (XOR 0); |y| <= tau declares the
     middle region (XOR 1).  Boundary samples go to XOR 1 for determinism.
+    y is overwritten with |y|.
     """
-    if thr.tau < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {thr.tau}")
-    return (np.abs(np.asarray(y, dtype=np.float64)) <= thr.tau).astype(np.uint8)
+    return np.less_equal(np.abs(y, out=y), tau, out=out)
 
 
 def pnc_symbol_error_closed(gamma: float, rho: float) -> float:

@@ -16,10 +16,12 @@ code (the identity fixed-length code), fed with uncorrelated sources.
 Within a chunk, rounds are simulated in vectorised sub-batches of up to
 2^16 rounds.  Each sub-batch draws, in this order:
 
-1. the source bits a1, an (m, n) integer array;
-2. the agreement uniforms that set a2, an (m, n) array;
-3. the uplink noise, (m, n) standard normals;
-4. the downlink noise towards T1, then towards T2: one standard normal for
+1. the sources, through model.draw_sources: the bits a1, an (m, n) integer
+   array, then the agreement uniforms that set the XOR block a1 ^ a2, an
+   (m, n) array;
+2. the uplink noise, (m, n) standard normals, which the relay turns into
+   its XOR estimate through pnc.decide_xor;
+3. the downlink noise towards T1, then towards T2: one standard normal for
    each codeword bit the relay sends, lens.sum() in all, where lens holds
    the lengths of the m codewords.  Nothing is drawn for padding.
 """
@@ -34,8 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .huffman import HuffmanCodebook, build_codebook
-from .model import SystemParams
-from .pnc import PncThreshold, optimal_threshold
+from .model import SystemParams, draw_sources
+from .pnc import PncThreshold, decide_xor, optimal_threshold
 
 SCHEME_HPNC = "hpnc"
 SCHEME_CONVENTIONAL = "conventional"
@@ -117,10 +119,9 @@ def _chunk(
     while remaining:
         m = min(_SUBBATCH, remaining)
         remaining -= m
-        a1 = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-        # the sources disagree with probability 1 - rho: a2 = a1 XOR xor
         reals = up_reals[: m * n].reshape(m, n)
-        xor = np.greater_equal(rng.random(out=reals), rho, out=up_mask[: m * n].reshape(m, n))
+        xor = up_mask[: m * n].reshape(m, n)
+        a1 = draw_sources(rho, rng, reals, xor)
         v_true = xor.view(np.uint8) @ pow_n
         # superposed level (1 - 2 a1) + (1 - 2 a2) = 2 - 2 (a1 + a2), formed in
         # place: a2 in xor's memory (b_hat reuses it below), the level in a1's
@@ -131,7 +132,7 @@ def _chunk(
         # received superposition level + sigma z, and the relay's decision
         y = np.multiply(rng.standard_normal(out=reals), sigma, out=reals)
         np.add(y, level, out=y)
-        b_hat = np.less_equal(np.abs(y, out=y), tau, out=xor)
+        b_hat = decide_xor(y, tau, xor)
         v_hat = b_hat.view(np.uint8) @ pow_n
         wrong = v_hat != v_true
         relay_wrong = int(np.count_nonzero(wrong))

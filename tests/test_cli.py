@@ -169,6 +169,37 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ('{"n": 6.5}', "n"),
+        ('{"n": true}', "n"),
+        ('{"rounds": 10.5}', "rounds"),
+        ('{"rounds": "100"}', "rounds"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"chunks": 2.5}', "chunks"),
+        ('{"r": 0.5}', "r"),
+        ('{"r": [0.5, null]}', "r"),
+        ('{"r": [0.5, "x"]}', "r"),
+        ('{"r": [true]}', "r"),
+        ('{"snr_db_start": "0"}', "snr_db_start"),
+        ('{"scheme": 5}', "scheme"),
+        ('{"format": ["csv"]}', "format"),
+        ('{"out": true}', "out"),
+        ("[6]", "config"),
+    ],
+)
+def test_config_file_rejects_mistyped_field(tmp_path, capsys, monkeypatch, text, field):
+    def no_sweep(cfg):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["bler-sweep", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"roux": 1}))

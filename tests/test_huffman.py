@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hpnc.huffman import (
-    average_length,
     binary_entropy,
     build_codebook,
     codebook_from_table,
@@ -71,7 +70,6 @@ def test_textbook_example_n2():
     assert ld.pmf[2] == pytest.approx(0.0475, abs=1e-15)
     assert ld.pmf[3] == pytest.approx(0.05, abs=1e-15)
     assert ld.mean == pytest.approx(1.1475, abs=1e-12)
-    assert average_length(ld) == ld.mean
     assert compression_rate(2, ld.mean) == pytest.approx(0.786875, abs=1e-12)
     assert encode(cb, np.array([0, 0])).size == 1
 
@@ -173,7 +171,7 @@ def test_length_distribution_with_mismatched_rho():
 def test_point_mass_distribution():
     ld = length_distribution(build_codebook(3, 0.5), 0.5)
     assert ld.support == (3,)
-    assert average_length(ld) == 3.0
+    assert ld.mean == 3.0
 
 
 def test_table_export_import_round_trip():

@@ -1,19 +1,29 @@
-"""Source model: parameters, correlated pair generation, block probabilities."""
+"""Source model: parameters, the simulator's source draw, block probabilities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hpnc.model import (
-    SystemParams,
-    block_probability,
-    block_to_int,
-    equal_factor,
-    generate_correlated_pair,
-    int_to_block,
-    xor_block,
-)
+from hpnc.huffman import _integer_weights, build_codebook, length_distribution
+from hpnc.model import SystemParams, block_to_int, draw_sources, equal_factor, int_to_block
+
+
+def draw_pair(params, rng):
+    """One block pair from the simulator's batched draw, one row (m = 1):
+    the same stream as a per-block draw of n bits, then n uniforms."""
+    reals = np.empty((1, params.n))
+    xor = np.empty((1, params.n), bool)
+    a1 = draw_sources(params.rho, rng, reals, xor)[0]
+    return a1, a1 ^ xor[0]
+
+
+def block_law(n, rho):
+    """Exact XOR block probabilities, as the Huffman design weighs them."""
+    weights = _integer_weights(n, rho)
+    total = sum(weights)
+    return [Fraction(w, total) for w in weights]
 
 
 def test_equal_factor_values():
@@ -36,54 +46,48 @@ def test_system_params_validation():
         SystemParams(n=6, r=-0.2, gamma=1.0)
     with pytest.raises(ValueError):
         SystemParams(n=6, r=0.9, gamma=0.0)
+    for gamma in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="SNR gamma must be finite"):
+            SystemParams(n=6, r=0.9, gamma=gamma)
 
 
 def test_system_params_derived():
     params = SystemParams(n=6, r=0.9, gamma=4.0)
     assert params.rho == 0.95
-    assert params.n0 == 0.25
-
-
-def test_xor_block():
-    a = np.array([1, 0, 1], dtype=np.uint8)
-    b = np.array([1, 1, 0], dtype=np.uint8)
-    assert np.array_equal(xor_block(a, b), [0, 1, 1])
-    assert np.array_equal(xor_block(a, a), [0, 0, 0])
-    assert np.array_equal(xor_block(a, np.zeros(3, dtype=np.uint8)), a)
-    with pytest.raises(ValueError):
-        xor_block(a, np.zeros(4, dtype=np.uint8))
 
 
 def test_block_probability_values():
-    assert block_probability(np.array([0, 0]), 0.7) == pytest.approx(0.49, rel=1e-12)
-    for v in range(8):
-        assert block_probability(int_to_block(v, 3), 0.5) == pytest.approx(0.125, rel=1e-12)
-    assert block_probability(np.zeros(6, dtype=np.uint8), 0.95) == pytest.approx(
-        0.95**6, rel=1e-14
-    )
+    assert float(block_law(2, 0.7)[0]) == pytest.approx(0.49, rel=1e-12)
+    for p in block_law(3, 0.5):
+        assert p == Fraction(1, 8)
+    assert float(block_law(6, 0.95)[0]) == pytest.approx(0.95**6, rel=1e-14)
     with pytest.raises(ValueError):
-        block_probability(np.array([0, 1]), 1.5)
+        length_distribution(build_codebook(2, 0.95), 1.5)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 12])
 @pytest.mark.parametrize("rho", [0.5, 0.6, 0.75, 0.9, 0.95, 1.0])
 def test_block_probability_sums_to_one(n, rho):
-    total = math.fsum(
-        block_probability(int_to_block(v, n), rho) for v in range(1 << n)
-    )
+    # the exact weights share the denominator of rho^n, so they sum to it
+    den = Fraction(rho).denominator
+    assert sum(_integer_weights(n, rho)) == den**n
+    total = math.fsum(length_distribution(build_codebook(n, rho), rho).pmf.values())
     assert abs(total - 1.0) < 1e-12
 
 
 def test_block_probability_depends_only_on_zero_count():
     rho = 0.83
     n = 6
+    weights = _integer_weights(n, rho)
     by_zeros = {}
     for v in range(1 << n):
-        block = int_to_block(v, n)
-        zeros = n - int(block.sum())
-        by_zeros.setdefault(zeros, set()).add(block_probability(block, rho))
-    for values in by_zeros.values():
+        zeros = n - int(int_to_block(v, n).sum())
+        by_zeros.setdefault(zeros, set()).add(weights[v])
+    assert len(by_zeros) == n + 1
+    for zeros, values in by_zeros.items():
         assert len(values) == 1
+        p = float(Fraction(values.pop(), sum(weights)))
+        assert p == pytest.approx(rho**zeros * (1.0 - rho) ** (n - zeros), rel=1e-12)
 
 
 def test_block_int_round_trip():
@@ -97,7 +101,7 @@ def test_identical_blocks_at_full_correlation():
     params = SystemParams(n=64, r=1.0, gamma=1.0)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        a1, a2 = generate_correlated_pair(params, rng)
+        a1, a2 = draw_pair(params, rng)
         assert np.array_equal(a1, a2)
 
 
@@ -109,18 +113,22 @@ def test_empirical_agreement_frequency(r, expected):
     params = SystemParams(n=1000, r=r, gamma=1.0)
     rng = np.random.default_rng(2026)
     agree = 0
+    product = 0.0
     for _ in range(1000):
-        a1, a2 = generate_correlated_pair(params, rng)
+        a1, a2 = draw_pair(params, rng)
         agree += int(np.count_nonzero(a1 == a2))
+        product += float(np.dot(1.0 - 2.0 * a1, 1.0 - 2.0 * a2))
     freq = agree / 1e6
     se = math.sqrt(expected * (1.0 - expected) / 1e6)
     assert abs(freq - expected) <= 3.0 * se
+    # E{x1 x2} = r for the antipodal symbols; x1 x2 = 2 [agree] - 1
+    assert abs(product / 1e6 - r) <= 3.0 * 2.0 * se
 
 
 def test_pair_generation_is_seed_reproducible():
     params = SystemParams(n=32, r=0.7, gamma=1.0)
-    first = generate_correlated_pair(params, np.random.default_rng(11))
-    second = generate_correlated_pair(params, np.random.default_rng(11))
+    first = draw_pair(params, np.random.default_rng(11))
+    second = draw_pair(params, np.random.default_rng(11))
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
 
@@ -129,7 +137,7 @@ def test_first_block_is_uniform():
     params = SystemParams(n=1000, r=0.9, gamma=1.0)
     rng = np.random.default_rng(5)
     ones = sum(
-        int(generate_correlated_pair(params, rng)[0].sum()) for _ in range(500)
+        int(draw_pair(params, rng)[0].sum()) for _ in range(500)
     )
     freq = ones / 5e5
     assert abs(freq - 0.5) <= 3.0 * math.sqrt(0.25 / 5e5)

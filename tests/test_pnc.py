@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from hpnc import validation
-from hpnc.model import SystemParams, generate_correlated_pair
+from hpnc.model import draw_sources
 from hpnc.pnc import (
     PncThreshold,
+    decide_xor,
     optimal_threshold,
     pnc_block_error,
-    pnc_decide,
     pnc_symbol_error_closed,
     pnc_symbol_error_numeric,
 )
@@ -22,6 +22,12 @@ TAU_BAR_G1_RHO_HALF = 1.6592484435221093
 P_PNC_G1_RHO_HALF = 0.10911398180639029
 TAU_G1_RHO95 = 0.4292393074289764
 BOUNDARY_GAMMA_RHO95 = 0.7361097447916101  # (1/4) ln(0.95/0.05)
+
+
+def decide(y, tau):
+    """The relay's decision on a copy of y (the kernel lets it overwrite y)."""
+    y = np.array(y, dtype=np.float64)
+    return decide_xor(y, tau, np.empty(y.shape, bool)).view(np.uint8)
 
 
 def test_threshold_zero_branch_boundary():
@@ -77,27 +83,26 @@ def test_rho_one_relay_never_errs(gamma):
 
 
 def test_decide_noiseless_regions():
-    thr = PncThreshold(1.0, math.sqrt(2.0))
+    tau = 1.0
     agree = np.array([2.0, -2.0, 2.0])
-    assert np.array_equal(pnc_decide(agree, thr), [0, 0, 0])
+    assert np.array_equal(decide(agree, tau), [0, 0, 0])
     disagree = np.zeros(3)
-    assert np.array_equal(pnc_decide(disagree, thr), [1, 1, 1])
+    assert np.array_equal(decide(disagree, tau), [1, 1, 1])
     # boundary samples go to XOR 1
-    assert np.array_equal(pnc_decide(np.array([1.0, -1.0]), thr), [1, 1])
+    assert np.array_equal(decide(np.array([1.0, -1.0]), tau), [1, 1])
 
 
 def test_decide_zero_threshold_always_declares_agreement():
-    thr = PncThreshold(0.0, 0.0)
     y = np.array([0.3, -0.01, 2.5, -1.9])
-    assert np.array_equal(pnc_decide(y, thr), [0, 0, 0, 0])
+    assert np.array_equal(decide(y, 0.0), [0, 0, 0, 0])
 
 
 def test_decide_is_per_symbol():
     rng = np.random.default_rng(7)
     y = rng.normal(size=50)
-    thr = PncThreshold(0.8, 0.8)
+    tau = 0.8
     perm = rng.permutation(50)
-    assert np.array_equal(pnc_decide(y, thr)[perm], pnc_decide(y[perm], thr))
+    assert np.array_equal(decide(y, tau)[perm], decide(y[perm], tau))
 
 
 def test_closed_form_value_and_quadrature_match():
@@ -158,19 +163,24 @@ def test_block_error_arithmetic():
 @pytest.mark.parametrize("snr_db", [0, 2, 4, 6, 8, 10])
 @pytest.mark.parametrize("r", [0.4, 0.6, 0.7, 0.8, 0.9])
 def test_per_symbol_error_matches_monte_carlo(snr_db, r):
-    # relay decisions on 10^6 superposed symbols vs the closed form
+    # relay decisions on 10^6 superposed symbols vs the closed form; the
+    # sources come from the simulator's draw, one row (m = 1) at a time
     gamma = 10.0 ** (snr_db / 10.0)
     rho = (1.0 + r) / 2.0
-    thr = optimal_threshold(gamma, rho)
-    params = SystemParams(n=1000, r=r, gamma=gamma)
+    tau = optimal_threshold(gamma, rho).tau
+    n = 1000
     rng = np.random.default_rng(31_000 + snr_db * 100 + int(r * 10))
+    reals = np.empty((1, n))
+    xor = np.empty((1, n), bool)
+    xor_hat = np.empty((1, n), bool)
     errors = 0
     for _ in range(1000):
-        a1, a2 = generate_correlated_pair(params, rng)
+        a1 = draw_sources(rho, rng, reals, xor)
+        a2 = a1 ^ xor
         y = (1.0 - 2.0 * a1.astype(float)) + (1.0 - 2.0 * a2.astype(float))
-        y += math.sqrt(0.5 / gamma) * rng.standard_normal(params.n)
-        xor_hat = pnc_decide(y, thr)
-        errors += int(np.count_nonzero(xor_hat != (a1 ^ a2)))
+        y += math.sqrt(0.5 / gamma) * rng.standard_normal((1, n))
+        decide_xor(y, tau, xor_hat)
+        errors += int(np.count_nonzero(xor_hat != xor))
     empirical = errors / 1e6
     expected = pnc_symbol_error_closed(gamma, rho)
     se = math.sqrt(expected * (1.0 - expected) / 1e6)
