@@ -1,8 +1,5 @@
-"""The Gaussian tail function.
-
-The BPSK bit-error check Q(sqrt(2 gamma)) runs on the simulator's downlink,
-in tests/test_sim.py::test_deep_code_downlink_is_ragged.
-"""
+"""The Gaussian tail function, and the BPSK bit-error rate it predicts on
+the simulator's downlink."""
 
 import math
 
@@ -10,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hpnc.model import SystemParams
 from hpnc.phy import q_function
+from hpnc.sim import estimate
 
 
 def q_oracle(x: float) -> float:
@@ -47,3 +46,18 @@ def test_q_function_symmetry_and_monotonicity():
     vals = q_function(xs)
     assert np.max(np.abs(vals + q_function(-xs) - 1.0)) < 1e-12
     assert np.all(np.diff(vals) < 0)
+
+
+@pytest.mark.parametrize("snr_db", [0, 2, 4, 6, 8])
+def test_point_to_point_ber_matches_tail_formula(snr_db):
+    # at n = 1, r = 1 the relay never errs and every codeword is one bit, so
+    # each round is one BPSK bit through the kernel's downlink flip rule
+    gamma = 10.0 ** (snr_db / 10.0)
+    rounds = 1_000_000
+    est = estimate(SystemParams(n=1, r=1.0, gamma=gamma), "hpnc", rounds, seed=1000 + snr_db)
+    assert est.relay_bler == 0.0
+    assert est.mean_downlink_bits == 1.0
+    expected = q_oracle(math.sqrt(2.0 * gamma))
+    se = math.sqrt(expected * (1.0 - expected) / rounds)
+    assert abs(est.bler_12 - expected) <= 3.0 * se
+    assert abs(est.bler_21 - expected) <= 3.0 * se
