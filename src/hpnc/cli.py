@@ -15,13 +15,15 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .analysis import conv_bler_point, hpnc_bler_point
+# conv_bler_point is unused here; bench/worker.py wraps it by this module's name
+from .analysis import conv_bler_point, hpnc_bler_point  # noqa: F401
 from .huffman import (
     MAX_BLOCK_LEN,
     build_codebook,
     codebook_to_table,
     compression_rate,
     length_distribution,
+    rate_gap_within_bound,
     theoretical_rate,
 )
 from .model import SystemParams, equal_factor
@@ -52,6 +54,7 @@ THROUGHPUT_COLUMNS = ("thr_sim", "c_hpnc", "c_theo")
 MAX_SNR_POINTS = 10_000
 
 RATE_SCHEMA = ("n", "r", "mean_len", "c_hpnc", "c_theo", "gap")
+DEFAULT_R_GRID = tuple(round(0.1 * k, 1) for k in range(10))
 
 THROUGHPUT_NOTE = (
     "# throughput = correctly decoded blocks * n / channel uses, with n uplink "
@@ -138,6 +141,14 @@ class ExperimentConfig:
         return [self.scheme]
 
 
+def _linear_snr(snr_db: float) -> float:
+    # 10 ** x raises OverflowError above about 3082.5 dB
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -148,51 +159,56 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rows_to_csv(schema, rows) -> str:
-    lines = [",".join(schema)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[key]) for key in schema))
-    return "\n".join(lines) + "\n"
+def _json_value(value):
+    return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
-def _rows_to_json(schema, rows) -> str:
-    payload = []
-    for row in rows:
-        item = {}
-        for key in schema:
-            value = row[key]
-            item[key] = float(f"{value:.12g}") if isinstance(value, float) else value
-        payload.append(item)
+def _rows_text(fmt: str, schema, rows) -> str:
+    if fmt == "csv":
+        lines = [",".join(_fmt(row[key]) for key in schema) for row in rows]
+        return "\n".join([",".join(schema), *lines]) + "\n"
+    payload = [{key: _json_value(row[key]) for key in schema} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_output(cfg_format: str, out_path: str | None, schema, rows) -> None:
-    if out_path is None:
-        return
-    text = _rows_to_csv(schema, rows) if cfg_format == "csv" else _rows_to_json(schema, rows)
-    with open(out_path, "w", newline="") as fh:
-        fh.write(text)
+def _write_output(path: str | None, text: str) -> None:
+    """Write `text` to the --out file, byte for byte, when one is given."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+
+
+def _print_table(rows, columns, widths) -> None:
+    print("  ".join(name.ljust(w) for name, w in zip(columns, widths)))
+    for row in rows:
+        print("  ".join(_fmt(row[name]).ljust(w) for name, w in zip(columns, widths)))
+
+
+def _rate_point(n: int, r: float):
+    """rho, length distribution, c_hpnc and c_theo of the code designed for r."""
+    rho = equal_factor(r)
+    ld = length_distribution(build_codebook(n, rho), rho)
+    return rho, ld, compression_rate(n, ld.mean), theoretical_rate(r)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """One row per (scheme, r, SNR): analytical columns plus one simulation."""
     cfg.validate()
+    grid = [(snr_db, _linear_snr(snr_db)) for snr_db in cfg.snr_grid_db]
+    # the grid rises, so its two ends bound every point's linear SNR
+    for name, (snr_db, gamma) in (("snr_db_start", grid[0]), ("snr_db_stop", grid[-1])):
+        if not 0.0 < gamma < math.inf:
+            raise ValueError(f"{name}: {snr_db!r} dB gives no positive finite linear SNR")
     rows = []
     sim_cache: dict = {}
     for scheme in cfg.schemes:
         for r in cfg.r:
-            # the baseline is the scheme designed for r = 0, whatever r is
+            # the baseline is the scheme designed for r = 0, whatever r is:
+            # the rho = 0.5 code, every codeword n bits long
             design_r = r if scheme == SCHEME_HPNC else 0.0
-            rho = equal_factor(design_r)
-            ld = length_distribution(build_codebook(cfg.n, rho), rho)
-            c_hpnc = compression_rate(cfg.n, ld.mean)
-            c_theo = theoretical_rate(design_r)
-            for snr_db in cfg.snr_grid_db:
-                gamma = 10.0 ** (snr_db / 10.0)
-                if scheme == SCHEME_HPNC:
-                    point = hpnc_bler_point(gamma, rho, cfg.n, ld)
-                else:
-                    point = conv_bler_point(gamma, cfg.n)
+            rho, ld, c_hpnc, c_theo = _rate_point(cfg.n, design_r)
+            for snr_db, gamma in grid:
+                point = hpnc_bler_point(gamma, rho, cfg.n, ld)
                 # the baseline's rows share one simulation per SNR point
                 key = (scheme, design_r, snr_db)
                 if key not in sim_cache:
@@ -210,27 +226,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _print_sweep(rows, columns) -> None:
-    print(THROUGHPUT_NOTE)
-    header = ["scheme", "n", "r", "snr_db"] + list(columns)
-    widths = [12, 3, 5, 7] + [18] * len(columns)
-    print("  ".join(name.ljust(w) for name, w in zip(header, widths)))
-    for row in rows:
-        cells = [
-            str(row["scheme"]).ljust(12),
-            str(row["n"]).ljust(3),
-            _fmt(row["r"]).ljust(5),
-            _fmt(row["snr_db"]).ljust(7),
-        ]
-        cells += [_fmt(row[c]).ljust(18) for c in columns]
-        print("  ".join(cells))
-
-
 def cmd_sweep(args, columns) -> int:
     cfg = _config_from_args(args)
     rows = run_sweep(cfg)
-    _print_sweep(rows, columns)
-    _write_output(cfg.format, cfg.out, SWEEP_SCHEMA, rows)
+    print(THROUGHPUT_NOTE)
+    widths = (12, 3, 5, 7) + (18,) * len(columns)
+    _print_table(rows, ("scheme", "n", "r", "snr_db") + columns, widths)
+    _write_output(cfg.out, _rows_text(cfg.format, SWEEP_SCHEMA, rows))
     return 0
 
 
@@ -240,42 +242,19 @@ def rate_table_rows(n_start: int, n_stop: int, r_grid) -> list[dict]:
     rows = []
     for n in range(n_start, n_stop + 1):
         for r in r_grid:
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"r: values must be in [0, 1], got {r}")
-            rho = equal_factor(r)
-            ld = length_distribution(build_codebook(n, rho), rho)
-            c_hpnc = compression_rate(n, ld.mean)
-            c_theo = theoretical_rate(r)
+            _, ld, c_hpnc, c_theo = _rate_point(n, r)
             gap = c_hpnc - c_theo
-            bound = 1.0 / (2.0 * n)
-            # the gap bound is strict except in the degenerate r = 1 design,
-            # where the singleton-mass code sits exactly on the bound
-            strict_ok = -1e-15 <= gap < bound + 1e-15
-            edge_ok = r == 1.0 and gap <= bound + 1e-15
-            if not (strict_ok or edge_ok):
-                raise ValueError(
-                    f"rate gap out of bounds at n={n}, r={r}: gap={gap!r}, bound={bound!r}"
-                )
-            rows.append(
-                {
-                    "n": n,
-                    "r": r,
-                    "mean_len": ld.mean,
-                    "c_hpnc": c_hpnc,
-                    "c_theo": c_theo,
-                    "gap": gap,
-                }
-            )
+            if not rate_gap_within_bound(gap, n, r):
+                raise ValueError(f"rate gap out of bounds at n={n}, r={r}: gap={gap!r}")
+            values = (n, r, ld.mean, c_hpnc, c_theo, gap)
+            rows.append(dict(zip(RATE_SCHEMA, values)))
     return rows
 
 
 def cmd_rate_table(args) -> int:
-    rows = rate_table_rows(args.n_start, args.n_stop, args.r)
-    header = RATE_SCHEMA
-    print("  ".join(name.ljust(14) for name in header))
-    for row in rows:
-        print("  ".join(_fmt(row[key]).ljust(14) for key in header))
-    _write_output(args.format, args.out, RATE_SCHEMA, rows)
+    rows = rate_table_rows(args.n_start, args.n_stop, args.r or DEFAULT_R_GRID)
+    _print_table(rows, RATE_SCHEMA, (14,) * len(RATE_SCHEMA))
+    _write_output(args.out, _rows_text(args.format, RATE_SCHEMA, rows))
     return 0
 
 
@@ -284,19 +263,14 @@ def cmd_validate(args) -> int:
     report = validation.run_checks(groups=groups, tau_offset=args.perturb_tau)
     text = json.dumps(report, indent=2) + "\n"
     print(text, end="")
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+    _write_output(args.out, text)
     return 0 if report["passed"] else 1
 
 
 def cmd_export_codebook(args) -> int:
-    if not 0.0 <= args.r <= 1.0:
-        raise ValueError(f"r: must be in [0, 1], got {args.r}")
     table = codebook_to_table(build_codebook(args.n, equal_factor(args.r)))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(table)
+        _write_output(args.out, table)
     else:
         print(table, end="")
     return 0
@@ -364,9 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(
-        run=lambda args: cmd_rate_table(_with_default_r_grid(args)),
-    )
+    p.set_defaults(run=cmd_rate_table)
 
     p = sub.add_parser("validate", help="oracle self-checks; nonzero exit on failure")
     p.add_argument(
@@ -393,18 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_default_r_grid(args):
-    if args.r is None:
-        args.r = [round(0.1 * k, 1) for k in range(10)]
-    return args
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

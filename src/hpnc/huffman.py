@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import block_to_int, int_to_block
+from .model import block_to_int, equal_factor, int_to_block
 
 MAX_BLOCK_LEN = 16
 
@@ -35,9 +35,7 @@ def binary_entropy(p: float) -> float:
 
 def theoretical_rate(r: float) -> float:
     """Entropy-rate floor of the two-slot exchange: 1/2 + H[(1+r)/2]/2."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"correlation factor r must be in [0, 1], got {r}")
-    return 0.5 + 0.5 * binary_entropy((1.0 + r) / 2.0)
+    return 0.5 + 0.5 * binary_entropy(equal_factor(r))
 
 
 def compression_rate(n: int, mean_len: float) -> float:
@@ -45,6 +43,16 @@ def compression_rate(n: int, mean_len: float) -> float:
     if mean_len < 1.0:
         raise ValueError(f"mean codeword length must be >= 1, got {mean_len}")
     return (n + mean_len) / (2.0 * n)
+
+
+def rate_gap_within_bound(gap: float, n: int, r: float) -> bool:
+    """Whether c_hpnc - c_theo sits in the Huffman sandwich 0 <= gap < 1/(2n).
+
+    The bound is strict except in the degenerate r = 1 design, where the
+    singleton-mass code sits exactly on it.
+    """
+    bound = 1.0 / (2.0 * n)
+    return -1e-15 <= gap and (gap < bound + 1e-15 or (r == 1.0 and gap <= bound + 1e-15))
 
 
 def _integer_weights(n: int, rho: float) -> list[int]:

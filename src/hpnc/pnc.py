@@ -73,9 +73,11 @@ def pnc_symbol_error_closed(gamma: float, rho: float) -> float:
     """Per-symbol XOR decision error at the optimal threshold (closed form).
 
     At rho = 1 the zero threshold leaves rho*Q(s) - rho*Q(s), exactly 0.
+    Where 2*gamma overflows, tau_bar and s are infinite and Q(s - tau_bar)
+    is NaN, so the limit 0 is returned there.
     """
     _check_gamma_rho(gamma, rho)
-    if math.isinf(gamma):
+    if math.isinf(2.0 * gamma):
         return 0.0
     tau_bar = optimal_threshold(gamma, rho).tau_bar
     s = 2.0 * math.sqrt(2.0 * gamma)

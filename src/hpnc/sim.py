@@ -222,9 +222,17 @@ def estimate(
 
     # chunks past the round budget would be empty, so they are not run
     active = min(chunks, rounds)
-    with ThreadPoolExecutor(min(active, _cores())) as executor:
-        counts = list(executor.map(run, range(active)))
-    err12, err21, relay_err, dl_bits = (sum(column) for column in zip(*counts))
+    workers = min(active, _cores())
+    # map submits every chunk of its range up front, so the chunks go in
+    # windows of a few per thread: pending work and the running sums stay
+    # O(workers) however many chunks there are
+    window = 4 * workers
+    totals = [0, 0, 0, 0]  # err12, err21, relay_err, dl_bits
+    with ThreadPoolExecutor(workers) as executor:
+        for first in range(0, active, window):
+            for counts in executor.map(run, range(first, min(first + window, active))):
+                totals = [a + b for a, b in zip(totals, counts)]
+    err12, err21, relay_err, dl_bits = totals
 
     p12 = err12 / rounds
     p21 = err21 / rounds

@@ -16,11 +16,15 @@ from .huffman import (
     build_codebook,
     codebook_from_table,
     codebook_to_table,
+    compression_rate,
     cross_check_optimality,
     decode_exact,
     encode,
+    length_distribution,
+    rate_gap_within_bound,
+    theoretical_rate,
 )
-from .model import int_to_block
+from .model import equal_factor, int_to_block
 from .phy import q_function
 from .pnc import optimal_threshold, pnc_symbol_error_closed, pnc_symbol_error_numeric
 from .analysis import bler_gain, hpnc_bler_asym_high
@@ -28,6 +32,10 @@ from .analysis import bler_gain, hpnc_bler_asym_high
 DEFAULT_SNR_DB_GRID = (0.0, 2.5, 5.0, 7.5, 10.0)
 DEFAULT_RHO_GRID = (0.7, 0.8, 0.85, 0.9, 0.95)
 TAU_GRID_STEP = 1e-3
+CODEBOOK_N_GRID = tuple(range(1, 9))
+CODEBOOK_RHO_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
+FORMULA_N_GRID = (2, 4, 6, 8, 12)
+FORMULA_R_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 0.9)
 QUADRATURE_MATCH_TOL = 1e-9
 
 
@@ -46,7 +54,7 @@ def _check(name: str, params: dict, deviation, tolerance) -> dict:
     }
 
 
-def argmin_tau_numeric(gamma: float, rho: float, step: float = TAU_GRID_STEP) -> float:
+def argmin_tau_numeric(gamma: float, rho: float) -> float:
     """Grid argmin of the quadrature error over tau.
 
     The error is unimodal in tau on [0, inf) (the posterior-balance equation
@@ -57,7 +65,7 @@ def argmin_tau_numeric(gamma: float, rho: float, step: float = TAU_GRID_STEP) ->
     vals = [pnc_symbol_error_numeric(gamma, rho, t) for t in coarse]
     centre = coarse[int(np.argmin(vals))]
     lo = max(0.0, centre - 0.025)
-    fine = lo + step * np.arange(int(round(0.05 / step)) + 1)
+    fine = lo + TAU_GRID_STEP * np.arange(int(round(0.05 / TAU_GRID_STEP)) + 1)
     vals = [pnc_symbol_error_numeric(gamma, rho, t) for t in fine]
     return float(fine[int(np.argmin(vals))])
 
@@ -96,12 +104,12 @@ def _prefix_violations(cb) -> int:
     )
 
 
-def codebook_checks(n_grid=tuple(range(1, 9)), rho_grid=(0.5, 0.6, 0.7, 0.8, 0.9, 0.95)) -> list[dict]:
+def codebook_checks() -> list[dict]:
     """Optimality vs the alternate tie-break, Kraft equality, prefix freedom,
     full round trips, table export round trip, fixed length at rho = 0.5."""
     out = []
-    for n in n_grid:
-        for rho in rho_grid:
+    for n in CODEBOOK_N_GRID:
+        for rho in CODEBOOK_RHO_GRID:
             point = {"n": n, "rho": rho}
             cb = build_codebook(n, rho)
             total_primary, total_alt = cross_check_optimality(n, rho)
@@ -140,15 +148,13 @@ def codebook_checks(n_grid=tuple(range(1, 9)), rho_grid=(0.5, 0.6, 0.7, 0.8, 0.9
     return out
 
 
-def formula_checks(n_grid=(2, 4, 6, 8, 12), r_grid=(0.0, 0.2, 0.4, 0.6, 0.8, 0.9)) -> list[dict]:
+def formula_checks() -> list[dict]:
     """Algebraic identities between the closed forms."""
-    from .huffman import compression_rate, length_distribution, theoretical_rate
-
     out = []
     gamma = 10.0  # any fixed SNR works for ratio identities
-    for n in n_grid:
-        for r in r_grid:
-            rho = (1.0 + r) / 2.0
+    for n in FORMULA_N_GRID:
+        for r in FORMULA_R_GRID:
+            rho = equal_factor(r)
             point = {"n": n, "r": r}
             ld = length_distribution(build_codebook(n, rho), rho)
             c = compression_rate(n, ld.mean)
@@ -158,8 +164,7 @@ def formula_checks(n_grid=(2, 4, 6, 8, 12), r_grid=(0.0, 0.2, 0.4, 0.6, 0.8, 0.9
             dev = abs(ratio / bler_gain(c, rho) - 1.0)
             out.append(_check("asym_ratio_equals_gain_formula", point, dev, 1e-12))
             gap = c - theoretical_rate(r)
-            bound = 1.0 / (2.0 * n)
-            ok_gap = 0 if (-1e-15 <= gap and gap < bound + 1e-15) else abs(gap)
+            ok_gap = 0 if rate_gap_within_bound(gap, n, r) else abs(gap)
             out.append(_check("rate_sandwich", point, ok_gap, 0))
     for n in (2, 4, 6):
         point = {"n": n, "rho": 0.5}

@@ -45,3 +45,21 @@ def test_setup_runs_for_every_workload(worker):
     assert worker.WORKLOADS
     for spec in worker.WORKLOADS.values():
         worker.setup(spec["calls"])
+
+
+def test_traced_pass_reports_every_layer(worker, monkeypatch, tmp_path):
+    # a CLI change that drops a traced call site changes these counts
+    monkeypatch.setattr(worker, "ROUNDS", 2000)
+    calls = [
+        worker.sweep("bler-sweep", 3, ("0.9",), "both", 10.0),
+        {"argv": ["rate-table", "--n-stop", "3"]},
+        {"argv": ["export-codebook", "--n", "3", "--r", "0.9"]},
+    ]
+    monkeypatch.setitem(worker.WORKLOADS, "tiny", {"calls": calls, "cold": False})
+    tracer = worker.Tracer()
+    _, _, outputs, cache_counts = worker.run_pass("tiny", 0, tmp_path, tracer)
+    assert [code for _, code, _, _ in outputs] == [0, 0, 0]
+    metrics = worker.layer_metrics(tracer, outputs, cache_counts)
+    assert metrics["sim.calls"] == 4  # hpnc and the baseline at 0 and 10 dB
+    assert metrics["analysis.calls"] == 4
+    assert metrics["huffman.max_len"] == 5

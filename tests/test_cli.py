@@ -73,9 +73,34 @@ def test_invalid_config_sets_exit_code(capsys):
         (["--snr-db-step", "nan"], "snr_db_step"),
         (["--snr-db-step", "inf"], "snr_db_step"),
         (["--snr-db-step", "1e-300"], "snr_db_step"),
+        # 10 ** (snr_db / 10) overflows above about 3082.5 dB and is 0 at -5000 dB
+        (["--snr-db-start", "3100", "--snr-db-stop", "3100"], "snr_db_start"),
+        (["--snr-db-stop", "3100"], "snr_db_stop"),
+        (["--snr-db-start=-5000"], "snr_db_start"),
+        # the stop is the largest finite SNR, and the last grid point passes it by 1e-7 dB
+        (["--snr-db-start", "82.547155699167", "--snr-db-stop", "3082.547155599167",
+          "--snr-db-step", "1000"], "snr_db_stop"),
     ]:
         assert main(["bler-sweep", *args]) == 2
-        assert f"{field}:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
+def test_sweep_near_the_largest_snr_prints_no_nan(capsys):
+    # from about 3079.5 dB, 2 * gamma overflows and the closed form read Q(inf - inf)
+    assert main([
+        "bler-sweep", "--n", "2", "--r", "0.9", "--snr-db-start", "3080", "--snr-db-stop", "3080",
+        "--rounds", "100", "--chunks", "1",
+    ]) == 0
+    assert "nan" not in capsys.readouterr().out
+
+
+def test_missing_files_exit_2_naming_the_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["bler-sweep", "--config", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    out = tmp_path / "nodir" / "x.txt"
+    assert main(["export-codebook", "--n", "2", "--r", "0.5", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
 
 
 def test_config_file_rejects_oversized_snr_grid(tmp_path, capsys, monkeypatch):
@@ -263,7 +288,9 @@ def test_export_codebook(tmp_path, capsys):
 
 def test_export_codebook_rejects_bad_r(capsys):
     assert main(["export-codebook", "--n", "2", "--r", "1.5"]) == 2
-    capsys.readouterr()
+    assert "r must be in [0, 1], got 1.5" in capsys.readouterr().err
+    assert main(["rate-table", "--n-stop", "2", "--r", "-0.1"]) == 2
+    assert "r must be in [0, 1], got -0.1" in capsys.readouterr().err
 
 
 # SHA-256 of the output files; any change to the canonical codeword order,
@@ -286,3 +313,24 @@ def test_output_digest_is_pinned(tmp_path, capsys, args, digest):
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     capsys.readouterr()
+
+
+# SHA-256 of stdout: the fixed-width tables and the stdout export
+PINNED_STDOUT = [
+    (["bler-sweep", *FAST_SWEEP],
+     "40f0a2fa47f79a5826fe6bf6060431e5a3e1f0a71749391e37e641fce1c0b293"),
+    (["throughput-sweep", *FAST_SWEEP],
+     "4c43030fbb2b18aca777f74fde02d7090a25d8c35fe058b718c3aabaaf3f106b"),
+    (["rate-table", "--n-stop", "8"],
+     "a62e7c70cff29558d85766fc35ae91d7c6a9d49bd74028e76357d2f790072c66"),
+    (["export-codebook", "--n", "8", "--r", "0.9"],
+     "11fc8ff37cf3a4aa4e3888e2a194e4aa8345d72ad107b06fbd9e8ba1ecf01c70"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,digest", PINNED_STDOUT, ids=[" ".join(args[:3]) for args, _ in PINNED_STDOUT]
+)
+def test_stdout_digest_is_pinned(capsys, args, digest):
+    assert main(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -82,6 +82,12 @@ def test_rho_one_relay_never_errs(gamma):
         assert pnc_symbol_error_numeric(gamma, 1.0, 0.0) == 0.0
 
 
+def test_symbol_error_where_two_gamma_overflows():
+    # 2 * 1e308 is inf, so tau_bar and s are inf and Q(s - tau_bar) would be NaN
+    for rho in (0.5, 0.7, 0.95, 1.0):
+        assert pnc_symbol_error_closed(1e308, rho) == 0.0
+
+
 def test_decide_noiseless_regions():
     tau = 1.0
     agree = np.array([2.0, -2.0, 2.0])

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,22 @@ def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds, monkeyp
     elif n == 12:
         est = estimate(params, scheme, rounds, seed=13)
         assert est.relay_bler > 0.1
+
+
+def test_pending_chunks_stay_bounded(monkeypatch):
+    # with every chunk submitted up front, 1e4 one-round chunks peaked at 16 MB
+    params = SystemParams(n=3, r=0.5, gamma=2.0)
+    estimate(params, "hpnc", 10, seed=1)  # threshold and codebook built before the trace
+    monkeypatch.setattr(sim, "_chunk", lambda *args: (0, 0, 0, 0))
+    monkeypatch.setattr(sim, "_child_rng", lambda seed, k: None)
+    tracemalloc.start()
+    try:
+        est = estimate(params, "hpnc", 10_000, seed=1, chunks=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.rounds == 10_000 and est.bler_12 == 0.0
+    assert peak < 2_000_000
 
 
 def test_estimate_validates_inputs():
