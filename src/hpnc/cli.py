@@ -13,13 +13,16 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 # conv_bler_point is unused here; bench/worker.py wraps it by this module's name
 from .analysis import conv_bler_point, hpnc_bler_point  # noqa: F401
-from .huffman import (
+# codebook_to_table is unused here; bench/worker.py wraps it by this module's name
+from .huffman import (  # noqa: F401
     MAX_BLOCK_LEN,
     build_codebook,
+    codebook_table_lines,
     codebook_to_table,
     compression_rate,
     length_distribution,
@@ -113,6 +116,11 @@ class ExperimentConfig:
                 f"snr_db_step: {self.snr_db_step!r} gives more than {MAX_SNR_POINTS} "
                 f"SNR points from {self.snr_db_start!r} to {self.snr_db_stop!r} dB"
             )
+        # the grid rises, so its two ends bound every point's linear SNR
+        grid = self.snr_grid_db
+        for name, snr_db in (("snr_db_start", grid[0]), ("snr_db_stop", grid[-1])):
+            if not 0.0 < _linear_snr(snr_db) < math.inf:
+                raise ValueError(f"{name}: {snr_db!r} dB gives no positive finite linear SNR")
         if self.rounds < 1:
             raise ValueError(f"rounds: must be >= 1, got {self.rounds}")
         if self.chunks < 1:
@@ -171,11 +179,15 @@ def _rows_text(fmt: str, schema, rows) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_output(path: str | None, text: str) -> None:
-    """Write `text` to the --out file, byte for byte, when one is given."""
+def _write_output(path: str | None, parts: Iterable[str]) -> None:
+    """Write the text parts to the --out file, byte for byte, when one is given.
+
+    The parts are written as they come, so a generator of lines never has
+    to exist in memory as a whole.
+    """
     if path:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _print_table(rows, columns, widths) -> None:
@@ -195,10 +207,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """One row per (scheme, r, SNR): analytical columns plus one simulation."""
     cfg.validate()
     grid = [(snr_db, _linear_snr(snr_db)) for snr_db in cfg.snr_grid_db]
-    # the grid rises, so its two ends bound every point's linear SNR
-    for name, (snr_db, gamma) in (("snr_db_start", grid[0]), ("snr_db_stop", grid[-1])):
-        if not 0.0 < gamma < math.inf:
-            raise ValueError(f"{name}: {snr_db!r} dB gives no positive finite linear SNR")
     rows = []
     sim_cache: dict = {}
     for scheme in cfg.schemes:
@@ -232,7 +240,7 @@ def cmd_sweep(args, columns) -> int:
     print(THROUGHPUT_NOTE)
     widths = (12, 3, 5, 7) + (18,) * len(columns)
     _print_table(rows, ("scheme", "n", "r", "snr_db") + columns, widths)
-    _write_output(cfg.out, _rows_text(cfg.format, SWEEP_SCHEMA, rows))
+    _write_output(cfg.out, [_rows_text(cfg.format, SWEEP_SCHEMA, rows)])
     return 0
 
 
@@ -254,7 +262,7 @@ def rate_table_rows(n_start: int, n_stop: int, r_grid) -> list[dict]:
 def cmd_rate_table(args) -> int:
     rows = rate_table_rows(args.n_start, args.n_stop, args.r or DEFAULT_R_GRID)
     _print_table(rows, RATE_SCHEMA, (14,) * len(RATE_SCHEMA))
-    _write_output(args.out, _rows_text(args.format, RATE_SCHEMA, rows))
+    _write_output(args.out, [_rows_text(args.format, RATE_SCHEMA, rows)])
     return 0
 
 
@@ -263,16 +271,16 @@ def cmd_validate(args) -> int:
     report = validation.run_checks(groups=groups, tau_offset=args.perturb_tau)
     text = json.dumps(report, indent=2) + "\n"
     print(text, end="")
-    _write_output(args.out, text)
+    _write_output(args.out, [text])
     return 0 if report["passed"] else 1
 
 
 def cmd_export_codebook(args) -> int:
-    table = codebook_to_table(build_codebook(args.n, equal_factor(args.r)))
+    lines = codebook_table_lines(build_codebook(args.n, equal_factor(args.r)))
     if args.out:
-        _write_output(args.out, table)
+        _write_output(args.out, lines)
     else:
-        print(table, end="")
+        sys.stdout.writelines(lines)
     return 0
 
 

@@ -5,14 +5,22 @@ the full alphabet, including blocks of zero design probability: the relay
 encodes its noisy XOR estimate, which can be any block, so every block must
 have a codeword.  Merge comparisons use exact integer weights (probabilities
 scaled to a common denominator), so tie resolution, and hence the codebook,
-is bit-identical across platforms.  Codewords are canonical: blocks sorted
-by (length, block value) receive consecutive code values within each length.
+is bit-identical across platforms.  A block's weight depends only on its
+number of ones, so the code is built over runs of equal-weight nodes, n + 1
+of them at the start, after Moffat and Turpin, "Efficient construction of
+minimum-redundancy codes for large alphabets" (IEEE Trans. IT 44(4), 1998).
+The run construction gives exactly the lengths of a heap over all 2^n
+leaves with ties broken by block value; that heap stays as the oracle of
+the tests and, under the reversed tie-break, of `cross_check_optimality`.
+Codewords are canonical: blocks sorted by (length, block value) receive
+consecutive code values within each length.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -55,11 +63,34 @@ def rate_gap_within_bound(gap: float, n: int, r: float) -> bool:
     return -1e-15 <= gap and (gap < bound + 1e-15 or (r == 1.0 and gap <= bound + 1e-15))
 
 
-def _integer_weights(n: int, rho: float) -> list[int]:
-    """Exact block weights: rho^zeros (1-rho)^ones scaled by a common denominator."""
+def _popcounts(n: int) -> np.ndarray:
+    """Number of ones in every n-bit block value, by doubling: the blocks
+    [2^k, 2^(k+1)) are the blocks [0, 2^k) with one more bit set."""
+    ones = np.zeros(1 << n, dtype=np.uint8)
+    for k in range(n):
+        ones[1 << k : 2 << k] = ones[: 1 << k] + 1
+    return ones
+
+
+def _popcount_classes(n: int) -> list[np.ndarray]:
+    """The n-bit block values with k ones, ascending, for k = 0..n."""
+    ones = _popcounts(n)
+    blocks = np.argsort(ones, kind="stable")
+    ends = np.cumsum(np.bincount(ones, minlength=n + 1)).tolist()
+    return [blocks[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _class_weights(n: int, rho: float) -> list[int]:
+    """Exact weight of a block with k ones, k = 0..n: rho^(n-k) (1-rho)^k
+    scaled by a common denominator."""
     num, den = Fraction(rho).as_integer_ratio()
-    by_ones = [num ** (n - k) * (den - num) ** k for k in range(n + 1)]
-    return [by_ones[v.bit_count()] for v in range(1 << n)]
+    return [num ** (n - k) * (den - num) ** k for k in range(n + 1)]
+
+
+def _integer_weights(n: int, rho: float) -> list[int]:
+    """Exact weight of every block, in block order."""
+    by_ones = _class_weights(n, rho)
+    return [by_ones[k] for k in _popcounts(n).tolist()]
 
 
 def _ascending(v: int) -> int:
@@ -98,19 +129,105 @@ def _huffman_lengths(weights: list[int], key=_ascending) -> np.ndarray:
     return np.array(depth[:count], dtype=np.int32)
 
 
-def cross_check_optimality(n: int, rho: float) -> tuple[int, int]:
-    """Exact weighted total lengths under the two tie-break keys.
+def _by_key(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One run's (keys, ids) from equal-weight parts, in ascending key order."""
+    if len(parts) == 1:
+        return parts[0]
+    keys = np.concatenate([keys for keys, _ in parts])
+    order = np.argsort(keys)
+    return keys[order], np.concatenate([ids for _, ids in parts])[order]
 
-    Both run on the same exact integer weights, so if each tree is optimal
-    the two totals are equal as integers even when codeword assignments
-    differ.
+
+def _run_lengths(weights: list[int], classes: list[np.ndarray]) -> np.ndarray:
+    """The lengths _huffman_lengths gives its leaves under the primary
+    tie-break, merged run by run instead of leaf by leaf.
+
+    classes[i] holds, ascending, the values of the leaves of weight
+    weights[i]; together they are 0..N-1.  A run is a set of equal-weight
+    nodes: keys sorted ascending and the matching node ids.  The leaves
+    start as one run per class, and a heap holds the distinct run weights.
+    The leaf heap pops the nodes of the smallest weight w in key order, so
+    one step here replays a whole stretch of it.  For w > 0 the nodes pair
+    off consecutively into a run of weight 2w, each pair keeping its first
+    (smaller) key, and an odd last node merges with the first node of the
+    next run.  For w = 0 each merged node keeps weight 0 and the smallest
+    key, so it is popped next again: the run folds into one chain.  Depths
+    come from the recorded merges, replayed from the root down.
     """
-    weights = _integer_weights(n, rho)
-    primary = _huffman_lengths(weights)
-    alt = _huffman_lengths(weights, _descending)
-    total_primary = sum(w * int(l) for w, l in zip(weights, primary))
-    total_alt = sum(w * int(l) for w, l in zip(weights, alt))
-    return total_primary, total_alt
+    runs: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    heap: list[int] = []
+
+    def push(weight: int, keys: np.ndarray, ids: np.ndarray) -> None:
+        if weight not in runs:
+            runs[weight] = []
+            heapq.heappush(heap, weight)
+        runs[weight].append((keys, ids))
+
+    # a leaf's key and id are its value
+    for weight, leaves in zip(weights, classes):
+        push(weight, leaves, leaves)
+    count = sum(leaves.size for leaves in classes)
+
+    # (children, parent ids, depth below the parent), in merge order
+    links: list[tuple[np.ndarray, np.ndarray | int, np.ndarray | int]] = []
+    next_id = count
+    while True:
+        weight = heapq.heappop(heap)
+        keys, ids = _by_key(runs.pop(weight))
+        if weight == 0 and keys.size > 1:
+            # the first two nodes sit deepest, each later one a level higher
+            depths = np.arange(keys.size, 0, -1)
+            depths[0] = keys.size - 1
+            links.append((ids, next_id, depths))
+            keys, ids = keys[:1], np.array([next_id])
+            next_id += 1
+        pairs = keys.size // 2
+        if pairs:
+            parents = np.arange(next_id, next_id + pairs)
+            next_id += pairs
+            links.append((ids[0 : 2 * pairs : 2], parents, 1))
+            links.append((ids[1 : 2 * pairs : 2], parents, 1))
+            push(2 * weight, keys[0 : 2 * pairs : 2], parents)
+        if keys.size % 2:
+            if not heap:
+                break  # the last node left is the root
+            next_weight = heap[0]
+            next_keys, next_ids = _by_key(runs[next_weight])
+            if next_keys.size > 1:
+                runs[next_weight] = [(next_keys[1:], next_ids[1:])]
+            else:
+                del runs[next_weight]
+                heapq.heappop(heap)
+            links.append((np.array([ids[-1], next_ids[0]]), next_id, 1))
+            key = min(keys[-1], next_keys[0])
+            push(weight + next_weight, np.array([key]), np.array([next_id]))
+            next_id += 1
+
+    depth = np.zeros(next_id, dtype=np.int32)
+    for children, parents, below in reversed(links):
+        depth[children] = depth[parents] + below
+    return depth[:count]
+
+
+def _total_length(n: int, rho: float, lengths: np.ndarray) -> int:
+    """Exact weighted total length: sum over blocks of weight times length."""
+    # per-popcount sums stay below 2^32, exact in float64
+    sums = np.bincount(_popcounts(n), weights=lengths, minlength=n + 1)
+    return sum(w * int(s) for w, s in zip(_class_weights(n, rho), sums))
+
+
+def cross_check_optimality(n: int, rho: float) -> tuple[int, int]:
+    """Exact weighted total lengths of two independent constructions.
+
+    The primary total is the built codebook's, from the run construction;
+    the alternate is the leaf-by-leaf heap's under the reversed tie-break,
+    which pairs equal-weight nodes differently.  Both weigh the same exact
+    integer weights, so if each tree is optimal the two totals are equal
+    as integers even when the codeword assignments differ.
+    """
+    primary = build_codebook(n, rho).lengths
+    alt = _huffman_lengths(_integer_weights(n, rho), _descending)
+    return _total_length(n, rho, primary), _total_length(n, rho, alt)
 
 
 def _left_aligned(value: int, length: int, nbytes: int) -> bytes:
@@ -123,8 +240,9 @@ class HuffmanCodebook:
 
     Blocks are identified with integers via MSB-first bit order.  A received
     word decodes through its (length, canonical value) pair, so only a word
-    of exactly one codeword's length and value decodes.  Codeword bits are
-    derived on demand from the stored lengths and canonical values.
+    of exactly one codeword's length and value decodes.  Only the lengths
+    are stored; the canonical values, the decode map and the codeword bits
+    are derived from them on first use.
     """
 
     def __init__(self, n: int, rho: float, lengths: np.ndarray):
@@ -132,26 +250,42 @@ class HuffmanCodebook:
         lengths = np.asarray(lengths, dtype=np.int32)
         if lengths.shape != (size,):
             raise ValueError(f"expected {size} lengths, got shape {lengths.shape}")
+        if int(lengths.min()) < 1:
+            raise ValueError("code lengths must be >= 1")
         self.n = n
         self.rho = rho
         self.lengths = lengths
         self.max_len = int(lengths.max())
+        # a Huffman code is complete: from the deepest level up, the nodes
+        # of every level pair off, and level 1's pair makes the root
+        nodes = 0
+        for count in reversed(np.bincount(lengths).tolist()[1:]):
+            nodes += count
+            if nodes % 2:
+                raise ValueError("code lengths do not satisfy Kraft equality")
+            nodes //= 2
+        if nodes != 1:
+            raise ValueError("code lengths do not satisfy Kraft equality")
 
-        lens = lengths.tolist()
-        order = np.lexsort((np.arange(size), lengths)).tolist()
-        code_values: list[int] = [0] * size
+    @cached_property
+    def _code_values(self) -> list[int]:
+        """Canonical code value of every block, in block order."""
+        lens = self.lengths.tolist()
+        order = np.lexsort((np.arange(len(lens)), self.lengths)).tolist()
+        code_values: list[int] = [0] * len(lens)
         code = -1
         prev_len = lens[order[0]]
         for v in order:
             code = (code + 1) << (lens[v] - prev_len)
             code_values[v] = code
             prev_len = lens[v]
-        # a Huffman code is complete, so the last canonical value must
-        # exhaust its level
-        if code + 1 != 1 << prev_len:
-            raise ValueError("code lengths do not satisfy Kraft equality")
-        self._code_values = code_values
-        self._decode_map = dict(zip(zip(lens, code_values), range(size)))
+        return code_values
+
+    @cached_property
+    def _decode_map(self) -> dict[tuple[int, int], int]:
+        """Block value of each (length, canonical value) pair."""
+        pairs = zip(self.lengths.tolist(), self._code_values)
+        return dict(zip(pairs, range(self.lengths.size)))
 
     @cached_property
     def packed_codewords(self) -> np.ndarray:
@@ -187,7 +321,8 @@ def build_codebook(n: int, rho: float) -> HuffmanCodebook:
         raise ValueError(f"block length n must be in [1, {MAX_BLOCK_LEN}], got {n}")
     if not 0.5 <= rho <= 1.0:
         raise ValueError(f"equal factor rho must be in [0.5, 1], got {rho}")
-    return HuffmanCodebook(n, rho, _huffman_lengths(_integer_weights(n, rho)))
+    lengths = _run_lengths(_class_weights(n, rho), _popcount_classes(n))
+    return HuffmanCodebook(n, rho, lengths)
 
 
 def encode(cb: HuffmanCodebook, block: np.ndarray) -> np.ndarray:
@@ -231,7 +366,7 @@ def length_distribution(cb: HuffmanCodebook, rho: float) -> LengthDistribution:
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"equal factor rho must be in [0, 1], got {rho}")
     n = cb.n
-    ones = np.array([v.bit_count() for v in range(1 << n)], dtype=np.float64)
+    ones = _popcounts(n).astype(np.float64)
     probs = rho ** (n - ones) * (1.0 - rho) ** ones
     mass = np.bincount(cb.lengths, weights=probs, minlength=cb.max_len + 1)
     support = tuple(int(k) for k in np.unique(cb.lengths))
@@ -240,15 +375,17 @@ def length_distribution(cb: HuffmanCodebook, rho: float) -> LengthDistribution:
     return LengthDistribution(support=support, pmf=pmf, mean=mean)
 
 
+def codebook_table_lines(cb: HuffmanCodebook) -> Iterator[str]:
+    """The text table's lines, one per block in block order: block bits,
+    length, canonical codeword, each line ending in a newline."""
+    n = cb.n
+    for v, (length, value) in enumerate(zip(cb.lengths.tolist(), cb._code_values)):
+        yield f"{v:0{n}b} {length} {value:0{length}b}\n"
+
+
 def codebook_to_table(cb: HuffmanCodebook) -> str:
     """Text table, one line per block: block bits, length, canonical codeword."""
-    lines = []
-    for v in range(1 << cb.n):
-        length = int(cb.lengths[v])
-        lines.append(
-            f"{v:0{cb.n}b} {length} {cb._code_values[v]:0{length}b}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(codebook_table_lines(cb))
 
 
 def codebook_from_table(text: str) -> HuffmanCodebook:

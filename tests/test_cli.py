@@ -46,6 +46,11 @@ def test_config_rejects_bad_fields():
         ExperimentConfig(snr_db_step=0.0).validate()
     with pytest.raises(ValueError, match="format"):
         ExperimentConfig(format="xml").validate()
+    # validation alone rejects a grid end with no positive finite linear SNR
+    with pytest.raises(ValueError, match="snr_db_stop: 3100.0 dB gives no positive finite"):
+        ExperimentConfig(snr_db_stop=3100.0).validate()
+    with pytest.raises(ValueError, match="snr_db_start: -5000.0 dB gives no positive finite"):
+        ExperimentConfig(snr_db_start=-5000.0).validate()
     for name in ("snr_db_start", "snr_db_stop", "snr_db_step"):
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name}: must be finite"):
@@ -60,7 +65,8 @@ def test_config_rejects_bad_fields():
 
 
 def test_snr_grid_at_the_cap_is_accepted():
-    cfg = ExperimentConfig(snr_db_start=0.0, snr_db_stop=MAX_SNR_POINTS - 1.0, snr_db_step=1.0)
+    # inside the range where every point has a positive finite linear SNR
+    cfg = ExperimentConfig(snr_db_start=-3000.0, snr_db_stop=1999.5, snr_db_step=0.5)
     cfg.validate()
     assert len(cfg.snr_grid_db) == MAX_SNR_POINTS
 

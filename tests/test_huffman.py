@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hpnc.huffman import (
+    HuffmanCodebook,
     binary_entropy,
     build_codebook,
     codebook_from_table,
@@ -19,6 +20,7 @@ from hpnc.huffman import (
     _descending,
     _huffman_lengths,
     _integer_weights,
+    _popcounts,
 )
 from hpnc.model import int_to_block
 
@@ -240,3 +242,55 @@ def test_codeword_bits_rejects_out_of_range_values():
     for value in (-1, 8):
         with pytest.raises(ValueError, match="block value"):
             cb.codeword_bits(value)
+
+
+def test_popcounts_count_the_ones_of_every_block():
+    for n in (1, 5, 16):
+        assert _popcounts(n).tolist() == [v.bit_count() for v in range(1 << n)]
+
+
+# the default r grid's rho, plus values whose weights tie across classes
+# or make some classes' merged nodes meet others' exactly
+TIE_PRONE_RHOS = (0.5, 0.625, 2 / 3, 0.75, 0.875, 1.0)
+DESIGN_RHOS = tuple((1.0 + 0.1 * k) / 2.0 for k in range(10)) + TIE_PRONE_RHOS
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_run_construction_replays_the_leaf_heap(n):
+    for rho in DESIGN_RHOS:
+        heap = _huffman_lengths(_integer_weights(n, rho))
+        assert np.array_equal(build_codebook(n, rho).lengths, heap), rho
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+@pytest.mark.parametrize("rho", [0.625, 0.95, 1.0])
+def test_run_construction_matches_the_heap_up_to_n16(n, rho):
+    weights = _integer_weights(n, rho)
+    heap = _huffman_lengths(weights)
+    runs = build_codebook(n, rho).lengths
+    total = sum(w * int(l) for w, l in zip(weights, heap))
+    assert sum(w * int(l) for w, l in zip(weights, runs)) == total
+    assert np.array_equal(runs, heap)
+    assert cross_check_optimality(n, rho)[0] == total
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        [1, 2, 2, 2],  # Kraft sum 5/4: over-full
+        [2, 2, 2, 3],  # Kraft sum 7/8: incomplete
+        [1, 1, 2, 2],
+        [2, 2, 2, 0],
+        [2, 2, 2, -2],
+    ],
+)
+def test_codebook_rejects_lengths_that_break_kraft_equality_at_construction(lengths):
+    with pytest.raises(ValueError, match="code lengths"):
+        HuffmanCodebook(2, 0.9, np.array(lengths))
+
+
+def test_codebook_derives_canonical_values_on_first_use():
+    cb = HuffmanCodebook(2, 0.95, np.array([1, 3, 2, 3]))
+    assert "_code_values" not in vars(cb) and "_decode_map" not in vars(cb)
+    assert cb._code_values == [0b0, 0b110, 0b10, 0b111]
+    assert cb._decode_map == {(1, 0): 0, (3, 6): 1, (2, 2): 2, (3, 7): 3}

@@ -1,4 +1,4 @@
-"""Property tests of the canonical codebook over n <= 10 and rho in [0.5, 1]."""
+"""Property tests of the canonical codebook over n <= 12 and rho in [0.5, 1]."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpnc.huffman import build_codebook, decode_exact, encode
+from hpnc.huffman import (
+    _huffman_lengths,
+    _integer_weights,
+    _run_lengths,
+    build_codebook,
+    decode_exact,
+    encode,
+)
 from hpnc.model import int_to_block
 
 designs = st.tuples(
@@ -61,3 +68,24 @@ def test_every_block_round_trips(design):
     for v in range(1 << cb.n):
         block = int_to_block(v, cb.n)
         assert np.array_equal(decode_exact(cb, encode(cb, block)), block)
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=0.5, max_value=1.0) | st.fractions(0.5, 1, max_denominator=64).map(float),
+)
+def test_run_construction_gives_the_heap_lengths(n, rho):
+    heap = _huffman_lengths(_integer_weights(n, rho))
+    assert np.array_equal(build_codebook(n, rho).lengths, heap)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=48))
+def test_run_construction_replays_the_heap_on_any_tied_weights(weights):
+    # small weights tie often, within and across classes, and merged
+    # nodes meet leaves of equal weight in ways the block law rarely shows
+    values = np.array(weights)
+    distinct = sorted(set(weights))
+    classes = [np.flatnonzero(values == w) for w in distinct]
+    assert np.array_equal(_run_lengths(distinct, classes), _huffman_lengths(weights))
