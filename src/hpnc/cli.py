@@ -267,6 +267,8 @@ def cmd_rate_table(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if not math.isfinite(args.perturb_tau):
+        raise ValueError(f"--perturb-tau: must be finite, got {args.perturb_tau}")
     groups = ("thresholds", "codebooks", "formulas") if args.checks == "all" else (args.checks,)
     report = validation.run_checks(groups=groups, tau_offset=args.perturb_tau)
     text = json.dumps(report, indent=2) + "\n"

@@ -100,10 +100,10 @@ def pnc_symbol_error_numeric(gamma: float, rho: float, tau: float) -> float:
         raise ValueError(f"SNR gamma must be finite and > 0, got {gamma}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"equal factor rho must be in [0, 1], got {rho}")
-    if tau < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
-    # imported here: scipy.integrate costs about 0.4 s, and only this oracle
-    # uses it, so the simulator and the sweeps start without it
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {tau}")
+    # the only scipy import in the package: imported here so that nothing
+    # but this oracle (run by `validate` and the tests) loads scipy
     from scipy.integrate import quad
 
     n0 = 1.0 / gamma
@@ -112,11 +112,15 @@ def pnc_symbol_error_numeric(gamma: float, rho: float, tau: float) -> float:
     def center0(y: float) -> float:
         return norm * math.exp(-y * y / n0)
 
+    # squared by multiplication: far from the centre d * d is inf and
+    # exp(-inf) is 0, where d ** 2 would raise OverflowError
     def center_pos(y: float) -> float:
-        return norm * math.exp(-((y - 2.0) ** 2) / n0)
+        d = y - 2.0
+        return norm * math.exp(-d * d / n0)
 
     def center_neg(y: float) -> float:
-        return norm * math.exp(-((y + 2.0) ** 2) / n0)
+        d = y + 2.0
+        return norm * math.exp(-d * d / n0)
 
     kw = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 200}
     upper = quad(center0, tau, math.inf, **kw)[0]

@@ -120,15 +120,44 @@ def test_config_file_rejects_oversized_snr_grid(tmp_path, capsys, monkeypatch):
     assert "snr_db_step: 1e-300 gives more than 10000 SNR points" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # only the validate oracle integrates, so start-up should not pay for it
+def _scipy_modules_after(code: str) -> list:
+    """The scipy modules loaded in a fresh interpreter after running `code`."""
     src = str(Path(hpnc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, hpnc.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    code += (
+        "\nimport sys, json"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the validate oracle integrates, and Q(x) runs on math.erfc, so
+    # start-up loads no scipy module at all
+    assert _scipy_modules_after("import hpnc") == []
+    assert _scipy_modules_after("import hpnc.cli") == []
+
+
+def test_sweeps_tables_and_export_run_without_scipy(tmp_path):
+    # the cost is gone, not moved from start-up into a command's run time
+    out = str(tmp_path / "out")
+    code = f"""
+import contextlib, io
+from hpnc.cli import main
+argvs = [
+    ["bler-sweep", "--n", "4", "--r", "0.9", "--snr-db-start", "0", "--snr-db-stop", "4",
+     "--snr-db-step", "4", "--rounds", "200", "--chunks", "2", "--out", {out!r}],
+    ["rate-table", "--n-start", "1", "--n-stop", "4", "--out", {out!r}],
+    ["export-codebook", "--n", "4", "--r", "0.9", "--out", {out!r}],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in argvs:
+        assert main(argv) == 0, argv
+"""
+    assert _scipy_modules_after(code) == []
 
 
 def test_config_file_rejects_infinite_snr(tmp_path, capsys):
@@ -282,6 +311,28 @@ def test_validate_negative_control_fails(capsys):
     assert report["failed"] > 0
     names = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "closed_form_tau_is_argmin" in names
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_validate_rejects_non_finite_perturb_tau(value, capsys, monkeypatch):
+    def no_checks(**kwargs):
+        raise AssertionError("the checks must not start")
+
+    monkeypatch.setattr(cli.validation, "run_checks", no_checks)
+    assert main(["validate", f"--perturb-tau={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --perturb-tau: must be finite")
+
+
+def test_validate_huge_perturb_tau_fails_with_a_strict_json_report(capsys):
+    assert main(["validate", "--checks", "thresholds", "--perturb-tau", "1e300"]) == 1
+
+    def reject(token):
+        raise AssertionError(f"non-finite token {token} in the report")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert report["total"] > 0 and report["failed"] == report["total"]
 
 
 def test_export_codebook(tmp_path, capsys):

@@ -2,6 +2,7 @@
 the simulator's downlink."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,35 @@ def test_q_function_against_mpmath():
     tail = np.linspace(37.0, 38.0, 41)
     assert max(abs(mpmath.mpf(q_function(x)) - exact(x)) for x in tail) <= 1e-307
     assert q_function(38.0) == 0.0
+
+
+def test_q_function_array_is_the_scalar_elementwise():
+    xs = np.concatenate([np.linspace(-40.0, 40.0, 3201), [math.inf, -math.inf]])
+    vals = q_function(xs)
+    assert vals.dtype == np.float64 and vals.shape == xs.shape
+    assert vals.tobytes() == np.array([q_function(float(x)) for x in xs]).tobytes()
+    assert vals[-2] == 0.0 and vals[-1] == 1.0
+
+
+def test_q_function_nan_and_shapes():
+    assert math.isnan(q_function(math.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # enough elements first that the interpreter specialises the scalar
+        # function's float comparisons, which may then raise the FP invalid
+        # flag on NaN; numpy would turn that flag into a RuntimeWarning
+        q_function(np.linspace(-5.0, 5.0, 2001))
+        assert np.isnan(q_function(np.array([1.0, math.nan]))[1])
+    zero_d = q_function(np.array(1.0))
+    assert type(zero_d) is float and zero_d == q_function(1.0)
+    assert type(q_function(np.float32(1.0))) is float
+    grid = q_function(np.arange(6).reshape(2, 3))
+    assert grid.dtype == np.float64 and grid.shape == (2, 3)
+    assert grid[1, 2] == q_function(5.0)
+    listed = q_function([0, 1, 2])
+    assert isinstance(listed, np.ndarray) and listed.dtype == np.float64
+    assert listed.tolist() == [0.5, q_function(1.0), q_function(2.0)]
+    assert q_function(np.empty((0, 2))).shape == (0, 2)
 
 
 def test_q_function_symmetry_and_monotonicity():

@@ -137,6 +137,19 @@ def test_quadrature_at_zero_threshold_equals_disagreement_mass():
         )
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1e-3])
+def test_quadrature_rejects_bad_threshold(tau):
+    with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+        pnc_symbol_error_numeric(2.0, 0.8, tau)
+
+
+def test_quadrature_at_a_huge_threshold_does_not_overflow():
+    # every sample is declared XOR 1, so only agreeing pairs are in error;
+    # the quadrature need not find that mass, but it must return a number
+    value = pnc_symbol_error_numeric(2.0, 0.8, 1e300)
+    assert 0.0 <= value <= 0.8 + 1e-9
+
+
 @pytest.mark.parametrize("offset", [0.05, -0.05])
 def test_perturbed_threshold_is_strictly_worse(offset):
     for gamma, rho in [(1.0, 0.5), (2.5, 0.85), (4.0, 0.95)]:
