@@ -13,7 +13,10 @@ The run construction gives exactly the lengths of a heap over all 2^n
 leaves with ties broken by block value; that heap stays as the oracle of
 the tests and, under the reversed tie-break, of `cross_check_optimality`.
 Codewords are canonical: blocks sorted by (length, block value) receive
-consecutive code values within each length.
+consecutive code values within each length, so the lengths fix the code
+and each codeword is stored as a small integer tail, in the spirit of the
+per-level first codes of Moffat and Turpin, "On the implementation of
+minimum redundancy prefix codes" (IEEE Trans. Commun. 45(10), 1997).
 """
 
 from __future__ import annotations
@@ -93,28 +96,19 @@ def _integer_weights(n: int, rho: float) -> list[int]:
     return [by_ones[k] for k in _popcounts(n).tolist()]
 
 
-def _ascending(v: int) -> int:
-    """Primary tie-break: equal weights merge the smallest block values first."""
-    return v
-
-
-def _descending(v: int) -> int:
-    """Alternate tie-break: equal weights merge the largest block values
-    first, so equal-weight nodes pair differently than under the primary
-    key.  Only used as an optimality oracle."""
-    return -v
-
-
-def _huffman_lengths(weights: list[int], key=_ascending) -> np.ndarray:
+def _huffman_lengths(weights: list[int], reverse: bool = False) -> np.ndarray:
     """Optimal code lengths; merge ties broken by (weight, tie-break key).
 
-    A leaf's key is key(block value) and a merged node takes the smaller of
-    its children's keys, so the keys of live nodes stay distinct and the
-    node id is never compared.
+    A leaf's key is its block value, so equal weights merge the smallest
+    values first; `reverse` negates the keys, so equal-weight nodes pair
+    differently (used only as an optimality oracle).  A merged node takes
+    the smaller of its children's keys, so the keys of live nodes stay
+    distinct and the node id is never compared.
     """
     count = len(weights)
     parent = [-1] * (2 * count - 1)
-    heap = [(w, key(v), v) for v, w in enumerate(weights)]
+    sign = -1 if reverse else 1
+    heap = [(w, sign * v, v) for v, w in enumerate(weights)]
     heapq.heapify(heap)
     next_id = count
     while len(heap) > 1:
@@ -226,23 +220,19 @@ def cross_check_optimality(n: int, rho: float) -> tuple[int, int]:
     as integers even when the codeword assignments differ.
     """
     primary = build_codebook(n, rho).lengths
-    alt = _huffman_lengths(_integer_weights(n, rho), _descending)
+    alt = _huffman_lengths(_integer_weights(n, rho), reverse=True)
     return _total_length(n, rho, primary), _total_length(n, rho, alt)
 
 
-def _left_aligned(value: int, length: int, nbytes: int) -> bytes:
-    """A length-bit code value as nbytes big-endian bytes, zero-padded on the right."""
-    return (value << (8 * nbytes - length)).to_bytes(nbytes, "big")
-
-
 class HuffmanCodebook:
-    """Canonical prefix code over all 2^n blocks.
+    """Canonical prefix code over all 2^n blocks, kept as lengths and tails.
 
-    Blocks are identified with integers via MSB-first bit order.  A received
-    word decodes through its (length, canonical value) pair, so only a word
-    of exactly one codeword's length and value decodes.  Only the lengths
-    are stored; the canonical values, the decode map and the codeword bits
-    are derived from them on first use.
+    Blocks are identified with integers via MSB-first bit order.  In a
+    complete code, level L's consecutive values end where the subtrees of
+    the deeper codewords begin, so the block of rank i in level L has value
+    2^L - tail, tail = top_L - i, where top_L counts the level-L nodes at
+    or above a leaf; 1 <= tail <= 2^n.  A codeword is thus L - k ones and
+    then the k low bits of 2^k - tail, k = min(L, n + 1).
     """
 
     def __init__(self, n: int, rho: float, lengths: np.ndarray):
@@ -256,54 +246,56 @@ class HuffmanCodebook:
         self.rho = rho
         self.lengths = lengths
         self.max_len = int(lengths.max())
-        # a Huffman code is complete: from the deepest level up, the nodes
-        # of every level pair off, and level 1's pair makes the root
-        nodes = 0
-        for count in reversed(np.bincount(lengths).tolist()[1:]):
-            nodes += count
-            if nodes % 2:
-                raise ValueError("code lengths do not satisfy Kraft equality")
-            nodes //= 2
-        if nodes != 1:
+        # top[L], from the deepest level up: level L's leaves plus the
+        # parents of level L + 1's nodes.  A Huffman code is complete: the
+        # nodes of every level pair off, and level 1's pair makes the root
+        counts = np.bincount(lengths)
+        nodes, top = 0, [0]
+        for count in counts[::-1].tolist():
+            nodes = nodes // 2 + count
+            top.append(nodes)
+        top = np.fromiter(reversed(top), dtype=np.int64, count=counts.size)
+        if top[0] != 1 or np.any(top[1:] % 2):
             raise ValueError("code lengths do not satisfy Kraft equality")
+        # blocks in canonical (length, block value) order and where each
+        # level starts in it: the block at position p of level L's stretch
+        # has tail top_L - (p - first_L) = offset_L - p.  The sort is stable,
+        # and radix on the narrowest unsigned type that holds the lengths
+        self._order = np.argsort(lengths.astype(np.min_scalar_type(self.max_len)), kind="stable")
+        self._first = np.concatenate(([0], np.cumsum(counts)))
+        self._offset = self._first[:-1] + top
+        self.tails = np.empty(size, dtype=np.int64)
+        self.tails[self._order] = np.repeat(self._offset, counts) - np.arange(size)
 
-    @cached_property
-    def _code_values(self) -> list[int]:
-        """Canonical code value of every block, in block order."""
-        lens = self.lengths.tolist()
-        order = np.lexsort((np.arange(len(lens)), self.lengths)).tolist()
-        code_values: list[int] = [0] * len(lens)
-        code = -1
-        prev_len = lens[order[0]]
-        for v in order:
-            code = (code + 1) << (lens[v] - prev_len)
-            code_values[v] = code
-            prev_len = lens[v]
-        return code_values
-
-    @cached_property
-    def _decode_map(self) -> dict[tuple[int, int], int]:
-        """Block value of each (length, canonical value) pair."""
-        pairs = zip(self.lengths.tolist(), self._code_values)
-        return dict(zip(pairs, range(self.lengths.size)))
+    def codeword_text(self, value: int) -> str:
+        """Codeword of the block with the given integer value, as '0'/'1' text."""
+        if not 0 <= value < self.lengths.size:
+            raise ValueError(f"block value must be in [0, {self.lengths.size}), got {value}")
+        length = self.lengths.item(value)
+        low = min(length, self.n + 1)
+        return "1" * (length - low) + f"{(1 << low) - self.tails.item(value):0{low}b}"
 
     @cached_property
     def packed_codewords(self) -> np.ndarray:
         """Left-aligned codewords, one row of ceil(max_len / 8) bytes per block."""
         nbytes = (self.max_len + 7) // 8
-        rows = b"".join(
-            _left_aligned(value, length, nbytes)
-            for value, length in zip(self._code_values, self.lengths.tolist())
-        )
-        return np.frombuffer(rows, dtype=np.uint8).reshape(-1, nbytes)
+        low = np.minimum(self.lengths, self.n + 1)
+        full, spill = np.divmod(self.lengths - low, 8)
+        # the ones' last partial byte, then the low bits: at most n + 8 bits
+        span = (self.n + 15) // 8
+        end = 8 * span
+        window = ((1 << spill) - 1) << (end - spill) | ((1 << low) - self.tails) << (end - spill - low)
+        packed = np.zeros((self.lengths.size, nbytes), dtype=np.uint8)
+        packed[np.arange(nbytes) < full[:, None]] = 255
+        for j in range(span):
+            # a byte past the row's end would be zero
+            rows = np.flatnonzero(full + j < nbytes)
+            packed[rows, full[rows] + j] = window[rows] >> (end - 8 - 8 * j) & 255
+        return packed
 
     def codeword_bits(self, value: int) -> np.ndarray:
         """Codeword of the block with the given integer value, as a bit array."""
-        if not 0 <= value < self.lengths.size:
-            raise ValueError(f"block value must be in [0, {self.lengths.size}), got {value}")
-        length = int(self.lengths[value])
-        row = _left_aligned(self._code_values[value], length, (length + 7) // 8)
-        return np.unpackbits(np.frombuffer(row, dtype=np.uint8), count=length)
+        return np.frombuffer(self.codeword_text(value).encode(), dtype=np.uint8) - ord("0")
 
     def kraft_terms(self) -> int:
         """Sum of 2^(max_len - length) over all blocks; equals 2^max_len iff complete."""
@@ -336,16 +328,21 @@ def encode(cb: HuffmanCodebook, block: np.ndarray) -> np.ndarray:
 def decode_exact(cb: HuffmanCodebook, bits: np.ndarray) -> np.ndarray | None:
     """Decode a bit sequence that must be exactly one codeword.
 
-    Returns the block, or None when the walk does not land on a leaf after
-    consuming exactly all input bits (truncated, padded or empty input).
-    The caller treats None as a block error.
+    Returns the block, or None when the bits are no codeword of their
+    length (truncated, padded or empty input).  The caller treats None as a
+    block error.
     """
     bits = np.asarray(bits)
     length = int(bits.size)
     if length == 0 or length > cb.max_len:
         return None
-    block = cb._decode_map.get((length, block_to_int(bits)))
-    return None if block is None else int_to_block(block, cb.n)
+    low = min(length, cb.n + 1)
+    if not bits[: length - low].all():
+        return None
+    place = cb._offset.item(length) - ((1 << low) - block_to_int(bits[length - low :]))
+    if not cb._first.item(length) <= place < cb._first.item(length + 1):
+        return None
+    return int_to_block(cb._order.item(place), cb.n)
 
 
 @dataclass(frozen=True)
@@ -379,8 +376,8 @@ def codebook_table_lines(cb: HuffmanCodebook) -> Iterator[str]:
     """The text table's lines, one per block in block order: block bits,
     length, canonical codeword, each line ending in a newline."""
     n = cb.n
-    for v, (length, value) in enumerate(zip(cb.lengths.tolist(), cb._code_values)):
-        yield f"{v:0{n}b} {length} {value:0{length}b}\n"
+    for v, length in enumerate(cb.lengths.tolist()):
+        yield f"{v:0{n}b} {length} {cb.codeword_text(v)}\n"
 
 
 def codebook_to_table(cb: HuffmanCodebook) -> str:
@@ -402,7 +399,7 @@ def codebook_from_table(text: str) -> HuffmanCodebook:
     if len(rows) != size:
         raise ValueError(f"expected {size} rows for n = {n}, got {len(rows)}")
     lengths = np.zeros(size, dtype=np.int32)
-    listed = {}
+    listed: list[str | None] = [None] * size
     for i, fields in enumerate(rows, 1):
         if len(fields) != 3:
             raise ValueError(f"row {i}: expected 3 fields, got {len(fields)}")
@@ -413,14 +410,14 @@ def codebook_from_table(text: str) -> HuffmanCodebook:
         if not set(bits_str + code_str) <= {"0", "1"}:
             raise ValueError(f"row {i}: block {bits_str} or codeword {code_str} is not binary")
         v = int(bits_str, 2)
-        if v in listed:
+        if listed[v] is not None:
             raise ValueError(f"row {i}: block {bits_str} is listed twice")
         if len_str != str(len(code_str)):
             raise ValueError(f"row {i}: length field {len_str} does not match codeword")
         lengths[v] = len(code_str)
-        listed[v] = int(code_str, 2)
+        listed[v] = code_str
     cb = HuffmanCodebook(n, math.nan, lengths)
     for v in range(size):
-        if listed[v] != cb._code_values[v]:
+        if listed[v] != cb.codeword_text(v):
             raise ValueError(f"row {v:0{n}b}: codeword is not canonical")
     return cb

@@ -123,10 +123,16 @@ def pnc_symbol_error_numeric(gamma: float, rho: float, tau: float) -> float:
         return norm * math.exp(-d * d / n0)
 
     kw = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 200}
+    # over a middle region far wider than a |sum| = 2 peak, quad's samples
+    # miss it, so each is integrated only where it has mass to speak of:
+    # within 40 sqrt(n0), 56 standard deviations, of its centre at +-2 (the
+    # -2 window mirrors the +2 one)
+    width = 40.0 * math.sqrt(n0)
+    start, stop = max(-tau, 2.0 - width), min(tau, 2.0 + width)
     upper = quad(center0, tau, math.inf, **kw)[0]
     lower = quad(center0, -math.inf, -tau, **kw)[0]
-    mid_pos = quad(center_pos, -tau, tau, **kw)[0]
-    mid_neg = quad(center_neg, -tau, tau, **kw)[0]
+    mid_pos = quad(center_pos, start, stop, **kw)[0] if start < stop else 0.0
+    mid_neg = quad(center_neg, -stop, -start, **kw)[0] if start < stop else 0.0
     return (1.0 - rho) * (upper + lower) + 0.5 * rho * (mid_pos + mid_neg)
 
 

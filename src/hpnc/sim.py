@@ -210,10 +210,9 @@ def estimate(
     tau = relay_threshold(design).tau
     cb = build_codebook(params.n, rho)
     if rho < 1.0:
-        # built before the threads start, with the canonical values it
-        # reads: from Python 3.12 a cached_property takes no lock, so two
-        # threads could each build it.  At rho = 1 the relay never errs and
-        # neither is ever read.
+        # built before the threads start: from Python 3.12 a cached_property
+        # takes no lock, so two threads could each build it.  At rho = 1 the
+        # relay never errs and the packed rows are never read.
         cb.packed_codewords
 
     base, extra = divmod(rounds, chunks)

@@ -96,12 +96,8 @@ def threshold_checks(
 
 
 def _prefix_violations(cb) -> int:
-    words = sorted(
-        format(cb._code_values[v], f"0{int(cb.lengths[v])}b") for v in range(1 << cb.n)
-    )
-    return sum(
-        1 for a, b in zip(words, words[1:]) if b.startswith(a)
-    )
+    words = sorted(cb.codeword_text(v) for v in range(1 << cb.n))
+    return sum(b.startswith(a) for a, b in zip(words, words[1:]))
 
 
 def codebook_checks() -> list[dict]:

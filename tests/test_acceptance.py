@@ -224,10 +224,7 @@ def test_criterion_7_codebook_integrity():
             cb = build_codebook(n, rho)
             if cb.kraft_terms() != 1 << cb.max_len:
                 failures.append(f"  n={n} rho={rho}: Kraft equality violated")
-            words = sorted(
-                format(cb._code_values[v], f"0{int(cb.lengths[v])}b")
-                for v in range(1 << n)
-            )
+            words = sorted(cb.codeword_text(v) for v in range(1 << n))
             if any(b.startswith(a) for a, b in zip(words, words[1:])):
                 failures.append(f"  n={n} rho={rho}: prefix violation")
             for v in range(1 << n):

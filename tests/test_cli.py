@@ -120,18 +120,38 @@ def test_config_file_rejects_oversized_snr_grid(tmp_path, capsys, monkeypatch):
     assert "snr_db_step: 1e-300 gives more than 10000 SNR points" in capsys.readouterr().err
 
 
-def _scipy_modules_after(code: str) -> list:
-    """The scipy modules loaded in a fresh interpreter after running `code`."""
+def _fresh_interpreter(code: str):
+    """The JSON value `code` prints last, run in a fresh interpreter."""
     src = str(Path(hpnc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code += (
-        "\nimport sys, json"
-        "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
-    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def _scipy_modules_after(code: str) -> list:
+    """The scipy modules loaded in a fresh interpreter after running `code`."""
+    return _fresh_interpreter(
+        code + "\nimport sys, json"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+def test_deepest_export_streams_in_bounded_memory():
+    # n = 16, r = 1 writes 2.1 GB of codewords up to 65 535 bits long; the
+    # codebook holds only lengths and tails, so the export needs no copy of
+    # them.  VmHWM is the peak of the child's own address space: ru_maxrss
+    # keeps the peak of the process that spawned it across exec
+    peak_kb = _fresh_interpreter("""
+import os
+from hpnc.cli import main
+assert main(["export-codebook", "--n", "16", "--r", "1.0", "--out", os.devnull]) == 0
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+""")
+    assert peak_kb < 100 * 1024
 
 
 def test_cli_import_leaves_out_scipy_integrate():
@@ -357,6 +377,9 @@ PINNED_OUTPUTS = [
      "01d361788b57816f52ca6cd0fa10770987a65c90dfb08765da8d331a7eb16ee2"),
     (["export-codebook", "--n", "8", "--r", "0.9"],
      "11fc8ff37cf3a4aa4e3888e2a194e4aa8345d72ad107b06fbd9e8ba1ecf01c70"),
+    # 134 MB: max_len 16 383, codewords far longer than the tails' n + 1 bits
+    (["export-codebook", "--n", "14", "--r", "1.0"],
+     "f15b332b791345ac6f691cd944a75e3bcc3304a743ad73e4e7e6903dc789cb9f"),
     (["rate-table", "--n-stop", "8"],
      "83afc14b5e1ad58bf87661d74e478d398ac1fd97b2e1a4aaedbd3f87ce9c1c6e"),
 ]

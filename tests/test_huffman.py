@@ -17,12 +17,14 @@ from hpnc.huffman import (
     encode,
     length_distribution,
     theoretical_rate,
-    _descending,
     _huffman_lengths,
     _integer_weights,
     _popcounts,
 )
-from hpnc.model import int_to_block
+from hpnc.cli import DEFAULT_R_GRID
+from hpnc.model import equal_factor, int_to_block
+
+from canonical_code import canonical_words
 
 
 def test_binary_entropy_values():
@@ -102,13 +104,27 @@ def test_decode_failure_modes():
     assert decode_exact(cb, np.zeros(cb.max_len + 5, dtype=np.uint8)) is None
 
 
+@pytest.mark.parametrize("n,rho", [(3, 1.0), (4, 1.0), (4, 0.95), (5, 0.7)])
+def test_decode_accepts_exactly_the_codewords(n, rho):
+    # every bit string up to 10 bits: a leading zero before the low bits or
+    # a rank outside its level must give None, like any non-codeword
+    cb = build_codebook(n, rho)
+    blocks = {word: v for v, word in enumerate(canonical_words(cb.lengths.tolist()))}
+    for length in range(1, min(cb.max_len, 10) + 1):
+        for value in range(1 << length):
+            word = format(value, f"0{length}b")
+            decoded = decode_exact(cb, np.array([int(c) for c in word], dtype=np.uint8))
+            if word in blocks:
+                assert np.array_equal(decoded, int_to_block(blocks[word], n)), word
+            else:
+                assert decoded is None, word
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 @pytest.mark.parametrize("rho", [0.5, 0.7, 0.9, 0.95, 1.0])
 def test_prefix_free_and_kraft(n, rho):
     cb = build_codebook(n, rho)
-    words = sorted(
-        format(cb._code_values[v], f"0{int(cb.lengths[v])}b") for v in range(1 << n)
-    )
+    words = sorted(cb.codeword_text(v) for v in range(1 << n))
     assert all(not b.startswith(a) for a, b in zip(words, words[1:]))
     assert cb.kraft_terms() == 1 << cb.max_len
 
@@ -147,7 +163,7 @@ def test_alternate_tie_break_is_a_different_code():
     # can build different trees from the same weights
     weights = _integer_weights(6, 0.85)
     primary = _huffman_lengths(weights)
-    alt = _huffman_lengths(weights, _descending)
+    alt = _huffman_lengths(weights, reverse=True)
     assert not np.array_equal(primary, alt)
 
 
@@ -290,7 +306,17 @@ def test_codebook_rejects_lengths_that_break_kraft_equality_at_construction(leng
 
 
 def test_codebook_derives_canonical_values_on_first_use():
+    # levels 3, 2, 1 hold 2, 2 and 2 nodes at or above a leaf: each level's
+    # first block has tail top_L, the next one top_L - 1
     cb = HuffmanCodebook(2, 0.95, np.array([1, 3, 2, 3]))
-    assert "_code_values" not in vars(cb) and "_decode_map" not in vars(cb)
-    assert cb._code_values == [0b0, 0b110, 0b10, 0b111]
-    assert cb._decode_map == {(1, 0): 0, (3, 6): 1, (2, 2): 2, (3, 7): 3}
+    assert cb.tails.tolist() == [2, 2, 2, 1]
+    assert [cb.codeword_text(v) for v in range(4)] == ["0", "110", "10", "111"]
+    assert "packed_codewords" not in vars(cb)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_codewords_match_the_python_int_construction(n):
+    for r in (*DEFAULT_R_GRID, 1.0):
+        cb = build_codebook(n, equal_factor(r))
+        words = canonical_words(cb.lengths.tolist())
+        assert [cb.codeword_text(v) for v in range(1 << n)] == words, r

@@ -1,4 +1,4 @@
-"""Property tests of the canonical codebook over n <= 12 and rho in [0.5, 1]."""
+"""Property tests of the canonical codebook over n <= 16 and rho in [0.5, 1]."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,8 @@ from hpnc.huffman import (
 )
 from hpnc.model import int_to_block
 
+from canonical_code import canonical_values
+
 designs = st.tuples(
     st.integers(min_value=1, max_value=10),
     st.floats(min_value=0.5, max_value=1.0) | st.sampled_from([0.5, 0.9, 0.95, 1.0]),
@@ -24,10 +26,11 @@ designs = st.tuples(
 
 
 def _bit_table(cb) -> np.ndarray:
-    """Codeword bits written out one at a time from the canonical values:
-    row v holds cw(v) MSB first, zero-padded to max_len."""
+    """Codeword bits written out one at a time from the reference canonical
+    values: row v holds cw(v) MSB first, zero-padded to max_len."""
     bits = np.zeros((1 << cb.n, cb.max_len), dtype=np.uint8)
-    for v, (value, length) in enumerate(zip(cb._code_values, cb.lengths.tolist())):
+    lengths = cb.lengths.tolist()
+    for v, (value, length) in enumerate(zip(canonical_values(lengths), lengths)):
         for j in range(length):
             bits[v, j] = (value >> (length - 1 - j)) & 1
     return bits
@@ -54,9 +57,7 @@ def test_kraft_equality_and_prefix_freedom(design):
     lengths = cb.lengths.tolist()
     assert sum(1 << (cb.max_len - length) for length in lengths) == 1 << cb.max_len
     assert cb.kraft_terms() == 1 << cb.max_len
-    words = sorted(
-        format(value, f"0{length}b") for value, length in zip(cb._code_values, lengths)
-    )
+    words = sorted(cb.codeword_text(v) for v in range(1 << cb.n))
     assert all(not b.startswith(a) for a, b in zip(words, words[1:]))
 
 
@@ -68,6 +69,27 @@ def test_every_block_round_trips(design):
     for v in range(1 << cb.n):
         block = int_to_block(v, cb.n)
         assert np.array_equal(decode_exact(cb, encode(cb, block)), block)
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.floats(min_value=0.5, max_value=1.0) | st.sampled_from([0.5, 0.95, 1.0]),
+    st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), min_size=1, max_size=32),
+)
+@example(16, 1.0, [0, 1, (1 << 16) - 1])  # max_len 65 535
+@example(16, 0.95, [0, 0x8000, (1 << 16) - 1])
+def test_deep_codes_keep_small_tails_and_round_trip(n, rho, values):
+    # the per-bit table would be 4 GB at n = 16, rho = 1, so a sample of
+    # blocks goes through the coder instead
+    cb = build_codebook(n, rho)
+    assert 1 <= int(cb.tails.min()) and int(cb.tails.max()) <= 1 << n
+    for v in values:
+        v %= 1 << n
+        block = int_to_block(v, n)
+        word = encode(cb, block)
+        assert word.size == cb.lengths[v]
+        assert np.array_equal(decode_exact(cb, word), block)
 
 
 @settings(max_examples=80)

@@ -144,10 +144,17 @@ def test_quadrature_rejects_bad_threshold(tau):
 
 
 def test_quadrature_at_a_huge_threshold_does_not_overflow():
-    # every sample is declared XOR 1, so only agreeing pairs are in error;
-    # the quadrature need not find that mass, but it must return a number
+    # every sample is declared XOR 1, so only agreeing pairs are in error
     value = pnc_symbol_error_numeric(2.0, 0.8, 1e300)
     assert 0.0 <= value <= 0.8 + 1e-9
+
+
+@pytest.mark.parametrize("tau", [1e3, 1e10, 1e300])
+def test_quadrature_finds_the_agreeing_mass_at_a_huge_threshold(tau):
+    # the narrow |sum| = 2 peaks sit deep inside [-tau, tau]: the error is
+    # exactly the probability of an agreeing pair
+    value = pnc_symbol_error_numeric(2.0, 0.8, tau)
+    assert value == pytest.approx(0.8, abs=validation.QUADRATURE_MATCH_TOL)
 
 
 @pytest.mark.parametrize("offset", [0.05, -0.05])

@@ -44,7 +44,7 @@ def exact_chain_bler(n, rho, gamma, tau, cb):
     differ = bits[:, None, :] != bits[None, :, :]  # [b, b_hat, symbol]
     relay = np.prod(np.where(differ, flip[bits][:, None, :], 1.0 - flip[bits][:, None, :]), axis=2)
     lengths = cb.lengths.astype(int)
-    words = [int(cb._code_values[v]) for v in range(size)]
+    words = [int(cb.codeword_text(v), 2) for v in range(size)]
     deliver = np.zeros((size, size))
     for b in range(size):
         for b_hat in range(size):
