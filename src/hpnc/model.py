@@ -1,4 +1,9 @@
-"""System parameters and the correlated binary source model."""
+"""System parameters and the correlated binary source model.
+
+The two source blocks agree at each bit with probability rho = (1 + r) / 2,
+independently, so their XOR block has i.i.d. bits, 1 with probability
+1 - rho: the law the Huffman design and the simulator use.
+"""
 
 from __future__ import annotations
 
@@ -39,23 +44,6 @@ class SystemParams:
     def rho(self) -> float:
         """Per-position agreement probability derived from r."""
         return equal_factor(self.r)
-
-
-def draw_sources(
-    rho: float, rng: np.random.Generator, reals: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Draw m block pairs into the caller's (m, n) work arrays; return a1.
-
-    a1 is i.i.d. uniform; a2 agrees with a1 per bit with probability rho, so
-    the XOR block a1 ^ a2, written into the bool array `out`, is 1 where a
-    uniform, drawn into the float64 array `reals`, is >= rho.  The draw
-    order (a1 bits, then agreement uniforms) is fixed so seeded runs
-    reproduce across platforms.  With antipodal modulation the construction
-    gives E{x1 x2} = 2*rho - 1 = r per position.
-    """
-    a1 = rng.integers(0, 2, size=out.shape, dtype=np.uint8)
-    np.greater_equal(rng.random(out=reals), rho, out=out)
-    return a1
 
 
 def block_to_int(bits: np.ndarray) -> int:

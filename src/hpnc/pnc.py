@@ -4,9 +4,9 @@ The relay observes the superposition of two antipodal transmissions
 (amplitude levels -2, 0, +2 before noise) and decides the XOR bit directly:
 |y| above a threshold tau means the sources agreed (XOR 0), otherwise they
 disagreed (XOR 1).  This module provides the posterior-optimal threshold,
-the per-symbol decision the simulator runs, the closed-form per-symbol
-error probability, and an independent quadrature evaluation of the same
-error used as an oracle.
+the per-bit law of that decision given the XOR bit (what the simulator
+draws), the closed-form per-symbol error probability, and an independent
+quadrature evaluation of the same error used as an oracle.
 
 It is the one place that knows the rho = 1 rule: fully correlated sources
 always agree, so the XOR block is all-zero, the threshold is 0 (every sample
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .phy import q_function
 
@@ -59,14 +57,21 @@ def optimal_threshold(gamma: float, rho: float) -> PncThreshold:
     return PncThreshold(tau, math.sqrt(2.0 * gamma) * tau)
 
 
-def decide_xor(y: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
-    """Decide the XOR bit of each superposed sample into the bool array `out`.
+def decision_errors(gamma: float, threshold: PncThreshold) -> tuple[float, float]:
+    """Per-bit relay errors given the XOR bit: (e0, e1).
 
-    |y| > tau declares an agreeing pair (XOR 0); |y| <= tau declares the
-    middle region (XOR 1).  Boundary samples go to XOR 1 for determinism.
-    y is overwritten with |y|.
+    e0 = Q(s - tau_bar) - Q(s + tau_bar), with s = 2 sqrt(2 gamma), is the
+    chance that an agreeing pair (level +-2) falls in |y| <= tau and is
+    decided XOR 1; e1 = 2 Q(tau_bar) that a disagreeing pair (level 0)
+    falls outside and is decided XOR 0.  The zero threshold gives (0, 1).
+    Where 2 gamma overflows, Q(s - tau_bar) is NaN, so the limit (0, 0) is
+    returned there.
     """
-    return np.less_equal(np.abs(y, out=y), tau, out=out)
+    if math.isinf(2.0 * gamma):
+        return 0.0, 0.0
+    s = 2.0 * math.sqrt(2.0 * gamma)
+    tau_bar = threshold.tau_bar
+    return q_function(s - tau_bar) - q_function(s + tau_bar), 2.0 * q_function(tau_bar)
 
 
 def pnc_symbol_error_closed(gamma: float, rho: float) -> float:
@@ -123,17 +128,17 @@ def pnc_symbol_error_numeric(gamma: float, rho: float, tau: float) -> float:
         return norm * math.exp(-d * d / n0)
 
     kw = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 200}
-    # over a middle region far wider than a |sum| = 2 peak, quad's samples
-    # miss it, so each is integrated only where it has mass to speak of:
-    # within 40 sqrt(n0), 56 standard deviations, of its centre at +-2 (the
-    # -2 window mirrors the +2 one)
+    # over a region far wider than a density's peak, quad's samples miss
+    # it, so each density is integrated only where it has mass to speak of:
+    # within 40 sqrt(n0), 56 standard deviations, of its centre.  The sum-0
+    # density is even, so its two outer tails are equal; the -2 window
+    # mirrors the +2 one
     width = 40.0 * math.sqrt(n0)
+    tail = quad(center0, tau, width, **kw)[0] if tau < width else 0.0
     start, stop = max(-tau, 2.0 - width), min(tau, 2.0 + width)
-    upper = quad(center0, tau, math.inf, **kw)[0]
-    lower = quad(center0, -math.inf, -tau, **kw)[0]
     mid_pos = quad(center_pos, start, stop, **kw)[0] if start < stop else 0.0
     mid_neg = quad(center_neg, -stop, -start, **kw)[0] if start < stop else 0.0
-    return (1.0 - rho) * (upper + lower) + 0.5 * rho * (mid_pos + mid_neg)
+    return (1.0 - rho) * 2.0 * tail + 0.5 * rho * (mid_pos + mid_neg)
 
 
 def pnc_block_error(gamma: float, rho: float, n: int) -> float:

@@ -13,17 +13,19 @@ pool size.
 Both schemes run the same chain kernel: the conventional baseline is the
 compressed scheme designed for r = 0, that is the rho = 0.5 threshold and
 code (the identity fixed-length code), fed with uncorrelated sources.
-Within a chunk, rounds are simulated in vectorised sub-batches of up to
-2^16 rounds.  Each sub-batch draws, in this order:
+The kernel samples the chain at the decision level: the relay keeps one
+XOR decision per bit and a terminal one hard bit per codeword bit, so no
+source, level or noise sample is drawn.  Within a chunk, rounds run in
+vectorised sub-batches of up to 2^16 rounds.  Each draws, in this order:
 
-1. the sources, through model.draw_sources: the bits a1, an (m, n) integer
-   array, then the agreement uniforms that set the XOR block a1 ^ a2, an
-   (m, n) array;
-2. the uplink noise, (m, n) standard normals, which the relay turns into
-   its XOR estimate through pnc.decide_xor;
-3. the downlink noise towards T1, then towards T2: one standard normal for
-   each codeword bit the relay sends, lens.sum() in all, where lens holds
-   the lengths of the m codewords.  Nothing is drawn for padding.
+1. one uniform u per (round, bit), an (m, n) array: the XOR bit is
+   u >= rho, and the relay decides it wrongly exactly where
+   rho (1 - e0) <= u < rho + (1 - rho) e1, with (e0, e1) from
+   pnc.decision_errors;
+2. the downlink towards T1, then towards T2: one uniform per codeword bit
+   the relay sends, lens.sum() in all, where lens holds the lengths of the
+   m codewords; a bit flips when its uniform is below p = Q(sqrt(2 gamma)).
+   Nothing is drawn for padding.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .huffman import HuffmanCodebook, build_codebook
-from .model import SystemParams, draw_sources
-from .pnc import PncThreshold, decide_xor, optimal_threshold
+from .model import SystemParams
+from .phy import q_function
+from .pnc import PncThreshold, decision_errors, optimal_threshold
 
 SCHEME_HPNC = "hpnc"
 SCHEME_CONVENTIONAL = "conventional"
@@ -81,34 +84,32 @@ def _child_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _chunk(
     n: int,
-    rho: float,
-    gamma: float,
+    cuts: tuple[float, float, float],
+    p: float,
     cb: HuffmanCodebook,
-    tau: float,
     rounds: int,
     rng: np.random.Generator,
 ):
     """Error counters of `rounds` exchange rounds through the chain.
 
-    The receiver is granted the codeword length (genie framing), so it
-    recovers the right block exactly when the codeword of the true XOR
-    block has the sent length and the received bits equal it.  The noise is
-    symmetric, so a sent bit flips exactly when sigma * z < -1, whatever
-    its sign; a round the relay got right then succeeds when its codeword
-    takes no flip, and a relay-wrong round when its flips turn cw(b_hat)
-    into cw(b).
+    cuts = (lo, rho, hi) split each bit's uniform u: the XOR bit is
+    u >= rho and the relay errs where lo <= u < hi; a sent bit flips where
+    its uniform is below p.  The receiver is granted the codeword length
+    (genie framing), so a round the relay got right succeeds when its
+    codeword takes no flip, and a relay-wrong round when cw(b) has the sent
+    length and the flips turn cw(b_hat) into it.
     """
-    sigma = math.sqrt(0.5 / gamma)
-    flip_below = -1.0 / sigma
+    lo, rho, hi = cuts
     lengths = cb.lengths.astype(np.int64)
     # MSB-first block values; n <= 16, so they fit the uint16 products
     pow_n = (1 << np.arange(n - 1, -1, -1)).astype(np.uint16)
     # work arrays, filled through out=: the same values in the same stream
-    # order as sized draws.  The uplink pair fits the largest sub-batch; the
+    # order as sized draws.  The uplink arrays fit the largest sub-batch; the
     # downlink pair grows to the bits sent.
     size = min(_SUBBATCH, rounds) * n
     up_reals = np.empty(size, np.float64)
     up_mask = np.empty(size, bool)
+    up_below = np.empty(size, bool)
     dl_reals = np.empty(0, np.float64)
     dl_mask = np.empty(0, bool)
 
@@ -119,22 +120,16 @@ def _chunk(
     while remaining:
         m = min(_SUBBATCH, remaining)
         remaining -= m
-        reals = up_reals[: m * n].reshape(m, n)
-        xor = up_mask[: m * n].reshape(m, n)
-        a1 = draw_sources(rho, rng, reals, xor)
+        u = rng.random(out=up_reals[: m * n]).reshape(m, n)
+        xor = np.greater_equal(u, rho, out=up_mask[: m * n].reshape(m, n))
         v_true = xor.view(np.uint8) @ pow_n
-        # superposed level (1 - 2 a1) + (1 - 2 a2) = 2 - 2 (a1 + a2), formed in
-        # place: a2 in xor's memory (b_hat reuses it below), the level in a1's
-        a2 = np.bitwise_xor(xor.view(np.uint8), a1, out=xor.view(np.uint8))
-        level = np.add(a1, a2, out=a1).view(np.int8)
-        np.multiply(level, -2, out=level)
-        np.add(level, 2, out=level)
-        # received superposition level + sigma z, and the relay's decision
-        y = np.multiply(rng.standard_normal(out=reals), sigma, out=reals)
-        np.add(y, level, out=y)
-        b_hat = decide_xor(y, tau, xor)
-        v_hat = b_hat.view(np.uint8) @ pow_n
-        wrong = v_hat != v_true
+        # the relay's wrong bits, lo <= u < hi, in xor's memory; b_hat is
+        # b ^ wrong bits, so its block value is v_true ^ their value
+        bad = np.greater_equal(u, lo, out=xor)
+        bad &= np.less(u, hi, out=up_below[: m * n].reshape(m, n))
+        v_bad = bad.view(np.uint8) @ pow_n
+        v_hat = v_true ^ v_bad
+        wrong = v_bad != 0
         relay_wrong = int(np.count_nonzero(wrong))
         relay_err += relay_wrong
 
@@ -150,8 +145,7 @@ def _chunk(
             dl_reals = np.empty(sent, np.float64)
             dl_mask = np.empty(sent, bool)
         for d in range(2):
-            noise = rng.standard_normal(out=dl_reals[:sent])
-            flips = np.less(noise, flip_below, out=dl_mask[:sent])
+            flips = np.less(rng.random(out=dl_reals[:sent]), p, out=dl_mask[:sent])
             # a round is hit when a flip position falls inside its segment
             hit = np.zeros(m, dtype=bool)
             hit[np.searchsorted(ends, np.flatnonzero(flips), side="right")] = True
@@ -207,7 +201,11 @@ def estimate(
     # exploits the correlation
     design = params if scheme == SCHEME_HPNC else replace(params, r=0.0)
     rho = design.rho
-    tau = relay_threshold(design).tau
+    e0, e1 = decision_errors(params.gamma, relay_threshold(design))
+    # 1 - (1 - rho) e1 rather than rho + (1 - rho) e1: exactly 1 at the zero
+    # threshold (e1 = 1), where the relay never decides XOR 1
+    cuts = (rho * (1.0 - e0), rho, 1.0 - (1.0 - rho) * (1.0 - e1))
+    p = q_function(math.sqrt(2.0 * params.gamma))
     cb = build_codebook(params.n, rho)
     if rho < 1.0:
         # built before the threads start: from Python 3.12 a cached_property
@@ -218,7 +216,7 @@ def estimate(
     base, extra = divmod(rounds, chunks)
 
     def run(k: int):
-        return _chunk(params.n, rho, params.gamma, cb, tau, base + (k < extra), _child_rng(seed, k))
+        return _chunk(params.n, cuts, p, cb, base + (k < extra), _child_rng(seed, k))
 
     # chunks past the round budget would be empty, so they are not run
     active = min(chunks, rounds)

@@ -92,12 +92,19 @@ def test_invalid_config_sets_exit_code(capsys):
 
 
 def test_sweep_near_the_largest_snr_prints_no_nan(capsys):
-    # from about 3079.5 dB, 2 * gamma overflows and the closed form read Q(inf - inf)
+    # from about 3079.5 dB, 2 * gamma overflows and the closed form read
+    # Q(inf - inf); the relay's per-bit errors take the same limit, 0
     assert main([
-        "bler-sweep", "--n", "2", "--r", "0.9", "--snr-db-start", "3080", "--snr-db-stop", "3080",
-        "--rounds", "100", "--chunks", "1",
+        "bler-sweep", "--n", "2", "--r", "0.9", "--r", "1", "--snr-db-start", "3080",
+        "--snr-db-stop", "3080", "--rounds", "100", "--chunks", "1",
     ]) == 0
-    assert "nan" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    header, *rows = [line.split() for line in out.splitlines() if not line.startswith("#")]
+    assert sorted((row[0], row[2]) for row in rows) == [
+        ("conventional", "0.9"), ("conventional", "1"), ("hpnc", "0.9"), ("hpnc", "1"),
+    ]
+    assert all(float(row[header.index("bler_sim")]) == 0.0 for row in rows)
 
 
 def test_missing_files_exit_2_naming_the_file(tmp_path, capsys):
@@ -398,9 +405,9 @@ def test_output_digest_is_pinned(tmp_path, capsys, args, digest):
 # SHA-256 of stdout: the fixed-width tables and the stdout export
 PINNED_STDOUT = [
     (["bler-sweep", *FAST_SWEEP],
-     "40f0a2fa47f79a5826fe6bf6060431e5a3e1f0a71749391e37e641fce1c0b293"),
+     "8aeccd31f4bc69eb91076a523f132cf799efa4a13d8394784ac2ca942f79c5eb"),
     (["throughput-sweep", *FAST_SWEEP],
-     "4c43030fbb2b18aca777f74fde02d7090a25d8c35fe058b718c3aabaaf3f106b"),
+     "6be05543500adbc0876e6d85f7a9d41b293fd784762ffef12582813204ac2072"),
     (["rate-table", "--n-stop", "8"],
      "a62e7c70cff29558d85766fc35ae91d7c6a9d49bd74028e76357d2f790072c66"),
     (["export-codebook", "--n", "8", "--r", "0.9"],

@@ -1,4 +1,4 @@
-"""Source model: parameters, the simulator's source draw, block probabilities."""
+"""Source model: parameters, the waveform reference's source draw, block probabilities."""
 
 import math
 from fractions import Fraction
@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from hpnc.huffman import _integer_weights, build_codebook, length_distribution
-from hpnc.model import SystemParams, block_to_int, draw_sources, equal_factor, int_to_block
+from hpnc.model import SystemParams, block_to_int, equal_factor, int_to_block
+from waveform import draw_sources
 
 
 def draw_pair(params, rng):
-    """One block pair from the simulator's batched draw, one row (m = 1):
-    the same stream as a per-block draw of n bits, then n uniforms."""
-    reals = np.empty((1, params.n))
-    xor = np.empty((1, params.n), bool)
-    a1 = draw_sources(params.rho, rng, reals, xor)[0]
-    return a1, a1 ^ xor[0]
+    """One block pair from the waveform reference's draw: n bits, then n
+    uniforms."""
+    a1, xor = draw_sources(params.rho, rng, params.n)
+    return a1, a1 ^ xor
 
 
 def block_law(n, rho):
@@ -123,14 +122,6 @@ def test_empirical_agreement_frequency(r, expected):
     assert abs(freq - expected) <= 3.0 * se
     # E{x1 x2} = r for the antipodal symbols; x1 x2 = 2 [agree] - 1
     assert abs(product / 1e6 - r) <= 3.0 * 2.0 * se
-
-
-def test_pair_generation_is_seed_reproducible():
-    params = SystemParams(n=32, r=0.7, gamma=1.0)
-    first = draw_pair(params, np.random.default_rng(11))
-    second = draw_pair(params, np.random.default_rng(11))
-    assert np.array_equal(first[0], second[0])
-    assert np.array_equal(first[1], second[1])
 
 
 def test_first_block_is_uniform():

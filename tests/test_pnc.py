@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from hpnc import validation
-from hpnc.model import draw_sources
 from hpnc.pnc import (
     PncThreshold,
-    decide_xor,
+    decision_errors,
     optimal_threshold,
     pnc_block_error,
     pnc_symbol_error_closed,
     pnc_symbol_error_numeric,
 )
+from waveform import decide_xor, relay_decisions
 
 # grid-argmin of the quadrature confirmed these during development
 TAU_G1_RHO_HALF = 1.1732658260877076
@@ -22,12 +22,6 @@ TAU_BAR_G1_RHO_HALF = 1.6592484435221093
 P_PNC_G1_RHO_HALF = 0.10911398180639029
 TAU_G1_RHO95 = 0.4292393074289764
 BOUNDARY_GAMMA_RHO95 = 0.7361097447916101  # (1/4) ln(0.95/0.05)
-
-
-def decide(y, tau):
-    """The relay's decision on a copy of y (the kernel lets it overwrite y)."""
-    y = np.array(y, dtype=np.float64)
-    return decide_xor(y, tau, np.empty(y.shape, bool)).view(np.uint8)
 
 
 def test_threshold_zero_branch_boundary():
@@ -86,29 +80,26 @@ def test_symbol_error_where_two_gamma_overflows():
     # 2 * 1e308 is inf, so tau_bar and s are inf and Q(s - tau_bar) would be NaN
     for rho in (0.5, 0.7, 0.95, 1.0):
         assert pnc_symbol_error_closed(1e308, rho) == 0.0
+        assert decision_errors(1e308, optimal_threshold(1e308, rho)) == (0.0, 0.0)
 
 
 def test_decide_noiseless_regions():
+    # the waveform reference's rule, which the per-bit law integrates
     tau = 1.0
-    agree = np.array([2.0, -2.0, 2.0])
-    assert np.array_equal(decide(agree, tau), [0, 0, 0])
-    disagree = np.zeros(3)
-    assert np.array_equal(decide(disagree, tau), [1, 1, 1])
+    assert np.array_equal(decide_xor(np.array([2.0, -2.0, 2.0]), tau), [0, 0, 0])
+    assert np.array_equal(decide_xor(np.zeros(3), tau), [1, 1, 1])
     # boundary samples go to XOR 1
-    assert np.array_equal(decide(np.array([1.0, -1.0]), tau), [1, 1])
+    assert np.array_equal(decide_xor(np.array([1.0, -1.0]), tau), [1, 1])
+    # at a noiseless SNR neither kind of pair is ever decided wrongly
+    assert decision_errors(1e12, PncThreshold(1.0, math.sqrt(2e12))) == (0.0, 0.0)
 
 
 def test_decide_zero_threshold_always_declares_agreement():
     y = np.array([0.3, -0.01, 2.5, -1.9])
-    assert np.array_equal(decide(y, 0.0), [0, 0, 0, 0])
-
-
-def test_decide_is_per_symbol():
-    rng = np.random.default_rng(7)
-    y = rng.normal(size=50)
-    tau = 0.8
-    perm = rng.permutation(50)
-    assert np.array_equal(decide(y, tau)[perm], decide(y[perm], tau))
+    assert np.array_equal(decide_xor(y, 0.0), [0, 0, 0, 0])
+    # no agreeing pair is decided XOR 1, every disagreeing one is decided 0
+    for gamma in (1e-3, 0.5, 2.0, 1e9):
+        assert decision_errors(gamma, PncThreshold(0.0, 0.0)) == (0.0, 1.0)
 
 
 def test_closed_form_value_and_quadrature_match():
@@ -118,23 +109,33 @@ def test_closed_form_value_and_quadrature_match():
     assert abs(closed - numeric) < 1e-9
 
 
-@pytest.mark.parametrize("snr_db", [0.0, 3.0, 6.0, 9.0])
+# -3 dB puts rho = 0.95 on the zero-threshold branch
+@pytest.mark.parametrize("snr_db", [-3.0, 0.0, 3.0, 6.0, 9.0])
 @pytest.mark.parametrize("rho", [0.5, 0.7, 0.85, 0.95])
 def test_closed_form_matches_quadrature_on_grid(snr_db, rho):
     gamma = 10.0 ** (snr_db / 10.0)
-    tau = optimal_threshold(gamma, rho).tau
-    assert abs(
-        pnc_symbol_error_closed(gamma, rho) - pnc_symbol_error_numeric(gamma, rho, tau)
-    ) < 1e-9
+    threshold = optimal_threshold(gamma, rho)
+    tau = threshold.tau
+    closed = pnc_symbol_error_closed(gamma, rho)
+    assert abs(closed - pnc_symbol_error_numeric(gamma, rho, tau)) < 1e-9
+    # each per-bit error on its own: with every pair disagreeing (rho = 0)
+    # the quadrature is e1, with every pair agreeing (rho = 1) it is e0
+    e0, e1 = decision_errors(gamma, threshold)
+    assert abs(e1 - pnc_symbol_error_numeric(gamma, 0.0, tau)) < 1e-9
+    assert abs(e0 - pnc_symbol_error_numeric(gamma, 1.0, tau)) < 1e-9
+    assert rho * e0 + (1.0 - rho) * e1 == pytest.approx(closed, rel=1e-15)
 
 
 def test_quadrature_at_zero_threshold_equals_disagreement_mass():
     # with an empty middle region every symbol is declared XOR 0, so the
-    # error is exactly the probability of a disagreeing pair
-    for rho in (0.5, 0.8, 0.95):
-        assert pnc_symbol_error_numeric(2.0, rho, 0.0) == pytest.approx(
-            1.0 - rho, abs=1e-12
-        )
+    # error is exactly the probability of a disagreeing pair; from about
+    # gamma = 1e7 the sum-0 peak is narrower than quad's first samples of
+    # an unbounded tail
+    for gamma in (2.0, 1e6, 1e7, 1e8):
+        for rho in (0.5, 0.8, 0.95):
+            assert pnc_symbol_error_numeric(gamma, rho, 0.0) == pytest.approx(
+                1.0 - rho, abs=1e-12
+            )
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1e-3])
@@ -189,25 +190,19 @@ def test_block_error_arithmetic():
 @pytest.mark.parametrize("snr_db", [0, 2, 4, 6, 8, 10])
 @pytest.mark.parametrize("r", [0.4, 0.6, 0.7, 0.8, 0.9])
 def test_per_symbol_error_matches_monte_carlo(snr_db, r):
-    # relay decisions on 10^6 superposed symbols vs the closed form; the
-    # sources come from the simulator's draw, one row (m = 1) at a time
+    # relay decisions on 10^6 superposed symbols of the waveform reference,
+    # one row of 1000 at a time, vs the per-bit law given the XOR bit
     gamma = 10.0 ** (snr_db / 10.0)
     rho = (1.0 + r) / 2.0
-    tau = optimal_threshold(gamma, rho).tau
-    n = 1000
+    threshold = optimal_threshold(gamma, rho)
     rng = np.random.default_rng(31_000 + snr_db * 100 + int(r * 10))
-    reals = np.empty((1, n))
-    xor = np.empty((1, n), bool)
-    xor_hat = np.empty((1, n), bool)
-    errors = 0
+    sent = np.zeros(2, dtype=np.int64)  # symbols with XOR 0, XOR 1
+    wrong = np.zeros(2, dtype=np.int64)
     for _ in range(1000):
-        a1 = draw_sources(rho, rng, reals, xor)
-        a2 = a1 ^ xor
-        y = (1.0 - 2.0 * a1.astype(float)) + (1.0 - 2.0 * a2.astype(float))
-        y += math.sqrt(0.5 / gamma) * rng.standard_normal((1, n))
-        decide_xor(y, tau, xor_hat)
-        errors += int(np.count_nonzero(xor_hat != xor))
-    empirical = errors / 1e6
-    expected = pnc_symbol_error_closed(gamma, rho)
-    se = math.sqrt(expected * (1.0 - expected) / 1e6)
-    assert abs(empirical - expected) <= 3.0 * se
+        xor, xor_hat = relay_decisions(rho, gamma, threshold.tau, rng, (1, 1000))
+        xor, bad = xor.ravel(), (xor_hat != xor).ravel()
+        sent += np.bincount(xor, minlength=2)
+        wrong += np.bincount(xor[bad], minlength=2)
+    for count, errors, expected in zip(sent, wrong, decision_errors(gamma, threshold)):
+        se = math.sqrt(expected * (1.0 - expected) / count)
+        assert abs(errors / count - expected) <= 3.0 * se

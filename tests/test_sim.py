@@ -13,7 +13,7 @@ from hpnc.analysis import conv_bler_point, hpnc_bler
 from hpnc.huffman import build_codebook, decode_exact, encode, length_distribution
 from hpnc.model import SystemParams
 from hpnc.phy import q_function
-from hpnc.pnc import optimal_threshold
+from hpnc.pnc import decision_errors, optimal_threshold
 from hpnc import sim
 from hpnc.sim import _chunk, estimate, relay_threshold
 
@@ -327,35 +327,37 @@ def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monke
     # kernel's packed candidate check decides part of the count
     rounds = 4000
     cb = build_codebook(n, rho)
-    tau = optimal_threshold(gamma, rho).tau
+    e0, e1 = decision_errors(gamma, optimal_threshold(gamma, rho))
+    cuts = (rho * (1.0 - e0), rho, rho + (1.0 - rho) * e1)
+    p = q_function(math.sqrt(2.0 * gamma))
     # one sub-batch, then uneven ones whose downlinks outgrow the work arrays
     for sub in (sim._SUBBATCH, 1500):
         monkeypatch.setattr(sim, "_SUBBATCH", sub)
-        got = _chunk(n, rho, gamma, cb, tau, rounds, np.random.default_rng(5))
-        expected, delivered_anyway = replay_chunk(n, rho, gamma, cb, tau, rounds, sub, np.random.default_rng(5))
+        got = _chunk(n, cuts, p, cb, rounds, np.random.default_rng(5))
+        expected, delivered_anyway = replay_chunk(n, cuts, p, cb, rounds, sub, np.random.default_rng(5))
         assert delivered_anyway > 0
         assert got == expected
 
 
-def replay_chunk(n, rho, gamma, cb, tau, rounds, sub, rng):
+def replay_chunk(n, cuts, p, cb, rounds, sub, rng):
     """The kernel's counters, from its draw order replayed with sized draws
-    (the kernel fills work arrays through out=) and every round decoded on
-    its own; also returns how many relay errors were delivered anyway."""
-    sigma = math.sqrt(0.5 / gamma)
+    (the kernel fills work arrays through out=) and every round encoded and
+    decoded on its own; also returns how many relay errors were delivered
+    anyway."""
+    lo, rho, hi = cuts
     errors = [0, 0]
     relay_wrong = sent_total = delivered_anyway = 0
     for first in range(0, rounds, sub):
         m = min(sub, rounds - first)
-        a1 = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-        a2 = a1 ^ (rng.random((m, n)) >= rho).astype(np.uint8)
-        y = sigma * rng.standard_normal((m, n)) + (2 - 2 * (a1 + a2).astype(np.int8))
-        b_hat = (np.abs(y) <= tau).astype(np.uint8)
+        u = rng.random((m, n))
+        xor = u >= rho
+        b_hat = ((u >= lo) ^ xor ^ (u >= hi)).astype(np.uint8)
         words = [encode(cb, row) for row in b_hat]
         sent = sum(word.size for word in words)
         for d in range(2):
-            flips = (rng.standard_normal(sent) < -1.0 / sigma).astype(np.uint8)
+            flips = (rng.random(sent) < p).astype(np.uint8)
             start = 0
-            for block, relayed, word in zip(a1 ^ a2, b_hat, words):
+            for block, relayed, word in zip(xor, b_hat, words):
                 received = word ^ flips[start:start + word.size]
                 start += word.size
                 decoded = decode_exact(cb, received)
@@ -363,6 +365,6 @@ def replay_chunk(n, rho, gamma, cb, tau, rounds, sub, rng):
                     errors[d] += 1
                 elif not np.array_equal(relayed, block):
                     delivered_anyway += 1
-        relay_wrong += int(np.count_nonzero(np.any(b_hat != a1 ^ a2, axis=1)))
+        relay_wrong += int(np.count_nonzero(np.any(b_hat != xor, axis=1)))
         sent_total += sent
     return (errors[1], errors[0], relay_wrong, sent_total), delivered_anyway
