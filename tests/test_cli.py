@@ -352,6 +352,15 @@ def test_validate_rejects_non_finite_perturb_tau(value, capsys, monkeypatch):
     assert captured.err.startswith("error: --perturb-tau: must be finite")
 
 
+def test_validate_names_the_flag_when_the_offset_makes_a_threshold_negative(capsys):
+    # the smallest threshold on the default grid is about 0.429 (0 dB, rho 0.95)
+    assert main(["validate", "--checks", "thresholds", "--perturb-tau", "-0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--perturb-tau" in captured.err
+    assert "snr_db=0.0, rho=0.95" in captured.err
+
+
 def test_validate_huge_perturb_tau_fails_with_a_strict_json_report(capsys):
     assert main(["validate", "--checks", "thresholds", "--perturb-tau", "1e300"]) == 1
 

@@ -14,6 +14,7 @@ from hpnc.pnc import (
     pnc_symbol_error_closed,
     pnc_symbol_error_numeric,
 )
+from tau_scan import scan_argmin_tau
 from waveform import decide_xor, relay_decisions
 
 # grid-argmin of the quadrature confirmed these during development
@@ -43,6 +44,49 @@ def test_threshold_checks_skip_exactly_the_zero_threshold_points():
     }
     assert checked == expected == {(-5.0, 0.7), (-4.5, 0.7), (-4.5, 0.8), (-3.0, 0.7), (-3.0, 0.8)}
     assert len(checks) == 2 * len(expected)
+
+
+# criterion 4's grid (0 .. 9.5 dB, rho = (1 + r) / 2 over the acceptance r set)
+# plus the lowest-tau point the threshold checks reach, tau about 0.18 at
+# -4.5 dB, and rho = 0.99 at 0 dB
+ARGMIN_POINTS = [
+    (0.5 * k, (1.0 + r) / 2.0) for k in range(20) for r in (0.4, 0.6, 0.7, 0.8, 0.9)
+] + [(-4.5, 0.8), (0.0, 0.99)]
+
+
+@pytest.mark.parametrize("snr_db, rho", ARGMIN_POINTS)
+def test_argmin_bisection_matches_the_scan(snr_db, rho):
+    gamma = 10.0 ** (snr_db / 10.0)
+    assert abs(validation.argmin_tau_numeric(gamma, rho) - scan_argmin_tau(gamma, rho)) <= 1e-12
+
+
+def test_argmin_takes_the_first_of_tied_minima(monkeypatch):
+    def flat_bottom(gamma, rho, tau):
+        return max(abs(tau - 0.5), 0.1)
+
+    monkeypatch.setattr(validation, "pnc_symbol_error_numeric", flat_bottom)
+    lattice = validation.TAU_GRID_STEP * np.arange(2026)
+    first = lattice[int(np.argmin([flat_bottom(1.0, 0.8, t) for t in lattice]))]
+    assert validation.argmin_tau_numeric(1.0, 0.8) == pytest.approx(first, abs=1e-12)
+    assert first == pytest.approx(0.4, abs=1e-12)
+
+
+def test_threshold_checks_oracle_call_budget(monkeypatch):
+    calls = 0
+    oracle = validation.pnc_symbol_error_numeric
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return oracle(*args)
+
+    monkeypatch.setattr(validation, "pnc_symbol_error_numeric", counted)
+    validation.argmin_tau_numeric(1.0, 0.95)
+    assert calls <= 22
+    calls = 0
+    points = len(validation.threshold_checks()) // 2
+    assert points == 25
+    assert calls <= 23 * points
 
 
 def test_threshold_closed_form_values():
