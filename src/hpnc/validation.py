@@ -59,8 +59,8 @@ def argmin_tau_numeric(gamma: float, rho: float) -> float:
 
     The error is unimodal in tau on [0, inf) (the posterior-balance equation
     has a single nonnegative root), so the grid argmin is the first k with
-    f(k + 1) >= f(k), and bisection finds it in 22 oracle calls.  Ties go
-    to the smaller tau, as np.argmin's first minimum does.
+    f(k + 1) >= f(k), and bisection finds it in at most 22 oracle calls.
+    Ties go to the smaller tau, as np.argmin's first minimum does.
     """
     def error_at(k: int) -> float:
         return pnc_symbol_error_numeric(gamma, rho, k * TAU_GRID_STEP)

@@ -48,10 +48,11 @@ def test_threshold_checks_skip_exactly_the_zero_threshold_points():
 
 # criterion 4's grid (0 .. 9.5 dB, rho = (1 + r) / 2 over the acceptance r set)
 # plus the lowest-tau point the threshold checks reach, tau about 0.18 at
-# -4.5 dB, and rho = 0.99 at 0 dB
+# -4.5 dB, rho = 0.99 at 0 dB, and rho = 0.5 at low SNR, where tau reaches
+# 1.53 (-5 dB) and 1.97 (-8 dB), near the end of the scanned range
 ARGMIN_POINTS = [
     (0.5 * k, (1.0 + r) / 2.0) for k in range(20) for r in (0.4, 0.6, 0.7, 0.8, 0.9)
-] + [(-4.5, 0.8), (0.0, 0.99)]
+] + [(-4.5, 0.8), (0.0, 0.99), (-5.0, 0.5), (-8.0, 0.5)]
 
 
 @pytest.mark.parametrize("snr_db, rho", ARGMIN_POINTS)
