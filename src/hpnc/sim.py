@@ -22,10 +22,13 @@ vectorised sub-batches of up to 2^16 rounds.  Each draws, in this order:
    u >= rho, and the relay decides it wrongly exactly where
    rho (1 - e0) <= u < rho + (1 - rho) e1, with (e0, e1) from
    pnc.decision_errors;
-2. the downlink towards T1, then towards T2: one uniform per codeword bit
-   the relay sends, lens.sum() in all, where lens holds the lengths of the
-   m codewords; a bit flips when its uniform is below p = Q(sqrt(2 gamma)).
-   Nothing is drawn for padding.
+2. the downlink towards T1, then towards T2: the positions of the flips
+   among the lens.sum() codeword bits the relay sends, where lens holds the
+   lengths of the m codewords.  Each sent bit flips independently with
+   probability p = Q(sqrt(2 gamma)), so the gaps between flips are i.i.d.
+   geometric(p), and only those gaps are drawn: about lens.sum() * p of
+   them, a few at the paper's SNRs.  Nothing is drawn for padding, nor at
+   p = 0.
 """
 
 from __future__ import annotations
@@ -82,6 +85,32 @@ def _child_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
 
 
+def _flip_positions(rng: np.random.Generator, p: float, sent: int) -> np.ndarray:
+    """Sorted positions in [0, sent) of the sent bits that flip, each one
+    independently with probability p.
+
+    The gaps between flips are i.i.d. geometric(p), so the positions are
+    cumulated gaps, drawn in batches of sent * p plus four standard
+    deviations until they pass sent.  Nothing is drawn at p = 0, where Q
+    underflows (above about 28.5 dB).
+    """
+    if p == 0.0:
+        return np.empty(0, np.int64)
+    mean = sent * p
+    batch = math.ceil(mean + 4.0 * math.sqrt(mean)) + 1
+    parts = []
+    last = -1  # position of the latest flip drawn
+    while True:
+        # a gap past sent + 1 ends the draw all the same; clipped, the cumsum
+        # stays in int64 whatever numpy returns for a tiny p
+        positions = last + np.cumsum(np.minimum(rng.geometric(p, batch), sent + 1))
+        if positions[-1] >= sent:
+            parts.append(positions[: np.searchsorted(positions, sent)])
+            return np.concatenate(parts)
+        parts.append(positions)
+        last = int(positions[-1])
+
+
 def _chunk(
     n: int,
     cuts: tuple[float, float, float],
@@ -93,8 +122,9 @@ def _chunk(
     """Error counters of `rounds` exchange rounds through the chain.
 
     cuts = (lo, rho, hi) split each bit's uniform u: the XOR bit is
-    u >= rho and the relay errs where lo <= u < hi; a sent bit flips where
-    its uniform is below p.  The receiver is granted the codeword length
+    u >= rho and the relay errs where lo <= u < hi; each sent bit flips
+    with probability p, and only the flips' positions are drawn
+    (_flip_positions).  The receiver is granted the codeword length
     (genie framing), so a round the relay got right succeeds when its
     codeword takes no flip, and a relay-wrong round when cw(b) has the sent
     length and the flips turn cw(b_hat) into it.
@@ -103,15 +133,12 @@ def _chunk(
     lengths = cb.lengths.astype(np.int64)
     # MSB-first block values; n <= 16, so they fit the uint16 products
     pow_n = (1 << np.arange(n - 1, -1, -1)).astype(np.uint16)
-    # work arrays, filled through out=: the same values in the same stream
-    # order as sized draws.  The uplink arrays fit the largest sub-batch; the
-    # downlink pair grows to the bits sent.
+    # work arrays that fit the largest sub-batch, filled through out=: the
+    # same values in the same stream order as sized draws
     size = min(_SUBBATCH, rounds) * n
     up_reals = np.empty(size, np.float64)
     up_mask = np.empty(size, bool)
     up_below = np.empty(size, bool)
-    dl_reals = np.empty(0, np.float64)
-    dl_mask = np.empty(0, bool)
 
     err = [0, 0]  # [direction 2->1 at T1, direction 1->2 at T2]
     relay_err = 0
@@ -141,18 +168,17 @@ def _chunk(
         # only wrong rounds that flips can still deliver correctly
         cand = np.flatnonzero(wrong & (lengths[v_true] == lens))
 
-        if dl_reals.size < sent:
-            dl_reals = np.empty(sent, np.float64)
-            dl_mask = np.empty(sent, bool)
         for d in range(2):
-            flips = np.less(rng.random(out=dl_reals[:sent]), p, out=dl_mask[:sent])
+            positions = _flip_positions(rng, p, sent)
             # a round is hit when a flip position falls inside its segment
             hit = np.zeros(m, dtype=bool)
-            hit[np.searchsorted(ends, np.flatnonzero(flips), side="right")] = True
+            hit[np.searchsorted(ends, positions, side="right")] = True
             ok = m - relay_wrong - int(np.count_nonzero(hit & ~wrong))
             # cw(b_hat) != cw(b), so a candidate needs at least one flip
             c = cand[hit[cand]]
             if c.size:
+                flips = np.zeros(sent, bool)
+                flips[positions] = True
                 cols = np.arange(int(lens[c].max()))
                 inside = cols < lens[c, None]
                 seen = flips[np.where(inside, (ends[c] - lens[c])[:, None] + cols, 0)] & inside

@@ -55,24 +55,35 @@ def _check(name: str, params: dict, deviation, tolerance) -> dict:
 
 
 def argmin_tau_numeric(gamma: float, rho: float) -> float:
-    """Grid argmin of the quadrature error over tau = k * TAU_GRID_STEP, k = 0 ... 2025.
+    """Grid argmin of the quadrature error over tau = k * TAU_GRID_STEP, k >= 0.
 
     The error is unimodal in tau on [0, inf) (the posterior-balance equation
     has a single nonnegative root), so the grid argmin is the first k with
-    f(k + 1) >= f(k), and bisection finds it in at most 22 oracle calls.
-    Ties go to the smaller tau, as np.argmin's first minimum does.
+    f(k + 1) >= f(k).  Bisection over k = 0 ... 2025 finds it in at most 22
+    oracle calls.  Should it land on k = 2025 (rho near 0.5 below about
+    -8.5 dB), the lattice end doubles until the error rises, and bisection
+    goes on past the old end.  Ties go to the smaller tau, as np.argmin's
+    first minimum does.
     """
     def error_at(k: int) -> float:
         return pnc_symbol_error_numeric(gamma, rho, k * TAU_GRID_STEP)
 
-    lo, hi = 0, 2025
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if error_at(mid + 1) >= error_at(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo * TAU_GRID_STEP
+    def first_rise(lo: int, hi: int) -> int:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if error_at(mid + 1) >= error_at(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    end = 2025
+    k = first_rise(0, end)
+    if k == end:
+        while error_at(end + 1) < error_at(end):
+            k, end = end + 1, 2 * end
+        k = first_rise(k, end)
+    return k * TAU_GRID_STEP
 
 
 def threshold_checks(

@@ -414,9 +414,9 @@ def test_output_digest_is_pinned(tmp_path, capsys, args, digest):
 # SHA-256 of stdout: the fixed-width tables and the stdout export
 PINNED_STDOUT = [
     (["bler-sweep", *FAST_SWEEP],
-     "8aeccd31f4bc69eb91076a523f132cf799efa4a13d8394784ac2ca942f79c5eb"),
+     "b5789640849e9f584c6eb3eb7cc4bc543c144c7bd9191784d27626c0d04591b3"),
     (["throughput-sweep", *FAST_SWEEP],
-     "6be05543500adbc0876e6d85f7a9d41b293fd784762ffef12582813204ac2072"),
+     "02d1c8e7fccbd9f4fc0d2ff4cdfcde55b50e0d0e2572d584a7c877e454082bf7"),
     (["rate-table", "--n-stop", "8"],
      "a62e7c70cff29558d85766fc35ae91d7c6a9d49bd74028e76357d2f790072c66"),
     (["export-codebook", "--n", "8", "--r", "0.9"],

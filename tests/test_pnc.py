@@ -72,6 +72,34 @@ def test_argmin_takes_the_first_of_tied_minima(monkeypatch):
     assert first == pytest.approx(0.4, abs=1e-12)
 
 
+def test_argmin_lattice_grows_past_its_end(monkeypatch):
+    # the error still falls at k = 2025: the end doubles twice (to 8100)
+    # and the first of the tied minima, tau = 4.9, is found past the old end
+    def flat_bottom(gamma, rho, tau):
+        return max(abs(tau - 5.0), 0.1)
+
+    monkeypatch.setattr(validation, "pnc_symbol_error_numeric", flat_bottom)
+    assert validation.argmin_tau_numeric(1.0, 0.8) == pytest.approx(4.9, abs=1e-12)
+
+
+def test_threshold_checks_pass_past_the_old_lattice_end():
+    # at rho = 0.5 the closed-form tau passes 2.025 below about -8.5 dB; at
+    # -12 dB it is 2.935, and a lattice that stopped at 2.025 failed it with
+    # deviation 0.91
+    checks = validation.threshold_checks((-12.0,), (0.5,))
+    assert [c["name"] for c in checks] == ["quadrature_matches_closed_form", "closed_form_tau_is_argmin"]
+    assert all(c["passed"] for c in checks)
+    gamma = 10.0 ** -1.2
+    k = round(validation.argmin_tau_numeric(gamma, 0.5) / validation.TAU_GRID_STEP)
+    assert k > 2025
+
+    def error_at(j):
+        return pnc_symbol_error_numeric(gamma, 0.5, j * validation.TAU_GRID_STEP)
+
+    # a lattice minimum, found without the closed form
+    assert error_at(k - 1) > error_at(k) <= error_at(k + 1)
+
+
 def test_threshold_checks_oracle_call_budget(monkeypatch):
     calls = 0
     oracle = validation.pnc_symbol_error_numeric

@@ -343,7 +343,8 @@ def replay_chunk(n, cuts, p, cb, rounds, sub, rng):
     """The kernel's counters, from its draw order replayed with sized draws
     (the kernel fills work arrays through out=) and every round encoded and
     decoded on its own; also returns how many relay errors were delivered
-    anyway."""
+    anyway.  The downlink flips come from the same sampler as the kernel's,
+    which its own tests hold to the per-bit law."""
     lo, rho, hi = cuts
     errors = [0, 0]
     relay_wrong = sent_total = delivered_anyway = 0
@@ -355,7 +356,8 @@ def replay_chunk(n, cuts, p, cb, rounds, sub, rng):
         words = [encode(cb, row) for row in b_hat]
         sent = sum(word.size for word in words)
         for d in range(2):
-            flips = (rng.random(sent) < p).astype(np.uint8)
+            flips = np.zeros(sent, np.uint8)
+            flips[sim._flip_positions(rng, p, sent)] = 1
             start = 0
             for block, relayed, word in zip(xor, b_hat, words):
                 received = word ^ flips[start:start + word.size]
@@ -368,3 +370,123 @@ def replay_chunk(n, cuts, p, cb, rounds, sub, rng):
         relay_wrong += int(np.count_nonzero(np.any(b_hat != xor, axis=1)))
         sent_total += sent
     return (errors[1], errors[0], relay_wrong, sent_total), delivered_anyway
+
+
+class _CountingRng:
+    """A Generator proxy that counts the variates the kernel draws."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.uniforms = 0
+        self.geometric_sizes = []
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        values = self._rng.random(size, dtype, out)
+        self.uniforms += values.size
+        return values
+
+    def geometric(self, p, size):
+        values = self._rng.geometric(p, size)
+        self.geometric_sizes.append(values.size)
+        return values
+
+
+class _Ones:
+    """geometric() that returns all ones: a flip at every bit."""
+
+    def geometric(self, p, size):
+        return np.ones(size, np.int64)
+
+
+class _Huge:
+    """geometric() that returns the largest int64, as numpy does for tiny p."""
+
+    def geometric(self, p, size):
+        return np.full(size, np.iinfo(np.int64).max)
+
+
+class _OneBatch:
+    """Passes one geometric() batch through and fails on a second, so a
+    draw that should end after one batch cannot loop."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def geometric(self, p, size):
+        self.calls += 1
+        assert self.calls == 1, "a gap past sent must end the draw"
+        return self._rng.geometric(p, size)
+
+
+@pytest.mark.parametrize("p", [3.9e-6, 0.0786, 0.3, 0.5])
+@pytest.mark.parametrize("sent", [1, 7, 5000])
+def test_flip_positions_are_sorted_unique_and_inside(p, sent):
+    for seed in range(20):
+        positions = sim._flip_positions(np.random.default_rng(seed), p, sent)
+        assert positions.dtype.kind == "i"
+        assert np.all(np.diff(positions) > 0)
+        assert positions.size == 0 or (positions[0] >= 0 and positions[-1] < sent)
+
+
+def test_flip_positions_draw_nothing_when_no_bit_can_flip():
+    # p = 0 past about 28.5 dB, where Q underflows: no draw at all
+    counted = _CountingRng(np.random.default_rng(3))
+    assert sim._flip_positions(counted, 0.0, 10**6).size == 0
+    assert counted.uniforms == 0 and counted.geometric_sizes == []
+    # numpy returns INT64_MAX gaps for p = 1e-300; clipped, the first gap
+    # passes sent and ends the draw, where a wrapped cumsum would land back
+    # in [0, sent) and refill
+    for rng in (np.random.default_rng(3), _Huge()):
+        one_batch = _OneBatch(rng)
+        assert sim._flip_positions(one_batch, 1e-300, 10**9).size == 0
+        assert one_batch.calls == 1
+
+
+def test_flip_positions_refill_until_they_pass_sent():
+    # a flip at every bit: each batch falls short of sent, so it refills
+    counted = _CountingRng(_Ones())
+    sent = 100
+    positions = sim._flip_positions(counted, 0.05, sent)
+    assert len(counted.geometric_sizes) >= 3
+    assert positions.tolist() == list(range(sent))
+
+
+def test_flip_positions_follow_the_per_bit_law():
+    # each of `sent` bits flips independently with probability p: the count
+    # is Binomial(sent, p) and each position's count over the draws is
+    # Binomial(draws, p), independent across positions
+    p, sent, draws = 0.3, 2000, 2000
+    per_position = np.zeros(sent)
+    counts = np.empty(draws)
+    for seed in range(draws):
+        positions = sim._flip_positions(np.random.default_rng(seed), p, sent)
+        counts[seed] = positions.size
+        per_position[positions] += 1
+    mean, var = sent * p, sent * p * (1.0 - p)
+    # within 4 standard errors: of the mean, and of the variance (about
+    # var * sqrt(2 / draws) for a count this close to normal)
+    assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(var / draws)
+    assert abs(counts.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / (draws - 1))
+    # chi-square over the positions has sent degrees of freedom: mean sent,
+    # standard deviation sqrt(2 sent); allow 5 of them
+    expected = draws * p
+    chi2 = float(np.sum((per_position - expected) ** 2) / (expected * (1.0 - p)))
+    assert abs(chi2 - sent) <= 5.0 * math.sqrt(2.0 * sent)
+
+
+def test_chunk_draws_only_the_downlink_flips():
+    # n = 6, r = 0.9 at 10 dB: about 1.9 bits per round are sent and a bit
+    # flips with probability 3.9e-6, so a sub-batch needs m * n uniforms for
+    # the uplink and a handful of gaps per direction, not one draw per bit
+    n, rho, gamma = 6, 0.95, 10.0
+    cb = build_codebook(n, rho)
+    e0, e1 = decision_errors(gamma, optimal_threshold(gamma, rho))
+    cuts = (rho * (1.0 - e0), rho, 1.0 - (1.0 - rho) * (1.0 - e1))
+    p = q_function(math.sqrt(2.0 * gamma))
+    m = 12_500  # one chunk of a 100 000-round, 8-chunk estimate
+    rng = _CountingRng(np.random.default_rng(9))
+    sent = _chunk(n, cuts, p, cb, m, rng)[3]
+    assert sent > m
+    assert rng.uniforms == m * n
+    assert 2 <= len(rng.geometric_sizes) and sum(rng.geometric_sizes) <= 2 * 24
