@@ -26,7 +26,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -274,24 +274,6 @@ class HuffmanCodebook:
         length = self.lengths.item(value)
         low = min(length, self.n + 1)
         return "1" * (length - low) + f"{(1 << low) - self.tails.item(value):0{low}b}"
-
-    @cached_property
-    def packed_codewords(self) -> np.ndarray:
-        """Left-aligned codewords, one row of ceil(max_len / 8) bytes per block."""
-        nbytes = (self.max_len + 7) // 8
-        low = np.minimum(self.lengths, self.n + 1)
-        full, spill = np.divmod(self.lengths - low, 8)
-        # the ones' last partial byte, then the low bits: at most n + 8 bits
-        span = (self.n + 15) // 8
-        end = 8 * span
-        window = ((1 << spill) - 1) << (end - spill) | ((1 << low) - self.tails) << (end - spill - low)
-        packed = np.zeros((self.lengths.size, nbytes), dtype=np.uint8)
-        packed[np.arange(nbytes) < full[:, None]] = 255
-        for j in range(span):
-            # a byte past the row's end would be zero
-            rows = np.flatnonzero(full + j < nbytes)
-            packed[rows, full[rows] + j] = window[rows] >> (end - 8 - 8 * j) & 255
-        return packed
 
     def codeword_bits(self, value: int) -> np.ndarray:
         """Codeword of the block with the given integer value, as a bit array."""

@@ -47,9 +47,12 @@ class SystemParams:
 
 
 def block_to_int(bits: np.ndarray) -> int:
-    """Pack a bit block into an integer, first bit most significant."""
+    """Pack a bit block into an integer, first bit most significant; an
+    entry other than 0 or 1 (0.0 and 1.0 pass) raises ValueError."""
     value = 0
-    for bit in np.asarray(bits).ravel():
+    for bit in np.asarray(bits).ravel().tolist():
+        if bit not in (0, 1):
+            raise ValueError(f"block bits must be 0 or 1, got {bit!r}")
         value = (value << 1) | int(bit)
     return value
 

@@ -164,29 +164,29 @@ def _chunk(
         ends = np.cumsum(lens)
         sent = int(ends[-1])
         dl_bits += sent
-        # relay-wrong rounds whose true codeword has the sent length: the
-        # only wrong rounds that flips can still deliver correctly
-        cand = np.flatnonzero(wrong & (lengths[v_true] == lens))
-
         for d in range(2):
             positions = _flip_positions(rng, p, sent)
             # a round is hit when a flip position falls inside its segment
+            rows = np.searchsorted(ends, positions, side="right")
             hit = np.zeros(m, dtype=bool)
-            hit[np.searchsorted(ends, positions, side="right")] = True
+            hit[rows] = True
             ok = m - relay_wrong - int(np.count_nonzero(hit & ~wrong))
-            # cw(b_hat) != cw(b), so a candidate needs at least one flip
-            c = cand[hit[cand]]
+            # cw(b_hat) != cw(b), so flips can deliver only a relay-wrong
+            # round they hit whose true codeword has the sent length
+            c = np.flatnonzero(hit & wrong)
+            c = c[lengths[v_true[c]] == lens[c]]
             if c.size:
-                flips = np.zeros(sent, bool)
-                flips[positions] = True
-                cols = np.arange(int(lens[c].max()))
-                inside = cols < lens[c, None]
-                seen = flips[np.where(inside, (ends[c] - lens[c])[:, None] + cols, 0)] & inside
-                # compared packed (both zero past each codeword)
-                packed = cb.packed_codewords
-                width = (cols.size + 7) // 8
-                want = packed[v_hat[c], :width] ^ packed[v_true[c], :width]
-                ok += int(np.count_nonzero(np.all(np.packbits(seen, axis=1) == want, axis=1)))
+                # codewords of one length L share their first L - k ones,
+                # k = min(L, n + 1), so cw(b_hat) ^ cw(b) sits in the low k
+                # bits.  A round's flips are consecutive in positions; each
+                # adds its bit counted from the codeword's end, and one in
+                # the ones adds 2^(n + 1), above every such XOR
+                k = np.minimum(lens[c], n + 1)
+                want = ((1 << k) - cb.tails[v_hat[c]]) ^ ((1 << k) - cb.tails[v_true[c]])
+                back = ends[rows] - 1 - positions
+                sums = np.concatenate(([0], np.cumsum(1 << np.minimum(back, n + 1))))
+                pattern = sums[np.searchsorted(rows, c, side="right")] - sums[np.searchsorted(rows, c)]
+                ok += int(np.count_nonzero(pattern == want))
             err[d] += m - ok
 
     return err[1], err[0], relay_err, dl_bits
@@ -233,11 +233,6 @@ def estimate(
     cuts = (rho * (1.0 - e0), rho, 1.0 - (1.0 - rho) * (1.0 - e1))
     p = q_function(math.sqrt(2.0 * params.gamma))
     cb = build_codebook(params.n, rho)
-    if rho < 1.0:
-        # built before the threads start: from Python 3.12 a cached_property
-        # takes no lock, so two threads could each build it.  At rho = 1 the
-        # relay never errs and the packed rows are never read.
-        cb.packed_codewords
 
     base, extra = divmod(rounds, chunks)
 

@@ -311,7 +311,6 @@ def test_codebook_derives_canonical_values_on_first_use():
     cb = HuffmanCodebook(2, 0.95, np.array([1, 3, 2, 3]))
     assert cb.tails.tolist() == [2, 2, 2, 1]
     assert [cb.codeword_text(v) for v in range(4)] == ["0", "110", "10", "111"]
-    assert "packed_codewords" not in vars(cb)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -320,3 +319,29 @@ def test_codewords_match_the_python_int_construction(n):
         cb = build_codebook(n, equal_factor(r))
         words = canonical_words(cb.lengths.tolist())
         assert [cb.codeword_text(v) for v in range(1 << n)] == words, r
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("rho", [0.5, 0.8, 0.95, 1.0])  # rho = 1: codes past n + 1 bits
+def test_equal_length_codewords_differ_only_in_their_tails(n, rho):
+    # the simulator judges a relay error delivered anyway from this identity:
+    # codewords of length L share their first L - k ones, k = min(L, n + 1)
+    cb = build_codebook(n, rho)
+    tails = cb.tails.tolist()
+    for length in np.unique(cb.lengths).tolist():
+        blocks = np.flatnonzero(cb.lengths == length).tolist()
+        k = min(length, n + 1)
+        for a in blocks:
+            for b in blocks:
+                xor = int(cb.codeword_text(a), 2) ^ int(cb.codeword_text(b), 2)
+                assert xor == ((1 << k) - tails[a]) ^ ((1 << k) - tails[b]), (length, a, b)
+
+
+def test_coding_rejects_bits_other_than_zero_and_one():
+    # unchecked, a 2 carries into the bit before it: [0, 2] would encode as
+    # block [1, 0] and [1, 1, 2] decode to block [0, 1]
+    cb = build_codebook(2, 0.9)
+    with pytest.raises(ValueError, match="got 2"):
+        encode(cb, np.array([0, 2]))
+    with pytest.raises(ValueError, match="got 2"):
+        decode_exact(cb, np.array([1, 1, 2]))

@@ -94,6 +94,13 @@ def test_block_int_round_trip():
         for v in range(1 << n):
             assert block_to_int(int_to_block(v, n)) == v
     assert block_to_int(np.array([1, 0, 1])) == 5
+    assert block_to_int(np.array([1.0, 0.0, 1.0])) == 5
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, math.nan])
+def test_block_to_int_rejects_entries_other_than_zero_and_one(bad):
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        block_to_int(np.array([1, bad, 0]))
 
 
 def test_identical_blocks_at_full_correlation():

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -92,15 +93,13 @@ def test_chunks_beyond_the_round_budget_are_empty(monkeypatch):
     [
         ("hpnc", 6, 0.8, 2.0, 30_000),
         ("conventional", 6, 0.8, 2.0, 30_000),
-        ("hpnc", 6, 1.0, 4.0, 30_000),  # the relay never errs: no packed table
-        ("hpnc", 12, 0.95, -2.0, 20_000),  # many relay errors: packed table read
+        ("hpnc", 6, 1.0, 4.0, 30_000),  # the relay never errs
+        ("hpnc", 12, 0.95, -2.0, 20_000),  # many relay errors, some delivered anyway
         ("hpnc", 4, 0.4, 0.0, 3),  # fewer rounds than chunks
     ],
 )
 def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds, monkeypatch):
     params = SystemParams(n=n, r=r, gamma=10.0 ** (snr_db / 10.0))
-    if r == 1.0:
-        build_codebook.cache_clear()  # a fresh codebook, packed by no other test
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
     try:
@@ -112,9 +111,7 @@ def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds, monkeyp
             assert len(results) == 1, (chunks, results)
     finally:
         sys.setswitchinterval(interval)
-    if r == 1.0:
-        assert "packed_codewords" not in vars(build_codebook(n, 1.0))
-    elif n == 12:
+    if n == 12:
         est = estimate(params, scheme, rounds, seed=13)
         assert est.relay_bler > 0.1
 
@@ -318,22 +315,24 @@ def test_rho_one_uses_zero_threshold():
 @pytest.mark.parametrize(
     "n,rho,gamma",
     [
-        (12, 0.5, 1.0),  # the baseline's 12-bit identity code: two bytes per codeword
-        (6, 0.8, 0.5),  # a variable-length code, 2 to 12 bits
+        (12, 0.5, 1.0),  # the baseline's 12-bit identity code: all tail, no ones
+        (6, 0.8, 0.5),  # a variable-length code, 2 to 12 bits: flips land in the ones
     ],
 )
 def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monkeypatch):
     # at these SNRs the downlink delivers some relay errors anyway, so the
-    # kernel's packed candidate check decides part of the count
+    # kernel's tail comparison decides part of the count.  The kernel gets
+    # only the lengths and tails: the code has no other format
     rounds = 4000
     cb = build_codebook(n, rho)
     e0, e1 = decision_errors(gamma, optimal_threshold(gamma, rho))
     cuts = (rho * (1.0 - e0), rho, rho + (1.0 - rho) * e1)
     p = q_function(math.sqrt(2.0 * gamma))
+    code = types.SimpleNamespace(lengths=cb.lengths, tails=cb.tails)
     # one sub-batch, then uneven ones whose downlinks outgrow the work arrays
     for sub in (sim._SUBBATCH, 1500):
         monkeypatch.setattr(sim, "_SUBBATCH", sub)
-        got = _chunk(n, cuts, p, cb, rounds, np.random.default_rng(5))
+        got = _chunk(n, cuts, p, code, rounds, np.random.default_rng(5))
         expected, delivered_anyway = replay_chunk(n, cuts, p, cb, rounds, sub, np.random.default_rng(5))
         assert delivered_anyway > 0
         assert got == expected
