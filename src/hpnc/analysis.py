@@ -56,11 +56,12 @@ def hpnc_bler_asym_high(gamma: float, rho: float, n: int, mean_len: float) -> fl
     limit at the midpoint threshold tau = 1, not at the MAP threshold that
     the relay and pnc_symbol_error_closed use.  There the threshold keeps a
     log-odds offset, tau_bar = sqrt(2*gamma) + delta/sqrt(2*gamma) with
-    delta = ln(2*(1-rho)/rho)/2, so P_sym ~ 2*sqrt(2*rho*(1-rho)) * Q.  The
-    two coefficients agree only at rho = 2/3; elsewhere (2 - rho) is larger,
-    and at rho = 1, where the relay never errs, it still charges n*Q.  At
-    rho = 0.5 with mean length n this is the baseline's (5n/2) * Q, whose
-    MAP limit is (1 + sqrt(2)) * n * Q.
+    delta = ln(2*(1-rho)/rho)/2, so P_sym ~ 2*sqrt(2*rho*(1-rho)) * Q: the
+    high-SNR limit of the same rho*e0 + (1-rho)*e1 from pnc.decision_errors
+    that pnc_symbol_error_closed evaluates.  The two coefficients agree only
+    at rho = 2/3; elsewhere (2 - rho) is larger, and at rho = 1, where the
+    relay never errs, it still charges n*Q.  At rho = 0.5 with mean length n
+    this is the baseline's (5n/2) * Q, whose MAP limit is (1 + sqrt(2)) * n * Q.
     """
     return (2.0 * n - rho * n + mean_len) * q_function(math.sqrt(2.0 * gamma))
 

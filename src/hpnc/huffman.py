@@ -312,14 +312,16 @@ def decode_exact(cb: HuffmanCodebook, bits: np.ndarray) -> np.ndarray | None:
 
     Returns the block, or None when the bits are no codeword of their
     length (truncated, padded or empty input).  The caller treats None as a
-    block error.
+    block error.  Input of at most max_len bits with an entry other than 0
+    or 1 raises ValueError.
     """
     bits = np.asarray(bits)
     length = int(bits.size)
     if length == 0 or length > cb.max_len:
         return None
     low = min(length, cb.n + 1)
-    if not bits[: length - low].all():
+    if length > low and not (bits[: length - low] == 1).all():
+        block_to_int(bits[: length - low])  # raises ValueError on an entry other than 0 or 1
         return None
     place = cb._offset.item(length) - ((1 << low) - block_to_int(bits[length - low :]))
     if not cb._first.item(length) <= place < cb._first.item(length + 1):

@@ -35,8 +35,7 @@ class SystemParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"block length n must be >= 1, got {self.n}")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"correlation factor r must be in [0, 1], got {self.r}")
+        equal_factor(self.r)  # the one range check on r
         if not 0.0 < self.gamma < math.inf:
             raise ValueError(f"SNR gamma must be finite and > 0, got {self.gamma}")
 

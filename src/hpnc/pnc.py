@@ -4,9 +4,9 @@ The relay observes the superposition of two antipodal transmissions
 (amplitude levels -2, 0, +2 before noise) and decides the XOR bit directly:
 |y| above a threshold tau means the sources agreed (XOR 0), otherwise they
 disagreed (XOR 1).  This module provides the posterior-optimal threshold,
-the per-bit law of that decision given the XOR bit (what the simulator
-draws), the closed-form per-symbol error probability, and an independent
-quadrature evaluation of the same error used as an oracle.
+the per-bit law of that decision given the XOR bit (`decision_errors`, the
+one copy of the relay law, which the simulator draws from and the closed-form
+symbol error averages over the XOR bit), and a quadrature oracle for it.
 
 It is the one place that knows the rho = 1 rule: fully correlated sources
 always agree, so the XOR block is all-zero, the threshold is 0 (every sample
@@ -29,13 +29,6 @@ class PncThreshold:
     tau_bar: float
 
 
-def _check_gamma_rho(gamma: float, rho: float) -> None:
-    if not gamma > 0.0:
-        raise ValueError(f"SNR gamma must be > 0, got {gamma}")
-    if not 0.5 <= rho <= 1.0:
-        raise ValueError(f"equal factor rho must be in [0.5, 1], got {rho}")
-
-
 def optimal_threshold(gamma: float, rho: float) -> PncThreshold:
     """Posterior-optimal boundary between the |sum| = 2 and sum = 0 regions.
 
@@ -44,7 +37,10 @@ def optimal_threshold(gamma: float, rho: float) -> PncThreshold:
     every sample is declared an agreeing pair.  rho = 1 is that branch at
     every SNR.
     """
-    _check_gamma_rho(gamma, rho)
+    if not gamma > 0.0:
+        raise ValueError(f"SNR gamma must be > 0, got {gamma}")
+    if not 0.5 <= rho <= 1.0:
+        raise ValueError(f"equal factor rho must be in [0.5, 1], got {rho}")
     if rho == 1.0:
         return PncThreshold(0.0, 0.0)
     log_odds = math.log((1.0 - rho) / rho)
@@ -62,10 +58,9 @@ def decision_errors(gamma: float, threshold: PncThreshold) -> tuple[float, float
 
     e0 = Q(s - tau_bar) - Q(s + tau_bar), with s = 2 sqrt(2 gamma), is the
     chance that an agreeing pair (level +-2) falls in |y| <= tau and is
-    decided XOR 1; e1 = 2 Q(tau_bar) that a disagreeing pair (level 0)
-    falls outside and is decided XOR 0.  The zero threshold gives (0, 1).
-    Where 2 gamma overflows, Q(s - tau_bar) is NaN, so the limit (0, 0) is
-    returned there.
+    decided XOR 1; e1 = 2 Q(tau_bar) that a disagreeing pair (level 0) falls
+    outside and is decided XOR 0.  The zero threshold gives (0, 1).  Where
+    2 gamma overflows, Q(s - tau_bar) is NaN, so the limit (0, 0) is returned.
     """
     if math.isinf(2.0 * gamma):
         return 0.0, 0.0
@@ -75,22 +70,11 @@ def decision_errors(gamma: float, threshold: PncThreshold) -> tuple[float, float
 
 
 def pnc_symbol_error_closed(gamma: float, rho: float) -> float:
-    """Per-symbol XOR decision error at the optimal threshold (closed form).
-
-    At rho = 1 the zero threshold leaves rho*Q(s) - rho*Q(s), exactly 0.
-    Where 2*gamma overflows, tau_bar and s are infinite and Q(s - tau_bar)
-    is NaN, so the limit 0 is returned there.
-    """
-    _check_gamma_rho(gamma, rho)
-    if math.isinf(2.0 * gamma):
-        return 0.0
-    tau_bar = optimal_threshold(gamma, rho).tau_bar
-    s = 2.0 * math.sqrt(2.0 * gamma)
-    return (
-        2.0 * (1.0 - rho) * q_function(tau_bar)
-        + rho * q_function(s - tau_bar)
-        - rho * q_function(s + tau_bar)
-    )
+    """Per-symbol XOR decision error at the optimal threshold (closed form):
+    rho * e0 + (1 - rho) * e1, the one relay law `decision_errors` averaged
+    over the XOR bit; exactly 0 at rho = 1, and the limit 0 where 2*gamma overflows."""
+    e0, e1 = decision_errors(gamma, optimal_threshold(gamma, rho))
+    return rho * e0 + (1.0 - rho) * e1
 
 
 def pnc_symbol_error_numeric(gamma: float, rho: float, tau: float) -> float:

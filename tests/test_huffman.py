@@ -345,3 +345,17 @@ def test_coding_rejects_bits_other_than_zero_and_one():
         encode(cb, np.array([0, 2]))
     with pytest.raises(ValueError, match="got 2"):
         decode_exact(cb, np.array([1, 1, 2]))
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+@pytest.mark.parametrize("where", [0, 5])
+def test_decode_rejects_bits_other_than_zero_and_one_in_the_ones_and_the_tail(bad, where):
+    # on the (3, 1) code [1, 1, 1, 1, 1, 1, 0] is block [0, 0, 1]: three ones,
+    # then the n + 1 = 4 low bits; unchecked, a 2 or a -1 among the three
+    # ones was read as a 1 and decoded to that block
+    cb = build_codebook(3, 1.0)
+    bits = np.array([1, 1, 1, 1, 1, 1, 0])
+    assert np.array_equal(decode_exact(cb, bits), [0, 0, 1])
+    bits[where] = bad
+    with pytest.raises(ValueError, match=f"got {bad}"):
+        decode_exact(cb, bits)

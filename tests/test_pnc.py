@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hpnc import validation
+from hpnc.phy import q_function
 from hpnc.pnc import (
     PncThreshold,
     decision_errors,
@@ -196,7 +197,31 @@ def test_closed_form_matches_quadrature_on_grid(snr_db, rho):
     e0, e1 = decision_errors(gamma, threshold)
     assert abs(e1 - pnc_symbol_error_numeric(gamma, 0.0, tau)) < 1e-9
     assert abs(e0 - pnc_symbol_error_numeric(gamma, 1.0, tau)) < 1e-9
-    assert rho * e0 + (1.0 - rho) * e1 == pytest.approx(closed, rel=1e-15)
+
+
+def three_term_symbol_error(gamma, rho):
+    """Reference: the closed form summed term by term, without decision_errors:
+    2 (1 - rho) Q(tau_bar) + rho Q(s - tau_bar) - rho Q(s + tau_bar)."""
+    tau_bar = optimal_threshold(gamma, rho).tau_bar
+    s = 2.0 * math.sqrt(2.0 * gamma)
+    return (
+        2.0 * (1.0 - rho) * q_function(tau_bar)
+        + rho * q_function(s - tau_bar)
+        - rho * q_function(s + tau_bar)
+    )
+
+
+def test_closed_form_matches_the_three_term_form():
+    # -10 to 30 dB in 0.25 dB steps by rho = 0.50 to 1.00 in 0.01 steps: the
+    # two orders of summation agree to rounding (at most 6.9e-16 relative),
+    # and where the three-term form is 0 (rho = 1, Q underflow) so is this one
+    for k in range(-40, 121):
+        gamma = 10.0 ** (k / 40.0)
+        for j in range(50, 101):
+            rho = j / 100.0
+            reference = three_term_symbol_error(gamma, rho)
+            closed = pnc_symbol_error_closed(gamma, rho)
+            assert closed == pytest.approx(reference, rel=1e-15, abs=0.0), (k, j)
 
 
 def test_quadrature_at_zero_threshold_equals_disagreement_mass():
