@@ -4,11 +4,12 @@ estimate() splits the round budget into chunks; chunk k draws from an
 independent PCG64 stream seeded with SeedSequence((seed, k)), and results
 are commutative sums of per-chunk counters, so estimates are bit-identical
 for a fixed (seed, chunks) however the chunks are scheduled.  The non-empty
-chunks run on a thread pool of min(non-empty chunks, usable CPUs) threads;
-numpy's draws and array operations release the interpreter lock, so the
-threads overlap.  Each chunk fills its own work arrays through out=, which
-draws the same values as sized calls, so a result is the same for every
-pool size.
+chunks run on a thread pool of min(non-empty chunks, usable CPUs) threads,
+one pool per size per process, kept from one estimate to the next; numpy's
+draws and array operations release the interpreter lock, so the threads
+overlap.  Each chunk fills its own work arrays through out=, which draws
+the same values as sized calls, so a result is the same for every pool
+size.
 
 Both schemes run the same chain kernel: the conventional baseline is the
 compressed scheme designed for r = 0, that is the rho = 0.5 threshold and
@@ -18,10 +19,16 @@ XOR decision per bit and a terminal one hard bit per codeword bit, so no
 source, level or noise sample is drawn.  Within a chunk, rounds run in
 vectorised sub-batches of up to 2^16 rounds.  Each draws, in this order:
 
-1. one uniform u per (round, bit), an (m, n) array: the XOR bit is
-   u >= rho, and the relay decides it wrongly exactly where
-   rho (1 - e0) <= u < rho + (1 - rho) e1, with (e0, e1) from
-   pnc.decision_errors;
+1. one uniform per (group, round), group by group: the block's n bits
+   split MSB first into groups of 6 and one shorter group when 6 does not
+   divide n.  A bit's (XOR bit, relay decision) pair has the law
+   [[rho (1 - e0), rho e0], [(1 - rho) e1, (1 - rho)(1 - e1)]], with
+   (e0, e1) from pnc.decision_errors, and given the XOR bit the decisions
+   are independent, so a group's 4^g outcomes have the product law.
+   Walker's alias method (Vose's construction) draws an outcome from one
+   uniform.  The uniforms lie on the 2^-53 grid, so each outcome's
+   probability is realised on that grid too, and a group's law is off by
+   at most 4096 * 2^-53 (about 4.5e-13) in all;
 2. the downlink towards T1, then towards T2: the positions of the flips
    among the lens.sum() codeword bits the relay sends, where lens holds the
    lengths of the m codewords.  Each sent bit flips independently with
@@ -29,6 +36,9 @@ vectorised sub-batches of up to 2^16 rounds.  Each draws, in this order:
    geometric(p), and only those gaps are drawn: about lens.sum() * p of
    them (8 % of the bits at 0 dB, a handful per sub-batch at 10 dB).
    Nothing is drawn for padding, nor at p = 0.
+
+The alias draw changed the stream layout for the third time, so estimates
+differ from those of earlier versions by sampling noise only.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,9 +122,74 @@ def _flip_positions(rng: np.random.Generator, p: float, sent: int) -> np.ndarray
         last = int(positions[-1])
 
 
+_GROUP = 6  # bits per uplink draw: a group's table has 4^6 = 4096 outcomes
+
+
+def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table of `law` over N outcomes: (thresholds, alias).
+
+    Outcome i keeps its bin's share thresholds[i] of 1/N and hands the rest
+    to alias[i].  Vose's pairing is vectorised: the small outcomes (N law <
+    1) fill their deficits, in index order, from the large ones' excesses,
+    in index order, and a large one whose excess runs out becomes small
+    and takes its overdraft from the next large one.  On the running sums
+    of deficits and excesses each small outcome's donor is a searchsorted
+    and each large one's overdraft a difference.
+    """
+    size = law.size
+    q = law * size
+    small = q < 1.0
+    small[np.argmax(q)] = False  # one large outcome whatever the rounding
+    smalls = np.flatnonzero(small)
+    larges = np.flatnonzero(~small)
+    filled = np.cumsum(1.0 - q[smalls])  # deficits filled after each small
+    given = np.cumsum(q[larges] - 1.0)  # excess given up to each large
+    thresholds = np.ones(size)
+    alias = np.arange(size)
+    thresholds[smalls] = q[smalls]
+    # a small one's donor is the first large one whose excess is not yet
+    # used up before it
+    before = np.concatenate(([0.0], filled[:-1]))
+    alias[smalls] = larges[np.minimum(np.searchsorted(given, before), larges.size - 1)]
+    # large j (not the last) runs out at the first small that fills past
+    # given[j]; what that small overdraws comes from large j + 1
+    out = np.searchsorted(filled, given[:-1], side="right")
+    spent = np.flatnonzero(out < smalls.size)
+    thresholds[larges[spent]] = 1.0 - (filled[out[spent]] - given[spent])
+    alias[larges[spent]] = larges[spent + 1]
+    return thresholds, alias
+
+
+def _uplink_tables(n: int, rho: float, e0: float, e1: float) -> list:
+    """One (cuts, outcomes) alias table per group of up to _GROUP bits.
+
+    A bit's joint law of (XOR bit b, relay decision b_hat) is
+    [[rho (1 - e0), rho e0], [(1 - rho) e1, (1 - rho)(1 - e1)]], and given b
+    the decisions are independent, so a g-bit group's law is the g-fold
+    Kronecker power, over outcomes (b bits << g) | b_hat bits.  A uniform u
+    draws bin i = floor(N u) and keeps i where N u < cuts[i] = i + its
+    threshold.  outcomes[2 i + keep] is the drawn outcome packed into the
+    block: b_hat's bits, then b's n bits above them, then 1 << 2n if they
+    differ, so a round's values add over its groups.
+    """
+    joint = np.array([[rho * (1.0 - e0), rho * e0], [(1.0 - rho) * e1, (1.0 - rho) * (1.0 - e1)]])
+    tables = []
+    for start in range(0, n, _GROUP):
+        g = min(_GROUP, n - start)
+        shift = n - start - g  # the group's lowest bit in the block, MSB first
+        law = np.ones((1, 1))
+        for _ in range(g):
+            law = np.kron(law, joint)
+        thresholds, alias = _alias_table(law.ravel())
+        true, hat = np.divmod(np.arange(law.size), 1 << g)
+        packed = ((true != hat).astype(np.int64) << (2 * n)) | (true << (n + shift)) | (hat << shift)
+        tables.append((np.arange(law.size) + thresholds, np.stack([packed[alias], packed], axis=1).ravel()))
+    return tables
+
+
 def _chunk(
     n: int,
-    cuts: tuple[float, float, float],
+    tables: list,
     p: float,
     cb: HuffmanCodebook,
     rounds: int,
@@ -121,24 +197,23 @@ def _chunk(
 ):
     """Error counters of `rounds` exchange rounds through the chain.
 
-    cuts = (lo, rho, hi) split each bit's uniform u: the XOR bit is
-    u >= rho and the relay errs where lo <= u < hi; each sent bit flips
-    with probability p, and only the flips' positions are drawn
-    (_flip_positions).  The receiver is granted the codeword length
-    (genie framing), so a round the relay got right succeeds when its
-    codeword takes no flip, and a relay-wrong round when cw(b) has the sent
-    length and the flips turn cw(b_hat) into it.
+    Each round draws one uniform per group of `tables` (_uplink_tables),
+    which gives its XOR block b and the relay's block b_hat; each sent bit
+    flips with probability p, and only the flips' positions are drawn
+    (_flip_positions).  The receiver is granted the codeword length (genie
+    framing), so a round the relay got right succeeds when its codeword
+    takes no flip, and a relay-wrong round when cw(b) has the sent length
+    and the flips turn cw(b_hat) into it.
     """
-    lo, rho, hi = cuts
     lengths = cb.lengths.astype(np.int64)
-    # MSB-first block values; n <= 16, so they fit the uint16 products
-    pow_n = (1 << np.arange(n - 1, -1, -1)).astype(np.uint16)
+    low = (1 << n) - 1
     # work arrays that fit the largest sub-batch, filled through out=: the
     # same values in the same stream order as sized draws
-    size = min(_SUBBATCH, rounds) * n
-    up_reals = np.empty(size, np.float64)
-    up_mask = np.empty(size, bool)
-    up_below = np.empty(size, bool)
+    size = min(_SUBBATCH, rounds)
+    draws = np.empty(len(tables) * size)
+    ints = np.empty((6, size), np.int64)
+    cut = np.empty(size)
+    flags = np.empty((2, size), bool)
 
     err = [0, 0]  # [direction 2->1 at T1, direction 1->2 at T2]
     relay_err = 0
@@ -147,45 +222,50 @@ def _chunk(
     while remaining:
         m = min(_SUBBATCH, remaining)
         remaining -= m
-        u = rng.random(out=up_reals[: m * n]).reshape(m, n)
-        xor = np.greater_equal(u, rho, out=up_mask[: m * n].reshape(m, n))
-        v_true = xor.view(np.uint8) @ pow_n
-        # the relay's wrong bits, lo <= u < hi, in xor's memory; b_hat is
-        # b ^ wrong bits, so its block value is v_true ^ their value
-        bad = np.greater_equal(u, lo, out=xor)
-        bad &= np.less(u, hi, out=up_below[: m * n].reshape(m, n))
-        v_bad = bad.view(np.uint8) @ pow_n
-        v_hat = v_true ^ v_bad
-        wrong = v_bad != 0
-        relay_wrong = int(np.count_nonzero(wrong))
+        i, picked, block, hat, lens, ends = ints[:, :m]
+        keep, wrong = flags[:, :m]
+        u = rng.random(out=draws[: len(tables) * m]).reshape(len(tables), m)
+        block.fill(0)
+        for (cuts, outcomes), x in zip(tables, u):
+            # every index below is in range by construction: mode="clip"
+            # skips numpy's bounds check and the copy through a buffer
+            x *= cuts.size  # bin i is [i, i + 1)
+            np.copyto(i, x, casting="unsafe")  # i = floor(x)
+            np.less(x, cuts.take(i, out=cut[:m], mode="clip"), out=keep)
+            i <<= 1
+            i += keep
+            block += outcomes.take(i, out=picked, mode="clip")
+        relay_wrong = int(np.count_nonzero(np.greater_equal(block, 1 << 2 * n, out=wrong)))
         relay_err += relay_wrong
-
-        lens = lengths[v_hat]
-        ends = np.cumsum(lens)
+        np.bitwise_and(block, low, out=hat)
+        np.cumsum(lengths.take(hat, out=lens, mode="clip"), out=ends)
         sent = int(ends[-1])
         dl_bits += sent
         for d in range(2):
             positions = _flip_positions(rng, p, sent)
-            # a round is hit when a flip position falls inside its segment
+            # a round is hit when a flip position falls inside its segment;
+            # the flips ascend, so the rounds hit are runs of equal rows
             rows = np.searchsorted(ends, positions, side="right")
-            hit = np.zeros(m, dtype=bool)
-            hit[rows] = True
-            ok = m - relay_wrong - int(np.count_nonzero(hit & ~wrong))
+            first = np.flatnonzero(np.diff(rows, prepend=-1))  # each run's first flip
+            hit = rows[first]
+            hit_wrong = wrong[hit]
+            ok = m - relay_wrong - (hit.size - int(np.count_nonzero(hit_wrong)))
             # cw(b_hat) != cw(b), so flips can deliver only a relay-wrong
             # round they hit whose true codeword has the sent length
-            c = np.flatnonzero(hit & wrong)
-            c = c[lengths[v_true[c]] == lens[c]]
-            if c.size:
+            c = hit[hit_wrong]
+            true = (block[c] >> n) & low
+            same = lengths[true] == lens[c]
+            if same.any():
                 # codewords of one length L share their first L - k ones,
                 # k = min(L, n + 1), so cw(b_hat) ^ cw(b) sits in the low k
-                # bits.  A round's flips are consecutive in positions; each
-                # adds its bit counted from the codeword's end, and one in
-                # the ones adds 2^(n + 1), above every such XOR
-                k = np.minimum(lens[c], n + 1)
-                want = ((1 << k) - cb.tails[v_hat[c]]) ^ ((1 << k) - cb.tails[v_true[c]])
+                # bits.  Each flip adds its bit counted from the codeword's
+                # end, and one in the ones adds 2^(n + 1), above every such
+                # XOR; a run's sum is its round's flip pattern
                 back = ends[rows] - 1 - positions
-                sums = np.concatenate(([0], np.cumsum(1 << np.minimum(back, n + 1))))
-                pattern = sums[np.searchsorted(rows, c, side="right")] - sums[np.searchsorted(rows, c)]
+                pattern = np.add.reduceat(1 << np.minimum(back, n + 1), first)[hit_wrong][same]
+                c, true = c[same], true[same]
+                k = np.minimum(lens[c], n + 1)
+                want = ((1 << k) - cb.tails[hat[c]]) ^ ((1 << k) - cb.tails[true])
                 ok += int(np.count_nonzero(pattern == want))
             err[d] += m - ok
 
@@ -198,6 +278,14 @@ def _cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of `workers` threads, made on first use.  It starts
+    a thread only when a task finds none idle, so it never holds more than
+    `workers`."""
+    return ThreadPoolExecutor(workers)
 
 
 def estimate(
@@ -228,16 +316,14 @@ def estimate(
     design = params if scheme == SCHEME_HPNC else replace(params, r=0.0)
     rho = design.rho
     e0, e1 = decision_errors(params.gamma, relay_threshold(design))
-    # 1 - (1 - rho) e1 rather than rho + (1 - rho) e1: exactly 1 at the zero
-    # threshold (e1 = 1), where the relay never decides XOR 1
-    cuts = (rho * (1.0 - e0), rho, 1.0 - (1.0 - rho) * (1.0 - e1))
+    tables = _uplink_tables(params.n, rho, e0, e1)
     p = q_function(math.sqrt(2.0 * params.gamma))
     cb = build_codebook(params.n, rho)
 
     base, extra = divmod(rounds, chunks)
 
     def run(k: int):
-        return _chunk(params.n, cuts, p, cb, base + (k < extra), _child_rng(seed, k))
+        return _chunk(params.n, tables, p, cb, base + (k < extra), _child_rng(seed, k))
 
     # chunks past the round budget would be empty, so they are not run
     active = min(chunks, rounds)
@@ -247,10 +333,10 @@ def estimate(
     # O(workers) however many chunks there are
     window = 4 * workers
     totals = [0, 0, 0, 0]  # err12, err21, relay_err, dl_bits
-    with ThreadPoolExecutor(workers) as executor:
-        for first in range(0, active, window):
-            for counts in executor.map(run, range(first, min(first + window, active))):
-                totals = [a + b for a, b in zip(totals, counts)]
+    executor = _pool(workers)
+    for first in range(0, active, window):
+        for counts in executor.map(run, range(first, min(first + window, active))):
+            totals = [a + b for a, b in zip(totals, counts)]
     err12, err21, relay_err, dl_bits = totals
 
     p12 = err12 / rounds

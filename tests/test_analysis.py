@@ -135,7 +135,7 @@ def test_high_snr_coefficient_identity():
 def test_asym_high_coefficient():
     q = q_oracle(math.sqrt(2.0 * 5.0))
     got = hpnc_bler_asym_high(5.0, 0.95, 6, 2.0)
-    assert got == pytest.approx((12.0 - 5.7 + 2.0) * q, rel=1e-10)
+    assert got == pytest.approx((12.0 - 5.7 + 2.0) * q, rel=1e-10, abs=0)
 
 
 def test_every_curve_decreases_with_snr():
@@ -170,7 +170,7 @@ def test_gain_equals_ratio_of_asymptotic_forms(n, r):
     gamma = 12.0
     conv = hpnc_bler_asym_high(gamma, 0.5, n, float(n))
     ratio = conv / hpnc_bler_asym_high(gamma, rho, n, mean)
-    assert ratio == pytest.approx(bler_gain(c, rho), rel=1e-13)
+    assert ratio == pytest.approx(bler_gain(c, rho), rel=1e-13, abs=0)
 
 
 def test_bler_points_are_clamped():

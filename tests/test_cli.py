@@ -414,9 +414,9 @@ def test_output_digest_is_pinned(tmp_path, capsys, args, digest):
 # SHA-256 of stdout: the fixed-width tables and the stdout export
 PINNED_STDOUT = [
     (["bler-sweep", *FAST_SWEEP],
-     "b5789640849e9f584c6eb3eb7cc4bc543c144c7bd9191784d27626c0d04591b3"),
+     "899663b9d989fa8f06c68da3183a17c354e3bb3243a786fabbdeb6d181f39303"),
     (["throughput-sweep", *FAST_SWEEP],
-     "02d1c8e7fccbd9f4fc0d2ff4cdfcde55b50e0d0e2572d584a7c877e454082bf7"),
+     "fb227c155c10f3188ddfdebb1cc293b044da88714e7adc21c7b121df7ba1e60c"),
     (["rate-table", "--n-stop", "8"],
      "a62e7c70cff29558d85766fc35ae91d7c6a9d49bd74028e76357d2f790072c66"),
     (["export-codebook", "--n", "8", "--r", "0.9"],

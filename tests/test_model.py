@@ -56,10 +56,10 @@ def test_system_params_derived():
 
 
 def test_block_probability_values():
-    assert float(block_law(2, 0.7)[0]) == pytest.approx(0.49, rel=1e-12)
+    assert float(block_law(2, 0.7)[0]) == pytest.approx(0.49, rel=1e-12, abs=0)
     for p in block_law(3, 0.5):
         assert p == Fraction(1, 8)
-    assert float(block_law(6, 0.95)[0]) == pytest.approx(0.95**6, rel=1e-14)
+    assert float(block_law(6, 0.95)[0]) == pytest.approx(0.95**6, rel=1e-14, abs=0)
     with pytest.raises(ValueError):
         length_distribution(build_codebook(2, 0.95), 1.5)
 
@@ -86,7 +86,7 @@ def test_block_probability_depends_only_on_zero_count():
     for zeros, values in by_zeros.items():
         assert len(values) == 1
         p = float(Fraction(values.pop(), sum(weights)))
-        assert p == pytest.approx(rho**zeros * (1.0 - rho) ** (n - zeros), rel=1e-12)
+        assert p == pytest.approx(rho**zeros * (1.0 - rho) ** (n - zeros), rel=1e-12, abs=0)
 
 
 def test_block_int_round_trip():

@@ -66,9 +66,9 @@ def test_estimate_is_deterministic():
     assert third != first  # chunk layout is part of the stream derivation
 
 
-def test_chunks_beyond_the_round_budget_are_empty(monkeypatch):
-    # chunk k >= rounds gets no rounds, so it changes nothing, costs nothing
-    # and asks for no thread
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The threads started while the test runs."""
     started = []
     start = threading.Thread.start
 
@@ -77,15 +77,34 @@ def test_chunks_beyond_the_round_budget_are_empty(monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return started
+
+
+def test_chunks_beyond_the_round_budget_are_empty(monkeypatch, started_threads):
+    # chunk k >= rounds gets no rounds, so it changes nothing, costs nothing
+    # and asks for no thread
     params = SystemParams(n=6, r=0.8, gamma=1.0)
-    # the pool has min(chunks run, CPUs) threads; an idle one may take the
-    # next chunk before another starts
+    # a fresh pool has min(chunks run, CPUs) threads at most; an idle one may
+    # take the next chunk before another starts
     for rounds, cores in [(10, 1), (10, 2), (10, 3), (1, 3)]:
         monkeypatch.setattr(sim, "_cores", lambda: cores)
-        started.clear()
+        sim._pool.cache_clear()
+        started_threads.clear()
         many = estimate(params, "hpnc", rounds, seed=21, chunks=10**9)
-        assert 1 <= len(started) <= min(rounds, cores)
+        assert 1 <= len(started_threads) <= min(rounds, cores)
         assert replace(many, chunks=rounds) == estimate(params, "hpnc", rounds, seed=21, chunks=rounds)
+
+
+def test_a_second_estimate_starts_no_thread(monkeypatch, started_threads):
+    # the pool outlives an estimate, so the next one finds its thread idle
+    monkeypatch.setattr(sim, "_cores", lambda: 1)
+    sim._pool.cache_clear()
+    params = SystemParams(n=6, r=0.8, gamma=1.0)
+    first = estimate(params, "hpnc", 1000, seed=21)
+    assert len(started_threads) == 1
+    started_threads.clear()
+    assert estimate(params, "hpnc", 1000, seed=21) == first
+    assert started_threads == []
 
 
 @pytest.mark.parametrize(
@@ -171,7 +190,7 @@ def test_noiseless_full_correlation_downlink():
     shortest = int(cb.lengths[0])
     est = estimate(params, "hpnc", 2_000, seed=9, chunks=2)
     assert est.mean_downlink_bits == float(shortest)
-    assert est.throughput == pytest.approx(12.0 / (6.0 + shortest), rel=1e-12)
+    assert est.throughput == pytest.approx(12.0 / (6.0 + shortest), rel=1e-12, abs=0)
 
 
 def test_noiseless_hpnc_chain():
@@ -325,33 +344,41 @@ def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monke
     # only the lengths and tails: the code has no other format
     rounds = 4000
     cb = build_codebook(n, rho)
-    e0, e1 = decision_errors(gamma, optimal_threshold(gamma, rho))
-    cuts = (rho * (1.0 - e0), rho, rho + (1.0 - rho) * e1)
+    tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
     p = q_function(math.sqrt(2.0 * gamma))
     code = types.SimpleNamespace(lengths=cb.lengths, tails=cb.tails)
     # one sub-batch, then uneven ones whose downlinks outgrow the work arrays
     for sub in (sim._SUBBATCH, 1500):
         monkeypatch.setattr(sim, "_SUBBATCH", sub)
-        got = _chunk(n, cuts, p, code, rounds, np.random.default_rng(5))
-        expected, delivered_anyway = replay_chunk(n, cuts, p, cb, rounds, sub, np.random.default_rng(5))
+        got = _chunk(n, tables, p, code, rounds, np.random.default_rng(5))
+        expected, delivered_anyway = replay_chunk(n, tables, p, cb, rounds, sub, np.random.default_rng(5))
         assert delivered_anyway > 0
         assert got == expected
 
 
-def replay_chunk(n, cuts, p, cb, rounds, sub, rng):
+def replay_chunk(n, tables, p, cb, rounds, sub, rng):
     """The kernel's counters, from its draw order replayed with sized draws
-    (the kernel fills work arrays through out=) and every round encoded and
+    (the kernel fills work arrays through out=), each round's groups drawn
+    one at a time from their alias tables and every round encoded and
     decoded on its own; also returns how many relay errors were delivered
     anyway.  The downlink flips come from the same sampler as the kernel's,
     which its own tests hold to the per-bit law."""
-    lo, rho, hi = cuts
+    low = (1 << n) - 1
     errors = [0, 0]
     relay_wrong = sent_total = delivered_anyway = 0
     for first in range(0, rounds, sub):
         m = min(sub, rounds - first)
-        u = rng.random((m, n))
-        xor = u >= rho
-        b_hat = ((u >= lo) ^ xor ^ (u >= hi)).astype(np.uint8)
+        u = rng.random((len(tables), m))
+        xor = np.zeros((m, n), np.uint8)
+        b_hat = np.zeros((m, n), np.uint8)
+        for row in range(m):
+            value = 0
+            for (cuts, outcomes), draw in zip(tables, u[:, row]):
+                x = draw * cuts.size
+                i = int(x)
+                value += int(outcomes[2 * i + 1] if x < cuts[i] else outcomes[2 * i])
+            xor[row] = [(value >> (2 * n - 1 - j)) & 1 for j in range(n)]
+            b_hat[row] = [(value & low) >> (n - 1 - j) & 1 for j in range(n)]
         words = [encode(cb, row) for row in b_hat]
         sent = sum(word.size for word in words)
         for d in range(2):
@@ -369,6 +396,88 @@ def replay_chunk(n, cuts, p, cb, rounds, sub, rng):
         relay_wrong += int(np.count_nonzero(np.any(b_hat != xor, axis=1)))
         sent_total += sent
     return (errors[1], errors[0], relay_wrong, sent_total), delivered_anyway
+
+
+def product_law(g, rho, e0, e1):
+    """The joint law of g bits' (XOR bit, relay decision), indexed by
+    (b bits << g) | b_hat bits, MSB first: the product of the per-bit law."""
+    joint = [[rho * (1.0 - e0), rho * e0], [(1.0 - rho) * e1, (1.0 - rho) * (1.0 - e1)]]
+    law = np.ones(4**g)
+    for outcome in range(4**g):
+        for j in range(g):
+            law[outcome] *= joint[(outcome >> (2 * g - 1 - j)) & 1][(outcome >> (g - 1 - j)) & 1]
+    return law
+
+
+def table_outcomes(cuts, outcomes, g):
+    """A one-group table's thresholds and the outcomes (b bits << g) |
+    b_hat bits it keeps and hands on, checking each packed value's flag."""
+    size = 4**g
+    thresholds = cuts - np.arange(size)
+    flag = outcomes >> (2 * g)
+    unpacked = outcomes & (size - 1)
+    assert np.array_equal(flag, (unpacked >> g != unpacked & ((1 << g) - 1)).astype(int))
+    return thresholds, unpacked[1::2], unpacked[0::2]
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+@pytest.mark.parametrize(
+    "rho,errors",
+    [
+        (0.5, decision_errors(1.0, optimal_threshold(1.0, 0.5))),
+        (0.95, decision_errors(1.0, optimal_threshold(1.0, 0.95))),
+        (0.95, decision_errors(10.0, optimal_threshold(10.0, 0.95))),
+        (1.0, decision_errors(2.0, optimal_threshold(2.0, 1.0))),
+        (1.0, (0.0, 1.0)),  # the zero threshold at rho = 1: thresholds of 0
+        (0.95, (1e-300, 0.3)),
+    ],
+)
+def test_alias_table_implies_the_product_law(g, rho, errors):
+    # bin i keeps threshold i of its 1/N and hands 1 - threshold i to its
+    # alias; summed, that is the law each group's uniform draws
+    (cuts, outcomes), = sim._uplink_tables(g, rho, *errors)
+    thresholds, kept, handed = table_outcomes(cuts, outcomes, g)
+    assert np.all((thresholds >= 0.0) & (thresholds <= 1.0))
+    size = 4**g
+    implied = (np.bincount(kept, thresholds, size) + np.bincount(handed, 1.0 - thresholds, size)) / size
+    assert np.max(np.abs(implied - product_law(g, rho, *errors))) <= 1e-13
+
+
+@pytest.mark.parametrize("rho,gamma", [(0.5, 1.0), (0.95, 2.0)])
+def test_alias_draws_follow_the_product_law(rho, gamma):
+    # 10^6 draws, binned by outcome; bins expecting fewer than 5 draws are
+    # pooled, and chi-square is within 5 standard deviations of its dof
+    g, draws = 6, 10**6
+    errors = decision_errors(gamma, optimal_threshold(gamma, rho))
+    (cuts, outcomes), = sim._uplink_tables(g, rho, *errors)
+    x = np.random.default_rng(17).random(draws) * cuts.size
+    i = x.astype(np.intp)
+    counts = np.bincount(outcomes[2 * i + (x < cuts[i])] & (4**g - 1), minlength=4**g)
+    expected = draws * product_law(g, rho, *errors)
+    rare = expected < 5.0
+    observed = np.append(counts[~rare], counts[rare].sum())
+    expected = np.append(expected[~rare], expected[rare].sum())
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    dof = observed.size - 1
+    assert dof > 100
+    assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof)
+
+
+@pytest.mark.parametrize("n", [7, 13, 16])  # groups of 6 + 1, 6 + 6 + 1, 6 + 6 + 4
+def test_relay_bler_matches_the_exact_block_law(n):
+    # the relay gets a block right when every bit is decided right:
+    # 1 - sum_k C(n, k) rho^(n-k) (1-rho)^k (1-e0)^(n-k) (1-e1)^k
+    params = SystemParams(n=n, r=0.8, gamma=10.0 ** 0.3)
+    rho = params.rho
+    e0, e1 = decision_errors(params.gamma, relay_threshold(params))
+    expected = 1.0 - sum(
+        math.comb(n, k) * rho ** (n - k) * (1.0 - rho) ** k * (1.0 - e0) ** (n - k) * (1.0 - e1) ** k
+        for k in range(n + 1)
+    )
+    rounds = 40_000
+    est = estimate(params, "hpnc", rounds, seed=61)
+    se = math.sqrt(expected * (1.0 - expected) / rounds)
+    assert abs(est.relay_bler - expected) <= 4.0 * se
 
 
 class _CountingRng:
@@ -475,17 +584,18 @@ def test_flip_positions_follow_the_per_bit_law():
 
 
 def test_chunk_draws_only_the_downlink_flips():
-    # n = 6, r = 0.9 at 10 dB: about 1.9 bits per round are sent and a bit
-    # flips with probability 3.9e-6, so a sub-batch needs m * n uniforms for
-    # the uplink and a handful of gaps per direction, not one draw per bit
-    n, rho, gamma = 6, 0.95, 10.0
-    cb = build_codebook(n, rho)
-    e0, e1 = decision_errors(gamma, optimal_threshold(gamma, rho))
-    cuts = (rho * (1.0 - e0), rho, 1.0 - (1.0 - rho) * (1.0 - e1))
+    # r = 0.9 at 10 dB: a bit flips with probability 3.9e-6, so a sub-batch
+    # needs one uniform per round for each group of up to 6 bits (one at
+    # n = 6, three at n = 16) and a handful of gaps per direction, not one
+    # draw per bit
+    rho, gamma = 0.95, 10.0
     p = q_function(math.sqrt(2.0 * gamma))
     m = 12_500  # one chunk of a 100 000-round, 8-chunk estimate
-    rng = _CountingRng(np.random.default_rng(9))
-    sent = _chunk(n, cuts, p, cb, m, rng)[3]
-    assert sent > m
-    assert rng.uniforms == m * n
-    assert 2 <= len(rng.geometric_sizes) and sum(rng.geometric_sizes) <= 2 * 24
+    for n, groups in [(6, 1), (16, 3)]:
+        cb = build_codebook(n, rho)
+        tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
+        rng = _CountingRng(np.random.default_rng(9))
+        sent = _chunk(n, tables, p, cb, m, rng)[3]
+        assert sent > m
+        assert rng.uniforms == groups * m
+        assert 2 <= len(rng.geometric_sizes) and sum(rng.geometric_sizes) <= 2 * 24
