@@ -6,7 +6,8 @@ The relay observes the superposition of two antipodal transmissions
 disagreed (XOR 1).  This module provides the posterior-optimal threshold,
 the per-bit law of that decision given the XOR bit (`decision_errors`, the
 one copy of the relay law, which the simulator draws from and the closed-form
-symbol error averages over the XOR bit), and a quadrature oracle for it.
+symbol error averages over the XOR bit), and a Gauss-Legendre quadrature
+oracle for it.
 
 It is the one place that knows the rho = 1 rule: fully correlated sources
 always agree, so the XOR block is all-zero, the threshold is 0 (every sample
@@ -18,7 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .phy import q_function
+
+# the oracle's quadrature: the 20-point Gauss-Legendre rule (numpy's
+# `leggauss`, by the Golub-Welsch method) on each of 64 equal panels of
+# [0, 1], with weights summing to 1
+_UNIT_NODES, _UNIT_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_NODES = ((np.arange(64)[:, None] + (_UNIT_NODES + 1.0) / 2.0) / 64.0).ravel()
+_WEIGHTS = np.tile(_UNIT_WEIGHTS / 128.0, 64)
 
 
 @dataclass(frozen=True)
@@ -78,51 +88,41 @@ def pnc_symbol_error_closed(gamma: float, rho: float) -> float:
 
 
 def pnc_symbol_error_numeric(gamma: float, rho: float, tau: float) -> float:
-    """Per-symbol XOR decision error by adaptive quadrature, for any threshold.
+    """Per-symbol XOR decision error by Gauss-Legendre quadrature, for any threshold.
 
     Integrates the conditional Gaussian densities over the mis-decision
     regions: the sum-0 density over both outer tails, and the two |sum| = 2
-    densities over the middle region.  Serves as the independent oracle for
-    the closed form and for threshold optimality.
+    densities over the middle region, each with the fixed composite rule
+    `_NODES`, `_WEIGHTS`.  It never calls Q, so it serves as the independent
+    oracle for the closed form and for threshold optimality.
     """
-    if not gamma > 0.0 or math.isinf(gamma):
+    # a subnormal gamma overflows 1 / gamma, where every density reads 0
+    if not 0.0 < gamma < math.inf or math.isinf(1.0 / gamma):
         raise ValueError(f"SNR gamma must be finite and > 0, got {gamma}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"equal factor rho must be in [0, 1], got {rho}")
     if not 0.0 <= tau < math.inf:
         raise ValueError(f"threshold must be finite and nonnegative, got {tau}")
-    # the only scipy import in the package: imported here so that nothing
-    # but this oracle (run by `validate` and the tests) loads scipy
-    from scipy.integrate import quad
+    scale = math.sqrt(1.0 / gamma)
 
-    n0 = 1.0 / gamma
-    norm = math.sqrt(1.0 / (math.pi * n0))
+    def integral(centre: float, lo: float, hi: float) -> float:
+        """Mass on [lo, hi] of the density centred at `centre`, 0 on an empty
+        window; in t = (y - centre) / scale the density is exp(-t^2) / sqrt(pi)."""
+        if not lo < hi:
+            return 0.0
+        a, b = (lo - centre) / scale, (hi - centre) / scale
+        t = a + (b - a) * _NODES
+        return (b - a) / math.sqrt(math.pi) * float(_WEIGHTS @ np.exp(-t * t))
 
-    def center0(y: float) -> float:
-        return norm * math.exp(-y * y / n0)
-
-    # squared by multiplication: far from the centre d * d is inf and
-    # exp(-inf) is 0, where d ** 2 would raise OverflowError
-    def center_pos(y: float) -> float:
-        d = y - 2.0
-        return norm * math.exp(-d * d / n0)
-
-    def center_neg(y: float) -> float:
-        d = y + 2.0
-        return norm * math.exp(-d * d / n0)
-
-    kw = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 200}
-    # over a region far wider than a density's peak, quad's samples miss
-    # it, so each density is integrated only where it has mass to speak of:
-    # within 40 sqrt(n0), 56 standard deviations, of its centre.  The sum-0
-    # density is even, so its two outer tails are equal; the -2 window
-    # mirrors the +2 one
-    width = 40.0 * math.sqrt(n0)
-    tail = quad(center0, tau, width, **kw)[0] if tau < width else 0.0
-    start, stop = max(-tau, 2.0 - width), min(tau, 2.0 + width)
-    mid_pos = quad(center_pos, start, stop, **kw)[0] if start < stop else 0.0
-    mid_neg = quad(center_neg, -stop, -start, **kw)[0] if start < stop else 0.0
-    return (1.0 - rho) * 2.0 * tail + 0.5 * rho * (mid_pos + mid_neg)
+    # each density is integrated only where it has mass to speak of: within
+    # 40 scale, 56 standard deviations, of its centre, so every panel spans
+    # at most 1.25 scale.  The sum-0 density is even, so its two outer tails
+    # are equal; [-tau, tau] is symmetric, so the -2 density has the same
+    # mass there as the +2 one
+    width = 40.0 * scale
+    tail = integral(0.0, tau, width)
+    mid = integral(2.0, max(-tau, 2.0 - width), min(tau, 2.0 + width))
+    return (1.0 - rho) * 2.0 * tail + rho * mid
 
 
 def pnc_block_error(gamma: float, rho: float, n: int) -> float:

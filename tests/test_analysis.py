@@ -82,7 +82,7 @@ def test_hpnc_bler_frozen_value():
     # development (0.4 standard errors away)
     ld = ld_for(6, 0.9)
     assert hpnc_bler(10.0, 0.95, 6, ld) == pytest.approx(
-        2.1257788694883928e-05, rel=1e-12
+        2.1257788694883928e-05, rel=1e-12, abs=0.0
     )
 
 

@@ -137,14 +137,6 @@ def _fresh_interpreter(code: str):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _scipy_modules_after(code: str) -> list:
-    """The scipy modules loaded in a fresh interpreter after running `code`."""
-    return _fresh_interpreter(
-        code + "\nimport sys, json"
-        "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
-    )
-
-
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
 def test_deepest_export_streams_in_bounded_memory():
     # n = 16, r = 1 writes 2.1 GB of codewords up to 65 535 bits long; the
@@ -161,30 +153,30 @@ with open("/proc/self/status") as status:
     assert peak_kb < 100 * 1024
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # only the validate oracle integrates, and Q(x) runs on math.erfc, so
-    # start-up loads no scipy module at all
-    assert _scipy_modules_after("import hpnc") == []
-    assert _scipy_modules_after("import hpnc.cli") == []
-
-
-def test_sweeps_tables_and_export_run_without_scipy(tmp_path):
-    # the cost is gone, not moved from start-up into a command's run time
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it blocked, importing the
+    # package and running each subcommand, validate's oracle included,
+    # must not need it
     out = str(tmp_path / "out")
-    code = f"""
-import contextlib, io
+    sweep = ["--n", "4", "--r", "0.9", "--snr-db-start", "0", "--snr-db-stop", "4",
+             "--snr-db-step", "4", "--rounds", "200", "--chunks", "2", "--out", out]
+    argvs = [
+        ["bler-sweep", *sweep],
+        ["throughput-sweep", *sweep],
+        ["rate-table", "--n-start", "1", "--n-stop", "4", "--out", out],
+        ["validate"],
+        ["export-codebook", "--n", "4", "--r", "0.9", "--out", out],
+    ]
+    codes = _fresh_interpreter(f"""
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+import hpnc
 from hpnc.cli import main
-argvs = [
-    ["bler-sweep", "--n", "4", "--r", "0.9", "--snr-db-start", "0", "--snr-db-stop", "4",
-     "--snr-db-step", "4", "--rounds", "200", "--chunks", "2", "--out", {out!r}],
-    ["rate-table", "--n-start", "1", "--n-stop", "4", "--out", {out!r}],
-    ["export-codebook", "--n", "4", "--r", "0.9", "--out", {out!r}],
-]
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in argvs:
-        assert main(argv) == 0, argv
-"""
-    assert _scipy_modules_after(code) == []
+    codes = [main(argv) for argv in {argvs!r}]
+print(json.dumps(codes))
+""")
+    assert codes == [0] * len(argvs)
 
 
 def test_config_file_rejects_infinite_snr(tmp_path, capsys):

@@ -15,6 +15,7 @@ from hpnc.pnc import (
     pnc_symbol_error_closed,
     pnc_symbol_error_numeric,
 )
+from quad_oracle import quad_symbol_error
 from tau_scan import scan_argmin_tau
 from waveform import decide_xor, relay_decisions
 
@@ -226,14 +227,39 @@ def test_closed_form_matches_the_three_term_form():
 
 def test_quadrature_at_zero_threshold_equals_disagreement_mass():
     # with an empty middle region every symbol is declared XOR 0, so the
-    # error is exactly the probability of a disagreeing pair; from about
-    # gamma = 1e7 the sum-0 peak is narrower than quad's first samples of
-    # an unbounded tail
+    # error is exactly the probability of a disagreeing pair; at gamma = 1e8
+    # the sum-0 peak is about 1e-4 wide, so the oracle finds it only when
+    # its window follows the peak
     for gamma in (2.0, 1e6, 1e7, 1e8):
         for rho in (0.5, 0.8, 0.95):
             assert pnc_symbol_error_numeric(gamma, rho, 0.0) == pytest.approx(
                 1.0 - rho, abs=1e-12
             )
+
+
+# 1 / gamma overflows below about 5.6e-309, where every density would read 0
+@pytest.mark.parametrize("gamma", [0.0, math.inf, math.nan, 1e-310, 5e-324])
+def test_quadrature_rejects_bad_snr(gamma):
+    with pytest.raises(ValueError, match="SNR gamma must be finite and > 0"):
+        pnc_symbol_error_numeric(gamma, 0.8, 0.5)
+    assert pnc_symbol_error_numeric(1e-300, 0.8, 0.5) == pytest.approx(0.2, rel=1e-15, abs=0.0)
+
+
+# -12 to 30 dB by rho from 0 to 1, at fixed thresholds and at the MAP
+# threshold (of rho, or of 0.5 below it) and its neighbours: the fixed rule
+# and the adaptive reference differ by at most 4.1e-15 on this grid
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.6, 0.8, 0.9, 0.95, 0.99, 1.0])
+def test_gauss_legendre_rule_matches_quad(rho):
+    for snr_db in range(-12, 31):
+        gamma = 10.0 ** (snr_db / 10.0)
+        tau_map = optimal_threshold(gamma, max(rho, 0.5)).tau
+        for tau in (0.0, 0.3, 1.0, 3.0, 1e3, tau_map, tau_map + 0.01, max(0.0, tau_map - 0.01)):
+            assert pnc_symbol_error_numeric(gamma, rho, tau) == pytest.approx(
+                quad_symbol_error(gamma, rho, tau), rel=0.0, abs=1e-13
+            ), (snr_db, tau)
+    assert pnc_symbol_error_numeric(1e7, rho, 0.0) == pytest.approx(
+        quad_symbol_error(1e7, rho, 0.0), rel=0.0, abs=1e-13
+    )
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1e-3])
