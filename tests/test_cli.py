@@ -153,10 +153,21 @@ with open("/proc/self/status") as status:
     assert peak_kb < 100 * 1024
 
 
-def test_every_subcommand_runs_without_scipy(tmp_path):
-    # scipy is a test dependency only: with it blocked, importing the
-    # package and running each subcommand, validate's oracle included,
-    # must not need it
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy is a test dependency only: no module of the package, nor of
+    # what it imports, loads any scipy module at start-up
+    code = """
+import json, sys
+import {module}
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+    assert _fresh_interpreter(code.format(module="hpnc")) == []
+    assert _fresh_interpreter(code.format(module="hpnc.cli")) == []
+
+
+def test_sweeps_tables_and_export_run_without_scipy(tmp_path):
+    # with scipy blocked, importing the package and running each of the
+    # five subcommands, validate's oracle included, must not need it
     out = str(tmp_path / "out")
     sweep = ["--n", "4", "--r", "0.9", "--snr-db-start", "0", "--snr-db-stop", "4",
              "--snr-db-step", "4", "--rounds", "200", "--chunks", "2", "--out", out]
