@@ -4,12 +4,10 @@ estimate() splits the round budget into chunks; chunk k draws from an
 independent PCG64 stream seeded with SeedSequence((seed, k)), and results
 are commutative sums of per-chunk counters, so estimates are bit-identical
 for a fixed (seed, chunks) however the chunks are scheduled.  The non-empty
-chunks run on a thread pool of min(non-empty chunks, usable CPUs) threads,
-one pool per size per process, kept from one estimate to the next; numpy's
-draws and array operations release the interpreter lock, so the threads
-overlap.  Each chunk fills its own work arrays through out=, which draws
-the same values as sized calls, so a result is the same for every pool
-size.
+chunks run on one thread pool per process, of usable-CPU size, which starts
+a thread only when none is idle and is kept from one estimate to the next;
+numpy's draws and array operations release the interpreter lock, so the
+threads overlap.
 
 Both schemes run the same chain kernel: the conventional baseline is the
 compressed scheme designed for r = 0, that is the rho = 0.5 threshold and
@@ -207,14 +205,6 @@ def _chunk(
     """
     lengths = cb.lengths.astype(np.int64)
     low = (1 << n) - 1
-    # work arrays that fit the largest sub-batch, filled through out=: the
-    # same values in the same stream order as sized draws
-    size = min(_SUBBATCH, rounds)
-    draws = np.empty(len(tables) * size)
-    ints = np.empty((6, size), np.int64)
-    cut = np.empty(size)
-    flags = np.empty((2, size), bool)
-
     err = [0, 0]  # [direction 2->1 at T1, direction 1->2 at T2]
     relay_err = 0
     dl_bits = 0
@@ -222,23 +212,21 @@ def _chunk(
     while remaining:
         m = min(_SUBBATCH, remaining)
         remaining -= m
-        i, picked, block, hat, lens, ends = ints[:, :m]
-        keep, wrong = flags[:, :m]
-        u = rng.random(out=draws[: len(tables) * m]).reshape(len(tables), m)
-        block.fill(0)
+        u = rng.random((len(tables), m))
+        block = 0  # becomes the rounds' packed outcomes, summed over groups
         for (cuts, outcomes), x in zip(tables, u):
             # every index below is in range by construction: mode="clip"
-            # skips numpy's bounds check and the copy through a buffer
+            # skips numpy's bounds check
             x *= cuts.size  # bin i is [i, i + 1)
-            np.copyto(i, x, casting="unsafe")  # i = floor(x)
-            np.less(x, cuts.take(i, out=cut[:m], mode="clip"), out=keep)
-            i <<= 1
-            i += keep
-            block += outcomes.take(i, out=picked, mode="clip")
-        relay_wrong = int(np.count_nonzero(np.greater_equal(block, 1 << 2 * n, out=wrong)))
+            i = x.astype(np.int64)  # floor(x)
+            i = 2 * i + (x < cuts.take(i, mode="clip"))
+            block += outcomes.take(i, mode="clip")
+        wrong = block >= 1 << 2 * n
+        relay_wrong = int(np.count_nonzero(wrong))
         relay_err += relay_wrong
-        np.bitwise_and(block, low, out=hat)
-        np.cumsum(lengths.take(hat, out=lens, mode="clip"), out=ends)
+        hat = block & low
+        lens = lengths.take(hat, mode="clip")
+        ends = np.cumsum(lens)
         sent = int(ends[-1])
         dl_bits += sent
         for d in range(2):
@@ -281,11 +269,11 @@ def _cores() -> int:
 
 
 @lru_cache(maxsize=None)
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of `workers` threads, made on first use.  It starts
-    a thread only when a task finds none idle, so it never holds more than
-    `workers`."""
-    return ThreadPoolExecutor(workers)
+def _pool() -> ThreadPoolExecutor:
+    """The process's pool of _cores() threads, made on first use.  It starts
+    a thread only when a task finds none idle, so k chunks run on at most
+    min(k, _cores()) threads."""
+    return ThreadPoolExecutor(_cores())
 
 
 def estimate(
@@ -299,8 +287,8 @@ def estimate(
 
     Rounds are split as evenly as possible over `chunks` independent streams;
     the result depends only on (params, scheme, rounds, seed, chunks), not on
-    how many threads run them.  The non-empty chunks run on min(non-empty
-    chunks, usable CPUs) threads.
+    how many threads run them.  The non-empty chunks run on at most
+    min(non-empty chunks, usable CPUs) threads.
     """
     if scheme not in (SCHEME_HPNC, SCHEME_CONVENTIONAL):
         raise ValueError(f"scheme must be 'hpnc' or 'conventional', got {scheme!r}")
@@ -327,13 +315,12 @@ def estimate(
 
     # chunks past the round budget would be empty, so they are not run
     active = min(chunks, rounds)
-    workers = min(active, _cores())
     # map submits every chunk of its range up front, so the chunks go in
     # windows of a few per thread: pending work and the running sums stay
-    # O(workers) however many chunks there are
-    window = 4 * workers
+    # O(threads) however many chunks there are
+    window = 4 * _cores()
     totals = [0, 0, 0, 0]  # err12, err21, relay_err, dl_bits
-    executor = _pool(workers)
+    executor = _pool()
     for first in range(0, active, window):
         for counts in executor.map(run, range(first, min(first + window, active))):
             totals = [a + b for a, b in zip(totals, counts)]

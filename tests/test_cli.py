@@ -424,6 +424,10 @@ PINNED_STDOUT = [
      "a62e7c70cff29558d85766fc35ae91d7c6a9d49bd74028e76357d2f790072c66"),
     (["export-codebook", "--n", "8", "--r", "0.9"],
      "11fc8ff37cf3a4aa4e3888e2a194e4aa8345d72ad107b06fbd9e8ba1ecf01c70"),
+    # 70 000 rounds per chunk: two sub-batches each
+    (["throughput-sweep", "--n", "4", "--r", "0.9", "--snr-db-start", "0", "--snr-db-stop", "0",
+      "--rounds", "140000", "--chunks", "2"],
+     "35421194fabae713f08760fa38bf57161747e130e53ff5d74e6f8809fb20c1f6"),
 ]
 
 

@@ -95,6 +95,18 @@ def test_chunks_beyond_the_round_budget_are_empty(monkeypatch, started_threads):
         assert replace(many, chunks=rounds) == estimate(params, "hpnc", rounds, seed=21, chunks=rounds)
 
 
+def test_estimates_share_one_pool(monkeypatch, started_threads):
+    # one pool of _cores() threads serves every estimate, whatever its
+    # chunk count, so no estimate starts a thread past _cores()
+    monkeypatch.setattr(sim, "_cores", lambda: 2)
+    sim._pool.cache_clear()
+    params = SystemParams(n=6, r=0.8, gamma=1.0)
+    for chunks in (1, 8, 2):
+        estimate(params, "hpnc", 1000, seed=21, chunks=chunks)
+    assert len(started_threads) <= 2
+    assert sim._pool.cache_info().currsize == 1
+
+
 def test_a_second_estimate_starts_no_thread(monkeypatch, started_threads):
     # the pool outlives an estimate, so the next one finds its thread idle
     monkeypatch.setattr(sim, "_cores", lambda: 1)
@@ -126,6 +138,7 @@ def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds, monkeyp
             results = set()
             for cores in (1, 2, 3):  # the pool size, whatever this machine has
                 monkeypatch.setattr(sim, "_cores", lambda: cores)
+                sim._pool.cache_clear()  # the cached pool has the old size
                 results.add(repr(estimate(params, scheme, rounds, seed=13, chunks=chunks)))
             assert len(results) == 1, (chunks, results)
     finally:
@@ -347,7 +360,7 @@ def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monke
     tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
     p = q_function(math.sqrt(2.0 * gamma))
     code = types.SimpleNamespace(lengths=cb.lengths, tails=cb.tails)
-    # one sub-batch, then uneven ones whose downlinks outgrow the work arrays
+    # one sub-batch, then sub-batches of 1500, 1500 and 1000 rounds
     for sub in (sim._SUBBATCH, 1500):
         monkeypatch.setattr(sim, "_SUBBATCH", sub)
         got = _chunk(n, tables, p, code, rounds, np.random.default_rng(5))
@@ -357,12 +370,11 @@ def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monke
 
 
 def replay_chunk(n, tables, p, cb, rounds, sub, rng):
-    """The kernel's counters, from its draw order replayed with sized draws
-    (the kernel fills work arrays through out=), each round's groups drawn
-    one at a time from their alias tables and every round encoded and
-    decoded on its own; also returns how many relay errors were delivered
-    anyway.  The downlink flips come from the same sampler as the kernel's,
-    which its own tests hold to the per-bit law."""
+    """The kernel's counters, from its draw order replayed, each round's
+    groups drawn one at a time from their alias tables and every round
+    encoded and decoded on its own; also returns how many relay errors were
+    delivered anyway.  The downlink flips come from the same sampler as the
+    kernel's, which its own tests hold to the per-bit law."""
     low = (1 << n) - 1
     errors = [0, 0]
     relay_wrong = sent_total = delivered_anyway = 0
@@ -488,8 +500,8 @@ class _CountingRng:
         self.uniforms = 0
         self.geometric_sizes = []
 
-    def random(self, size=None, dtype=np.float64, out=None):
-        values = self._rng.random(size, dtype, out)
+    def random(self, size=None):
+        values = self._rng.random(size)
         self.uniforms += values.size
         return values
 
