@@ -27,16 +27,20 @@ vectorised sub-batches of up to 2^16 rounds.  Each draws, in this order:
    uniform.  The uniforms lie on the 2^-53 grid, so each outcome's
    probability is realised on that grid too, and a group's law is off by
    at most 4096 * 2^-53 (about 4.5e-13) in all;
-2. the downlink towards T1, then towards T2: the positions of the flips
-   among the lens.sum() codeword bits the relay sends, where lens holds the
-   lengths of the m codewords.  Each sent bit flips independently with
-   probability p = Q(sqrt(2 gamma)), so the gaps between flips are i.i.d.
-   geometric(p), and only those gaps are drawn: about lens.sum() * p of
-   them (8 % of the bits at 0 dB, a handful per sub-batch at 10 dB).
-   Nothing is drawn for padding, nor at p = 0.
+2. one uniform per round for the downlink towards T1, then one for T2.
+   Each sent bit flips independently with probability p = Q(sqrt(2 gamma))
+   and the receiver is granted the codeword length, so given the round's
+   (b, b_hat) a direction delivers b with a chance known in closed form:
+   (1 - p)^L when b_hat = b and cw(b_hat) has L bits; p^d (1 - p)^(L - d)
+   when cw(b) also has L bits and differs from cw(b_hat) in d of them; 0
+   otherwise.  The two directions are independent given (b, b_hat), so a
+   direction fails when its uniform is at least that chance.  No flip is
+   drawn, and p = 0 (above about 28.5 dB, where Q underflows) draws the
+   same uniforms.
 
-The alias draw changed the stream layout for the third time, so estimates
-differ from those of earlier versions by sampling noise only.
+The alias draw and then the per-round downlink draw changed the stream
+layout, so estimates differ from those of earlier versions by sampling
+noise only.
 """
 
 from __future__ import annotations
@@ -92,32 +96,6 @@ def relay_threshold(params: SystemParams) -> PncThreshold:
 def _child_rng(seed: int, chunk_index: int) -> np.random.Generator:
     # published stream derivation: PCG64 seeded from SeedSequence((seed, k))
     return np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-
-
-def _flip_positions(rng: np.random.Generator, p: float, sent: int) -> np.ndarray:
-    """Sorted positions in [0, sent) of the sent bits that flip, each one
-    independently with probability p.
-
-    The gaps between flips are i.i.d. geometric(p), so the positions are
-    cumulated gaps, drawn in batches of sent * p plus four standard
-    deviations until they pass sent.  Nothing is drawn at p = 0, where Q
-    underflows (above about 28.5 dB).
-    """
-    if p == 0.0:
-        return np.empty(0, np.int64)
-    mean = sent * p
-    batch = math.ceil(mean + 4.0 * math.sqrt(mean)) + 1
-    parts = []
-    last = -1  # position of the latest flip drawn
-    while True:
-        # a gap past sent + 1 ends the draw all the same; clipped, the cumsum
-        # stays in int64 whatever numpy returns for a tiny p
-        positions = last + np.cumsum(np.minimum(rng.geometric(p, batch), sent + 1))
-        if positions[-1] >= sent:
-            parts.append(positions[: np.searchsorted(positions, sent)])
-            return np.concatenate(parts)
-        parts.append(positions)
-        last = int(positions[-1])
 
 
 _GROUP = 6  # bits per uplink draw: a group's table has 4^6 = 4096 outcomes
@@ -196,15 +174,17 @@ def _chunk(
     """Error counters of `rounds` exchange rounds through the chain.
 
     Each round draws one uniform per group of `tables` (_uplink_tables),
-    which gives its XOR block b and the relay's block b_hat; each sent bit
-    flips with probability p, and only the flips' positions are drawn
-    (_flip_positions).  The receiver is granted the codeword length (genie
-    framing), so a round the relay got right succeeds when its codeword
-    takes no flip, and a relay-wrong round when cw(b) has the sent length
-    and the flips turn cw(b_hat) into it.
+    which gives its XOR block b and the relay's block b_hat, then one
+    uniform per direction, which fails when it is at least the chance that
+    the downlink delivers b.  The receiver is granted the codeword length
+    (genie framing), so a round the relay got right is delivered when its L
+    codeword bits all arrive, and a relay-wrong round when cw(b) has the
+    sent length and exactly the d bits where it differs from cw(b_hat)
+    flip.
     """
     lengths = cb.lengths.astype(np.int64)
     low = (1 << n) - 1
+    flip = p ** np.arange(n + 2)  # flip[d]: d bits flip
     err = [0, 0]  # [direction 2->1 at T1, direction 1->2 at T2]
     relay_err = 0
     dl_bits = 0
@@ -221,41 +201,29 @@ def _chunk(
             i = x.astype(np.int64)  # floor(x)
             i = 2 * i + (x < cuts.take(i, mode="clip"))
             block += outcomes.take(i, mode="clip")
-        wrong = block >= 1 << 2 * n
-        relay_wrong = int(np.count_nonzero(wrong))
-        relay_err += relay_wrong
+        wrong = np.flatnonzero(block >= 1 << 2 * n)
+        relay_err += wrong.size
         hat = block & low
         lens = lengths.take(hat, mode="clip")
-        ends = np.cumsum(lens)
-        sent = int(ends[-1])
-        dl_bits += sent
-        for d in range(2):
-            positions = _flip_positions(rng, p, sent)
-            # a round is hit when a flip position falls inside its segment;
-            # the flips ascend, so the rounds hit are runs of equal rows
-            rows = np.searchsorted(ends, positions, side="right")
-            first = np.flatnonzero(np.diff(rows, prepend=-1))  # each run's first flip
-            hit = rows[first]
-            hit_wrong = wrong[hit]
-            ok = m - relay_wrong - (hit.size - int(np.count_nonzero(hit_wrong)))
-            # cw(b_hat) != cw(b), so flips can deliver only a relay-wrong
-            # round they hit whose true codeword has the sent length
-            c = hit[hit_wrong]
-            true = (block[c] >> n) & low
-            same = lengths[true] == lens[c]
-            if same.any():
-                # codewords of one length L share their first L - k ones,
-                # k = min(L, n + 1), so cw(b_hat) ^ cw(b) sits in the low k
-                # bits.  Each flip adds its bit counted from the codeword's
-                # end, and one in the ones adds 2^(n + 1), above every such
-                # XOR; a run's sum is its round's flip pattern
-                back = ends[rows] - 1 - positions
-                pattern = np.add.reduceat(1 << np.minimum(back, n + 1), first)[hit_wrong][same]
-                c, true = c[same], true[same]
-                k = np.minimum(lens[c], n + 1)
-                want = ((1 << k) - cb.tails[hat[c]]) ^ ((1 << k) - cb.tails[true])
-                ok += int(np.count_nonzero(pattern == want))
-            err[d] += m - ok
+        dl_bits += int(lens.sum())
+        # keep[j]: j bits arrive.  Sized by the codewords sent, not by
+        # max_len: a deep code (n = 16, r = 1: 65 535 bits) mostly sends
+        # short ones
+        keep = (1.0 - p) ** np.arange(lens.max() + 1)
+        chance = keep.take(lens, mode="clip")
+        chance[wrong] = 0.0
+        # a relay-wrong round can be delivered only when cw(b) has the sent
+        # length L.  Codewords of one length share their first L - k ones,
+        # k = min(L, n + 1), so cw(b_hat) ^ cw(b) is this XOR of tails
+        true = (block[wrong] >> n) & low
+        same = lengths[true] == lens[wrong]
+        c, true = wrong[same], true[same]
+        L = lens[c]
+        k = np.minimum(L, n + 1)
+        d = np.bitwise_count(((1 << k) - cb.tails[hat[c]]) ^ ((1 << k) - cb.tails[true]))
+        chance[c] = flip[d] * keep[L - d]
+        for e in range(2):
+            err[e] += int(np.count_nonzero(rng.random(m) >= chance))
 
     return err[1], err[0], relay_err, dl_bits
 

@@ -417,9 +417,9 @@ def test_output_digest_is_pinned(tmp_path, capsys, args, digest):
 # SHA-256 of stdout: the fixed-width tables and the stdout export
 PINNED_STDOUT = [
     (["bler-sweep", *FAST_SWEEP],
-     "899663b9d989fa8f06c68da3183a17c354e3bb3243a786fabbdeb6d181f39303"),
+     "af9edd65ae79e005608728cf9330c46063ba628b982c209ee1eb8f8f17d63e7e"),
     (["throughput-sweep", *FAST_SWEEP],
-     "fb227c155c10f3188ddfdebb1cc293b044da88714e7adc21c7b121df7ba1e60c"),
+     "e6228e90bc6a73ebef4b04eed102d16123af2f48b79bb479e2ecd5d66d5499b6"),
     (["rate-table", "--n-stop", "8"],
      "a62e7c70cff29558d85766fc35ae91d7c6a9d49bd74028e76357d2f790072c66"),
     (["export-codebook", "--n", "8", "--r", "0.9"],
@@ -427,7 +427,7 @@ PINNED_STDOUT = [
     # 70 000 rounds per chunk: two sub-batches each
     (["throughput-sweep", "--n", "4", "--r", "0.9", "--snr-db-start", "0", "--snr-db-stop", "0",
       "--rounds", "140000", "--chunks", "2"],
-     "35421194fabae713f08760fa38bf57161747e130e53ff5d74e6f8809fb20c1f6"),
+     "a53c075f88eea82a8acfef2ec398bb490ca5ae93784b138f6cfdaf1647bcc6fc"),
 ]
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from hpnc.analysis import conv_bler_point, hpnc_bler
 from hpnc.huffman import build_codebook, decode_exact, encode, length_distribution
-from hpnc.model import SystemParams
+from hpnc.model import SystemParams, block_to_int, int_to_block
 from hpnc.phy import q_function
 from hpnc.pnc import decision_errors, optimal_threshold
 from hpnc import sim
@@ -44,17 +44,21 @@ def exact_chain_bler(n, rho, gamma, tau, cb):
     prior = rho ** (n - ones) * (1.0 - rho) ** ones
     differ = bits[:, None, :] != bits[None, :, :]  # [b, b_hat, symbol]
     relay = np.prod(np.where(differ, flip[bits][:, None, :], 1.0 - flip[bits][:, None, :]), axis=2)
-    lengths = cb.lengths.astype(int)
-    words = [int(cb.codeword_text(v), 2) for v in range(size)]
-    deliver = np.zeros((size, size))
-    for b in range(size):
-        for b_hat in range(size):
-            if lengths[b] == lengths[b_hat]:
-                d = bin(words[b] ^ words[b_hat]).count("1")
-                deliver[b, b_hat] = p ** d * (1.0 - p) ** (lengths[b] - d)
+    words = [encode(cb, row) for row in bits]
+    deliver = np.array([[delivery_chance(p, word, sent) for sent in words] for word in words])
     joint = prior[:, None] * relay * deliver
     anyway = float(joint.sum() - np.trace(joint))
     return 1.0 - float(joint.sum()), anyway
+
+
+def delivery_chance(p, word, sent):
+    """Chance that a receiver granted the sent length reads codeword `word`
+    when codeword `sent` crosses a BSC(p), from the codeword bits:
+    p^d (1 - p)^(L - d) when both have L bits and differ in d of them, else 0."""
+    if word.size != sent.size:
+        return 0.0
+    d = int(np.count_nonzero(word != sent))
+    return p ** d * (1.0 - p) ** (word.size - d)
 
 
 def test_estimate_is_deterministic():
@@ -232,19 +236,24 @@ def test_run_round_conventional_noiseless():
     assert est.mean_downlink_bits == 6.0
 
 
+EXACT_CHAIN_CASES = [
+    ("hpnc", 4, 0.4, 0.0),
+    ("hpnc", 4, 0.4, 4.0),
+    ("hpnc", 4, 0.9, 0.0),
+    ("hpnc", 4, 0.9, 4.0),
+    ("conventional", 4, 0.4, 0.0),
+    ("conventional", 4, 0.4, 2.0),
+    ("hpnc", 6, 0.9, 0.0),  # 0.297460, where hpnc_bler's product form gives 0.32154
+    ("conventional", 6, 0.4, 0.0),  # 0.674475, 0.0197 of it delivered anyway
+]
+
+
 @pytest.mark.parametrize(
-    "scheme,r,snr_db",
-    [
-        ("hpnc", 0.4, 0.0),
-        ("hpnc", 0.4, 4.0),
-        ("hpnc", 0.9, 0.0),
-        ("hpnc", 0.9, 4.0),
-        ("conventional", 0.4, 0.0),
-        ("conventional", 0.4, 2.0),
-    ],
+    "scheme,n,r,snr_db",
+    EXACT_CHAIN_CASES,
+    ids=[f"{s}-{r}-{db}" if n == 4 else f"{s}-n{n}-{r}-{db}" for s, n, r, db in EXACT_CHAIN_CASES],
 )
-def test_estimate_matches_exact_chain(scheme, r, snr_db):
-    n = 4
+def test_estimate_matches_exact_chain(scheme, n, r, snr_db):
     gamma = 10.0 ** (snr_db / 10.0)
     params = SystemParams(n=n, r=r, gamma=gamma)
     if scheme == "hpnc":
@@ -371,42 +380,35 @@ def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monke
 
 def replay_chunk(n, tables, p, cb, rounds, sub, rng):
     """The kernel's counters, from its draw order replayed, each round's
-    groups drawn one at a time from their alias tables and every round
-    encoded and decoded on its own; also returns how many relay errors were
-    delivered anyway.  The downlink flips come from the same sampler as the
-    kernel's, which its own tests hold to the per-bit law."""
+    groups drawn one at a time from their alias tables and each round's
+    delivery chance computed from the text of its two codewords
+    (delivery_chance); also returns how many relay errors were delivered
+    anyway."""
     low = (1 << n) - 1
     errors = [0, 0]
     relay_wrong = sent_total = delivered_anyway = 0
     for first in range(0, rounds, sub):
         m = min(sub, rounds - first)
         u = rng.random((len(tables), m))
-        xor = np.zeros((m, n), np.uint8)
-        b_hat = np.zeros((m, n), np.uint8)
+        chance = np.empty(m)
+        wrong = np.zeros(m, bool)
         for row in range(m):
             value = 0
             for (cuts, outcomes), draw in zip(tables, u[:, row]):
                 x = draw * cuts.size
                 i = int(x)
                 value += int(outcomes[2 * i + 1] if x < cuts[i] else outcomes[2 * i])
-            xor[row] = [(value >> (2 * n - 1 - j)) & 1 for j in range(n)]
-            b_hat[row] = [(value & low) >> (n - 1 - j) & 1 for j in range(n)]
-        words = [encode(cb, row) for row in b_hat]
-        sent = sum(word.size for word in words)
+            block = int_to_block((value >> n) & low, n)
+            relayed = int_to_block(value & low, n)
+            sent = encode(cb, relayed)
+            chance[row] = delivery_chance(p, encode(cb, block), sent)
+            wrong[row] = not np.array_equal(relayed, block)
+            sent_total += sent.size
+        relay_wrong += int(np.count_nonzero(wrong))
         for d in range(2):
-            flips = np.zeros(sent, np.uint8)
-            flips[sim._flip_positions(rng, p, sent)] = 1
-            start = 0
-            for block, relayed, word in zip(xor, b_hat, words):
-                received = word ^ flips[start:start + word.size]
-                start += word.size
-                decoded = decode_exact(cb, received)
-                if decoded is None or not np.array_equal(decoded, block):
-                    errors[d] += 1
-                elif not np.array_equal(relayed, block):
-                    delivered_anyway += 1
-        relay_wrong += int(np.count_nonzero(np.any(b_hat != xor, axis=1)))
-        sent_total += sent
+            delivered = rng.random(m) < chance
+            errors[d] += m - int(np.count_nonzero(delivered))
+            delivered_anyway += int(np.count_nonzero(delivered & wrong))
     return (errors[1], errors[0], relay_wrong, sent_total), delivered_anyway
 
 
@@ -493,121 +495,52 @@ def test_relay_bler_matches_the_exact_block_law(n):
 
 
 class _CountingRng:
-    """A Generator proxy that counts the variates the kernel draws."""
+    """A Generator proxy with random() alone, which records how many
+    uniforms each call draws; the kernel calling any other method fails."""
 
     def __init__(self, rng):
         self._rng = rng
-        self.uniforms = 0
-        self.geometric_sizes = []
+        self.sizes = []
 
     def random(self, size=None):
         values = self._rng.random(size)
-        self.uniforms += values.size
-        return values
-
-    def geometric(self, p, size):
-        values = self._rng.geometric(p, size)
-        self.geometric_sizes.append(values.size)
+        self.sizes.append(values.size)
         return values
 
 
-class _Ones:
-    """geometric() that returns all ones: a flip at every bit."""
-
-    def geometric(self, p, size):
-        return np.ones(size, np.int64)
-
-
-class _Huge:
-    """geometric() that returns the largest int64, as numpy does for tiny p."""
-
-    def geometric(self, p, size):
-        return np.full(size, np.iinfo(np.int64).max)
-
-
-class _OneBatch:
-    """Passes one geometric() batch through and fails on a second, so a
-    draw that should end after one batch cannot loop."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.calls = 0
-
-    def geometric(self, p, size):
-        self.calls += 1
-        assert self.calls == 1, "a gap past sent must end the draw"
-        return self._rng.geometric(p, size)
-
-
-@pytest.mark.parametrize("p", [3.9e-6, 0.0786, 0.3, 0.5])
-@pytest.mark.parametrize("sent", [1, 7, 5000])
-def test_flip_positions_are_sorted_unique_and_inside(p, sent):
-    for seed in range(20):
-        positions = sim._flip_positions(np.random.default_rng(seed), p, sent)
-        assert positions.dtype.kind == "i"
-        assert np.all(np.diff(positions) > 0)
-        assert positions.size == 0 or (positions[0] >= 0 and positions[-1] < sent)
-
-
-def test_flip_positions_draw_nothing_when_no_bit_can_flip():
-    # p = 0 past about 28.5 dB, where Q underflows: no draw at all
-    counted = _CountingRng(np.random.default_rng(3))
-    assert sim._flip_positions(counted, 0.0, 10**6).size == 0
-    assert counted.uniforms == 0 and counted.geometric_sizes == []
-    # numpy returns INT64_MAX gaps for p = 1e-300; clipped, the first gap
-    # passes sent and ends the draw, where a wrapped cumsum would land back
-    # in [0, sent) and refill
-    for rng in (np.random.default_rng(3), _Huge()):
-        one_batch = _OneBatch(rng)
-        assert sim._flip_positions(one_batch, 1e-300, 10**9).size == 0
-        assert one_batch.calls == 1
-
-
-def test_flip_positions_refill_until_they_pass_sent():
-    # a flip at every bit: each batch falls short of sent, so it refills
-    counted = _CountingRng(_Ones())
-    sent = 100
-    positions = sim._flip_positions(counted, 0.05, sent)
-    assert len(counted.geometric_sizes) >= 3
-    assert positions.tolist() == list(range(sent))
-
-
-def test_flip_positions_follow_the_per_bit_law():
-    # each of `sent` bits flips independently with probability p: the count
-    # is Binomial(sent, p) and each position's count over the draws is
-    # Binomial(draws, p), independent across positions
-    p, sent, draws = 0.3, 2000, 2000
-    per_position = np.zeros(sent)
-    counts = np.empty(draws)
-    for seed in range(draws):
-        positions = sim._flip_positions(np.random.default_rng(seed), p, sent)
-        counts[seed] = positions.size
-        per_position[positions] += 1
-    mean, var = sent * p, sent * p * (1.0 - p)
-    # within 4 standard errors: of the mean, and of the variance (about
-    # var * sqrt(2 / draws) for a count this close to normal)
-    assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(var / draws)
-    assert abs(counts.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / (draws - 1))
-    # chi-square over the positions has sent degrees of freedom: mean sent,
-    # standard deviation sqrt(2 sent); allow 5 of them
-    expected = draws * p
-    chi2 = float(np.sum((per_position - expected) ** 2) / (expected * (1.0 - p)))
-    assert abs(chi2 - sent) <= 5.0 * math.sqrt(2.0 * sent)
-
-
-def test_chunk_draws_only_the_downlink_flips():
-    # r = 0.9 at 10 dB: a bit flips with probability 3.9e-6, so a sub-batch
-    # needs one uniform per round for each group of up to 6 bits (one at
-    # n = 6, three at n = 16) and a handful of gaps per direction, not one
-    # draw per bit
+def test_chunk_draws_one_uniform_per_group_and_direction():
+    # r = 0.9 at 10 dB, where a bit flips with probability 3.9e-6, and at
+    # p = 0: a sub-batch draws one uniform per round for each group of up
+    # to 6 bits (one at n = 6, three at n = 16), then one per round for each
+    # direction, and nothing per bit
     rho, gamma = 0.95, 10.0
-    p = q_function(math.sqrt(2.0 * gamma))
-    m = 12_500  # one chunk of a 100 000-round, 8-chunk estimate
+    full, m = sim._SUBBATCH, 12_500
     for n, groups in [(6, 1), (16, 3)]:
         cb = build_codebook(n, rho)
         tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
-        rng = _CountingRng(np.random.default_rng(9))
-        sent = _chunk(n, tables, p, cb, m, rng)[3]
-        assert sent > m
-        assert rng.uniforms == groups * m
-        assert 2 <= len(rng.geometric_sizes) and sum(rng.geometric_sizes) <= 2 * 24
+        for p in (q_function(math.sqrt(2.0 * gamma)), 0.0):
+            rng = _CountingRng(np.random.default_rng(9))
+            sent = _chunk(n, tables, p, cb, full + m, rng)[3]
+            assert sent > full + m
+            assert rng.sizes == [groups * full, full, full, groups * m, m, m]
+
+
+@pytest.mark.parametrize("n,rho", [(4, 0.7), (4, 0.95), (6, 0.5), (6, 0.7), (6, 0.8)])
+@pytest.mark.parametrize("p", [0.0786, 0.3])
+def test_delivery_chance_is_the_decoded_mass(n, rho, p):
+    # every flip pattern of every codeword cw(b_hat), decoded with the sent
+    # length granted: the mass that decodes to b is delivery_chance
+    cb = build_codebook(n, rho)
+    assert cb.max_len <= 12
+    size = 1 << n
+    words = [encode(cb, int_to_block(v, n)) for v in range(size)]
+    for b_hat, sent in enumerate(words):
+        length = sent.size
+        mass = np.zeros(size)
+        for pattern in range(1 << length):
+            flips = (pattern >> np.arange(length - 1, -1, -1)) & 1
+            decoded = decode_exact(cb, sent ^ flips)
+            if decoded is not None:
+                d = int(flips.sum())
+                mass[block_to_int(decoded)] += p ** d * (1.0 - p) ** (length - d)
+        assert mass.tolist() == [delivery_chance(p, word, sent) for word in words]
