@@ -14,9 +14,9 @@ leaves with ties broken by block value; that heap stays as the oracle of
 the tests and, under the reversed tie-break, of `cross_check_optimality`.
 Codewords are canonical: blocks sorted by (length, block value) receive
 consecutive code values within each length, so the lengths fix the code
-and each codeword is stored as a small integer tail, in the spirit of the
-per-level first codes of Moffat and Turpin, "On the implementation of
-minimum redundancy prefix codes" (IEEE Trans. Commun. 45(10), 1997).
+and each codeword is kept as its last bits, decoded against a per-level
+base, after Moffat and Turpin, "On the implementation of minimum
+redundancy prefix codes" (IEEE Trans. Commun. 45(10), 1997).
 """
 
 from __future__ import annotations
@@ -67,12 +67,8 @@ def rate_gap_within_bound(gap: float, n: int, r: float) -> bool:
 
 
 def _popcounts(n: int) -> np.ndarray:
-    """Number of ones in every n-bit block value, by doubling: the blocks
-    [2^k, 2^(k+1)) are the blocks [0, 2^k) with one more bit set."""
-    ones = np.zeros(1 << n, dtype=np.uint8)
-    for k in range(n):
-        ones[1 << k : 2 << k] = ones[: 1 << k] + 1
-    return ones
+    """Number of ones in every n-bit block value."""
+    return np.bitwise_count(np.arange(1 << n))
 
 
 def _popcount_classes(n: int) -> list[np.ndarray]:
@@ -230,9 +226,10 @@ class HuffmanCodebook:
     Blocks are identified with integers via MSB-first bit order.  In a
     complete code, level L's consecutive values end where the subtrees of
     the deeper codewords begin, so the block of rank i in level L has value
-    2^L - tail, tail = top_L - i, where top_L counts the level-L nodes at
-    or above a leaf; 1 <= tail <= 2^n.  A codeword is thus L - k ones and
-    then the k low bits of 2^k - tail, k = min(L, n + 1).
+    2^L - top_L + i, where top_L counts the level-L nodes at or above a
+    leaf, top_L <= 2^n.  A codeword is thus L - k ones, then the tail's k
+    bits, k = min(L, n + 1): tails[v] is the last k bits of cw(v), and two
+    codewords of one length differ in tails[a] ^ tails[b].
     """
 
     def __init__(self, n: int, rho: float, lengths: np.ndarray):
@@ -259,13 +256,13 @@ class HuffmanCodebook:
             raise ValueError("code lengths do not satisfy Kraft equality")
         # blocks in canonical (length, block value) order and where each
         # level starts in it: the block at position p of level L's stretch
-        # has tail top_L - (p - first_L) = offset_L - p.  The sort is stable,
-        # and radix on the narrowest unsigned type that holds the lengths
+        # has tail 2^k - top_L + p - first_L = base_L + p.  The sort is
+        # stable, radix on the narrowest unsigned type that holds the lengths
         self._order = np.argsort(lengths.astype(np.min_scalar_type(self.max_len)), kind="stable")
         self._first = np.concatenate(([0], np.cumsum(counts)))
-        self._offset = self._first[:-1] + top
+        self._base = (1 << np.minimum(np.arange(counts.size), n + 1)) - self._first[:-1] - top
         self.tails = np.empty(size, dtype=np.int64)
-        self.tails[self._order] = np.repeat(self._offset, counts) - np.arange(size)
+        self.tails[self._order] = np.repeat(self._base, counts) + np.arange(size)
 
     def codeword_text(self, value: int) -> str:
         """Codeword of the block with the given integer value, as '0'/'1' text."""
@@ -273,7 +270,7 @@ class HuffmanCodebook:
             raise ValueError(f"block value must be in [0, {self.lengths.size}), got {value}")
         length = self.lengths.item(value)
         low = min(length, self.n + 1)
-        return "1" * (length - low) + f"{(1 << low) - self.tails.item(value):0{low}b}"
+        return "1" * (length - low) + f"{self.tails.item(value):0{low}b}"
 
     def codeword_bits(self, value: int) -> np.ndarray:
         """Codeword of the block with the given integer value, as a bit array."""
@@ -323,7 +320,7 @@ def decode_exact(cb: HuffmanCodebook, bits: np.ndarray) -> np.ndarray | None:
     if length > low and not (bits[: length - low] == 1).all():
         block_to_int(bits[: length - low])  # raises ValueError on an entry other than 0 or 1
         return None
-    place = cb._offset.item(length) - ((1 << low) - block_to_int(bits[length - low :]))
+    place = block_to_int(bits[length - low :]) - cb._base.item(length)
     if not cb._first.item(length) <= place < cb._first.item(length + 1):
         return None
     return int_to_block(cb._order.item(place), cb.n)
@@ -350,7 +347,7 @@ def length_distribution(cb: HuffmanCodebook, rho: float) -> LengthDistribution:
     ones = _popcounts(n).astype(np.float64)
     probs = rho ** (n - ones) * (1.0 - rho) ** ones
     mass = np.bincount(cb.lengths, weights=probs, minlength=cb.max_len + 1)
-    support = tuple(int(k) for k in np.unique(cb.lengths))
+    support = tuple(np.flatnonzero(np.bincount(cb.lengths)).tolist())
     pmf = {k: float(mass[k]) for k in support}
     mean = math.fsum(k * pmf[k] for k in support)
     return LengthDistribution(support=support, pmf=pmf, mean=mean)

@@ -182,7 +182,6 @@ def _chunk(
     sent length and exactly the d bits where it differs from cw(b_hat)
     flip.
     """
-    lengths = cb.lengths.astype(np.int64)
     low = (1 << n) - 1
     flip = p ** np.arange(n + 2)  # flip[d]: d bits flip
     err = [0, 0]  # [direction 2->1 at T1, direction 1->2 at T2]
@@ -204,7 +203,7 @@ def _chunk(
         wrong = np.flatnonzero(block >= 1 << 2 * n)
         relay_err += wrong.size
         hat = block & low
-        lens = lengths.take(hat, mode="clip")
+        lens = cb.lengths.take(hat, mode="clip")
         dl_bits += int(lens.sum())
         # keep[j]: j bits arrive.  Sized by the codewords sent, not by
         # max_len: a deep code (n = 16, r = 1: 65 535 bits) mostly sends
@@ -213,15 +212,13 @@ def _chunk(
         chance = keep.take(lens, mode="clip")
         chance[wrong] = 0.0
         # a relay-wrong round can be delivered only when cw(b) has the sent
-        # length L.  Codewords of one length share their first L - k ones,
-        # k = min(L, n + 1), so cw(b_hat) ^ cw(b) is this XOR of tails
+        # length L.  A codeword is L - k ones, then the tail's k bits, with k
+        # fixed by L, so cw(b_hat) ^ cw(b) is tails[b_hat] ^ tails[b]
         true = (block[wrong] >> n) & low
-        same = lengths[true] == lens[wrong]
+        same = cb.lengths[true] == lens[wrong]
         c, true = wrong[same], true[same]
-        L = lens[c]
-        k = np.minimum(L, n + 1)
-        d = np.bitwise_count(((1 << k) - cb.tails[hat[c]]) ^ ((1 << k) - cb.tails[true]))
-        chance[c] = flip[d] * keep[L - d]
+        d = np.bitwise_count(cb.tails[hat[c]] ^ cb.tails[true])
+        chance[c] = flip[d] * keep[lens[c] - d]
         for e in range(2):
             err[e] += int(np.count_nonzero(rng.random(m) >= chance))
 

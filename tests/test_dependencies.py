@@ -31,3 +31,13 @@ def test_declared_dependencies_are_the_imported_third_party_modules():
     declared = {re.split(r"[\s\[<>=!~;]", req, maxsplit=1)[0].lower() for req in declared}
     imported = imported_top_level_modules(ROOT / "src" / "hpnc") - set(sys.stdlib_module_names) - {"hpnc"}
     assert declared == imported
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # huffman and sim call np.bitwise_count, which numpy has from 2.0 on
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    (numpy,) = [req for req in declared if re.match(r"numpy\b", req, re.IGNORECASE)]
+    floor = re.search(r">=\s*(\d+(?:\.\d+)*)", numpy)
+    assert floor is not None, numpy
+    assert tuple(int(part) for part in floor.group(1).split(".")) >= (2, 0)

@@ -24,7 +24,7 @@ from hpnc.huffman import (
 from hpnc.cli import DEFAULT_R_GRID
 from hpnc.model import equal_factor, int_to_block
 
-from canonical_code import canonical_words
+from canonical_code import canonical_values, canonical_words
 
 
 def test_binary_entropy_values():
@@ -192,6 +192,15 @@ def test_point_mass_distribution():
     assert ld.mean == 3.0
 
 
+def test_support_keeps_the_lengths_of_zero_mass():
+    # at rho = 1 only the all-zero block has mass; the other blocks' lengths
+    # stay in the support with probability 0
+    ld = length_distribution(build_codebook(3, 1.0), 1.0)
+    assert ld.support == (1, 2, 3, 4, 5, 6, 7)
+    assert ld.pmf == {1: 1.0, 2: 0.0, 3: 0.0, 4: 0.0, 5: 0.0, 6: 0.0, 7: 0.0}
+    assert ld.mean == 1.0
+
+
 def test_table_export_import_round_trip():
     cb = build_codebook(4, 0.9)
     table = codebook_to_table(cb)
@@ -305,11 +314,11 @@ def test_codebook_rejects_lengths_that_break_kraft_equality_at_construction(leng
         HuffmanCodebook(2, 0.9, np.array(lengths))
 
 
-def test_codebook_derives_canonical_values_on_first_use():
+def test_codebook_tails_are_the_last_bits_of_the_codewords():
     # levels 3, 2, 1 hold 2, 2 and 2 nodes at or above a leaf: each level's
-    # first block has tail top_L, the next one top_L - 1
+    # first block has tail 2^L - top_L, the next one that plus 1
     cb = HuffmanCodebook(2, 0.95, np.array([1, 3, 2, 3]))
-    assert cb.tails.tolist() == [2, 2, 2, 1]
+    assert cb.tails.tolist() == [0, 6, 2, 7]
     assert [cb.codeword_text(v) for v in range(4)] == ["0", "110", "10", "111"]
 
 
@@ -325,16 +334,15 @@ def test_codewords_match_the_python_int_construction(n):
 @pytest.mark.parametrize("rho", [0.5, 0.8, 0.95, 1.0])  # rho = 1: codes past n + 1 bits
 def test_equal_length_codewords_differ_only_in_their_tails(n, rho):
     # the simulator judges a relay error delivered anyway from this identity:
-    # codewords of length L share their first L - k ones, k = min(L, n + 1)
+    # codewords of one length share their first bits and end in their tails
     cb = build_codebook(n, rho)
     tails = cb.tails.tolist()
+    values = canonical_values(cb.lengths)
     for length in np.unique(cb.lengths).tolist():
         blocks = np.flatnonzero(cb.lengths == length).tolist()
-        k = min(length, n + 1)
         for a in blocks:
             for b in blocks:
-                xor = int(cb.codeword_text(a), 2) ^ int(cb.codeword_text(b), 2)
-                assert xor == ((1 << k) - tails[a]) ^ ((1 << k) - tails[b]), (length, a, b)
+                assert values[a] ^ values[b] == tails[a] ^ tails[b], (length, a, b)
 
 
 def test_coding_rejects_bits_other_than_zero_and_one():

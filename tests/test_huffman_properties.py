@@ -80,7 +80,11 @@ def test_deep_codes_keep_small_tails_and_round_trip(n, rho, values):
     # the per-bit table would be 4 GB at n = 16, rho = 1, so a sample of
     # blocks goes through the coder instead
     cb = build_codebook(n, rho)
-    assert 1 <= int(cb.tails.min()) and int(cb.tails.max()) <= 1 << n
+    # a tail is a codeword's last k = min(L, n + 1) bits, and past n bits
+    # a codeword has a one before its last n
+    top = 1 << np.minimum(cb.lengths, n + 1)
+    assert (0 <= cb.tails).all() and (cb.tails < top).all()
+    assert (top - cb.tails <= 1 << n).all()
     for v in values:
         v %= 1 << n
         block = int_to_block(v, n)

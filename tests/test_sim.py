@@ -51,6 +51,16 @@ def exact_chain_bler(n, rho, gamma, tau, cb):
     return 1.0 - float(joint.sum()), anyway
 
 
+def exact_point_bler(params, scheme):
+    """exact_chain_bler of the chain that estimate(params, scheme) samples:
+    the baseline relays with the rho = 0.5 threshold and code."""
+    if scheme == "hpnc":
+        rho, tau = params.rho, relay_threshold(params).tau
+    else:
+        rho, tau = 0.5, optimal_threshold(params.gamma, 0.5).tau
+    return exact_chain_bler(params.n, rho, params.gamma, tau, build_codebook(params.n, rho))
+
+
 def delivery_chance(p, word, sent):
     """Chance that a receiver granted the sent length reads codeword `word`
     when codeword `sent` crosses a BSC(p), from the codeword bits:
@@ -254,13 +264,8 @@ EXACT_CHAIN_CASES = [
     ids=[f"{s}-{r}-{db}" if n == 4 else f"{s}-n{n}-{r}-{db}" for s, n, r, db in EXACT_CHAIN_CASES],
 )
 def test_estimate_matches_exact_chain(scheme, n, r, snr_db):
-    gamma = 10.0 ** (snr_db / 10.0)
-    params = SystemParams(n=n, r=r, gamma=gamma)
-    if scheme == "hpnc":
-        rho, tau = params.rho, relay_threshold(params).tau
-    else:
-        rho, tau = 0.5, optimal_threshold(gamma, 0.5).tau
-    expected, anyway = exact_chain_bler(n, rho, gamma, tau, build_codebook(n, rho))
+    params = SystemParams(n=n, r=r, gamma=10.0 ** (snr_db / 10.0))
+    expected, anyway = exact_point_bler(params, scheme)
     rounds = 200_000
     se = math.sqrt(expected * (1.0 - expected) / rounds)
     # relay errors can be delivered correctly anyway at every point; for the
