@@ -4,10 +4,10 @@ estimate() splits the round budget into chunks; chunk k draws from an
 independent PCG64 stream seeded with SeedSequence((seed, k)), and results
 are commutative sums of per-chunk counters, so estimates are bit-identical
 for a fixed (seed, chunks) however the chunks are scheduled.  The non-empty
-chunks run on one thread pool per process, of usable-CPU size, which starts
-a thread only when none is idle and is kept from one estimate to the next;
-numpy's draws and array operations release the interpreter lock, so the
-threads overlap.
+chunks run in order over one set of work arrays in the calling thread,
+unless every chunk fills a whole sub-batch: then they split into one
+contiguous range per usable CPU, each with its own work arrays, on the
+process's one thread pool.
 
 Both schemes run the same chain kernel: the conventional baseline is the
 compressed scheme designed for r = 0, that is the rho = 0.5 threshold and
@@ -154,13 +154,23 @@ def _uplink_tables(n: int, rho: float, e0: float, e1: float) -> list:
         g = min(_GROUP, n - start)
         shift = n - start - g  # the group's lowest bit in the block, MSB first
         law = np.ones((1, 1))
-        for _ in range(g):
-            law = np.kron(law, joint)
+        for _ in range(g):  # law = kron(law, joint)
+            law = (law[:, None, :, None] * joint[None, :, None, :]).reshape(2 * law.shape[0], -1)
         thresholds, alias = _alias_table(law.ravel())
         true, hat = np.divmod(np.arange(law.size), 1 << g)
         packed = ((true != hat).astype(np.int64) << (2 * n)) | (true << (n + shift)) | (hat << shift)
         tables.append((np.arange(law.size) + thresholds, np.stack([packed[alias], packed], axis=1).ravel()))
     return tables
+
+
+def _work(size: int, groups: int) -> tuple:
+    """_chunk's work arrays for sub-batches of up to `size` rounds through
+    `groups` uplink tables: rows of one block, whose first free raises
+    glibc's trim threshold, so later estimates reuse its pages unfaulted."""
+    rows = np.empty((groups + 6, size))
+    ints = rows[groups + 1 : groups + 4].view(np.int64)
+    narrow = rows[-2].view(np.int32)[:size], rows[-1].view(bool)[:size]
+    return (rows[:groups].ravel(), rows[groups], *ints, *narrow)
 
 
 def _chunk(
@@ -170,6 +180,7 @@ def _chunk(
     cb: HuffmanCodebook,
     rounds: int,
     rng: np.random.Generator,
+    work: tuple,
 ):
     """Error counters of `rounds` exchange rounds through the chain.
 
@@ -180,7 +191,8 @@ def _chunk(
     (genie framing), so a round the relay got right is delivered when its L
     codeword bits all arrive, and a relay-wrong round when cw(b) has the
     sent length and exactly the d bits where it differs from cw(b_hat)
-    flip.
+    flip.  Each sub-batch is computed in `work` (_work, sized for at least
+    min(_SUBBATCH, rounds) rounds), which it writes before it reads.
     """
     low = (1 << n) - 1
     flip = p ** np.arange(n + 2)  # flip[d]: d bits flip
@@ -191,25 +203,31 @@ def _chunk(
     while remaining:
         m = min(_SUBBATCH, remaining)
         remaining -= m
-        u = rng.random((len(tables), m))
-        block = 0  # becomes the rounds' packed outcomes, summed over groups
-        for (cuts, outcomes), x in zip(tables, u):
+        uniforms = work[0][: len(tables) * m]
+        real, index, block, value, lens, flag = (a[:m] for a in work[1:])
+        u = rng.random(out=uniforms.reshape(len(tables), m))
+        for g, ((cuts, outcomes), x) in enumerate(zip(tables, u)):
             # every index below is in range by construction: mode="clip"
             # skips numpy's bounds check
             x *= cuts.size  # bin i is [i, i + 1)
-            i = x.astype(np.int64)  # floor(x)
-            i = 2 * i + (x < cuts.take(i, mode="clip"))
-            block += outcomes.take(i, mode="clip")
-        wrong = np.flatnonzero(block >= 1 << 2 * n)
+            np.copyto(index, x, casting="unsafe")  # floor(x)
+            np.less(x, cuts.take(index, mode="clip", out=real), out=flag)
+            index *= 2
+            index += flag
+            # block becomes the rounds' packed outcomes, summed over groups
+            outcomes.take(index, mode="clip", out=value if g else block)
+            if g:
+                block += value
+        wrong = np.flatnonzero(np.greater_equal(block, 1 << 2 * n, out=flag))
         relay_err += wrong.size
-        hat = block & low
-        lens = cb.lengths.take(hat, mode="clip")
+        hat = np.bitwise_and(block, low, out=index)
+        cb.lengths.take(hat, mode="clip", out=lens)
         dl_bits += int(lens.sum())
         # keep[j]: j bits arrive.  Sized by the codewords sent, not by
         # max_len: a deep code (n = 16, r = 1: 65 535 bits) mostly sends
         # short ones
         keep = (1.0 - p) ** np.arange(lens.max() + 1)
-        chance = keep.take(lens, mode="clip")
+        chance = keep.take(lens, mode="clip", out=real)
         chance[wrong] = 0.0
         # a relay-wrong round can be delivered only when cw(b) has the sent
         # length L.  A codeword is L - k ones, then the tail's k bits, with k
@@ -220,7 +238,7 @@ def _chunk(
         d = np.bitwise_count(cb.tails[hat[c]] ^ cb.tails[true])
         chance[c] = flip[d] * keep[lens[c] - d]
         for e in range(2):
-            err[e] += int(np.count_nonzero(rng.random(m) >= chance))
+            err[e] += int(np.count_nonzero(np.greater_equal(rng.random(out=uniforms[:m]), chance, out=flag)))
 
     return err[1], err[0], relay_err, dl_bits
 
@@ -235,9 +253,9 @@ def _cores() -> int:
 
 @lru_cache(maxsize=None)
 def _pool() -> ThreadPoolExecutor:
-    """The process's pool of _cores() threads, made on first use.  It starts
-    a thread only when a task finds none idle, so k chunks run on at most
-    min(k, _cores()) threads."""
+    """The process's pool of _cores() threads, made on first use and kept
+    from one estimate to the next.  It starts a thread only when a task
+    finds none idle, so k ranges of chunks run on at most k threads."""
     return ThreadPoolExecutor(_cores())
 
 
@@ -252,8 +270,8 @@ def estimate(
 
     Rounds are split as evenly as possible over `chunks` independent streams;
     the result depends only on (params, scheme, rounds, seed, chunks), not on
-    how many threads run them.  The non-empty chunks run on at most
-    min(non-empty chunks, usable CPUs) threads.
+    how many threads run them.  Chunks of at least 2^16 rounds run on
+    min(non-empty chunks, usable CPUs) threads, smaller ones in the caller.
     """
     if scheme not in (SCHEME_HPNC, SCHEME_CONVENTIONAL):
         raise ValueError(f"scheme must be 'hpnc' or 'conventional', got {scheme!r}")
@@ -274,22 +292,24 @@ def estimate(
     cb = build_codebook(params.n, rho)
 
     base, extra = divmod(rounds, chunks)
-
-    def run(k: int):
-        return _chunk(params.n, tables, p, cb, base + (k < extra), _child_rng(seed, k))
-
     # chunks past the round budget would be empty, so they are not run
     active = min(chunks, rounds)
-    # map submits every chunk of its range up front, so the chunks go in
-    # windows of a few per thread: pending work and the running sums stay
-    # O(threads) however many chunks there are
-    window = 4 * _cores()
-    totals = [0, 0, 0, 0]  # err12, err21, relay_err, dl_bits
-    executor = _pool()
-    for first in range(0, active, window):
-        for counts in executor.map(run, range(first, min(first + window, active))):
+
+    def run(first: int, stop: int):
+        # chunks first..stop-1 in order, over one set of work arrays
+        work = _work(min(_SUBBATCH, base + (extra > 0)), len(tables))
+        totals = [0, 0, 0, 0]  # err12, err21, relay_err, dl_bits
+        for k in range(first, stop):
+            counts = _chunk(params.n, tables, p, cb, base + (k < extra), _child_rng(seed, k), work)
             totals = [a + b for a, b in zip(totals, counts)]
-    err12, err21, relay_err, dl_bits = totals
+        return totals
+
+    # threads pay only when every chunk fills whole sub-batches: smaller
+    # ones hand the interpreter lock back and forth more than they overlap
+    threads = min(active, _cores()) if base >= _SUBBATCH else 1
+    bounds = [active * t // threads for t in range(threads + 1)]
+    ranges = (map if threads == 1 else _pool().map)(run, bounds[:-1], bounds[1:])
+    err12, err21, relay_err, dl_bits = (sum(c) for c in zip(*ranges))
 
     p12 = err12 / rounds
     p21 = err21 / rounds

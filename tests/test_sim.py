@@ -98,36 +98,57 @@ def test_chunks_beyond_the_round_budget_are_empty(monkeypatch, started_threads):
     # chunk k >= rounds gets no rounds, so it changes nothing, costs nothing
     # and asks for no thread
     params = SystemParams(n=6, r=0.8, gamma=1.0)
-    # a fresh pool has min(chunks run, CPUs) threads at most; an idle one may
-    # take the next chunk before another starts
+    for rounds in (10, 1):
+        many = estimate(params, "hpnc", rounds, seed=21, chunks=10**9)
+        assert replace(many, chunks=rounds) == estimate(params, "hpnc", rounds, seed=21, chunks=rounds)
+    assert started_threads == []  # one-round chunks are smaller than a sub-batch
+    # with one-round sub-batches, `rounds` one-round chunks fill theirs, so
+    # they run on a fresh pool, with min(chunks run, CPUs) threads at most
+    monkeypatch.setattr(sim, "_SUBBATCH", 1)
     for rounds, cores in [(10, 1), (10, 2), (10, 3), (1, 3)]:
         monkeypatch.setattr(sim, "_cores", lambda: cores)
         sim._pool.cache_clear()
         started_threads.clear()
         many = estimate(params, "hpnc", rounds, seed=21, chunks=10**9)
-        assert 1 <= len(started_threads) <= min(rounds, cores)
+        assert started_threads == []
         assert replace(many, chunks=rounds) == estimate(params, "hpnc", rounds, seed=21, chunks=rounds)
+        if min(rounds, cores) == 1:
+            assert started_threads == []  # one range of chunks runs in the caller
+        else:
+            assert 1 <= len(started_threads) <= min(rounds, cores)
 
 
 def test_estimates_share_one_pool(monkeypatch, started_threads):
-    # one pool of _cores() threads serves every estimate, whatever its
-    # chunk count, so no estimate starts a thread past _cores()
+    # chunks smaller than a sub-batch run in the caller, without the pool
     monkeypatch.setattr(sim, "_cores", lambda: 2)
     sim._pool.cache_clear()
     params = SystemParams(n=6, r=0.8, gamma=1.0)
     for chunks in (1, 8, 2):
         estimate(params, "hpnc", 1000, seed=21, chunks=chunks)
-    assert len(started_threads) <= 2
+    assert started_threads == []
+    assert sim._pool.cache_info().currsize == 0
+    # chunks that fill sub-batches run on one pool of _cores() threads, which
+    # serves every estimate whatever its chunk count, so no estimate starts
+    # a thread past _cores()
+    monkeypatch.setattr(sim, "_SUBBATCH", 100)
+    for chunks in (1, 8, 2):
+        estimate(params, "hpnc", 1000, seed=21, chunks=chunks)
+    assert 1 <= len(started_threads) <= 2
     assert sim._pool.cache_info().currsize == 1
 
 
 def test_a_second_estimate_starts_no_thread(monkeypatch, started_threads):
-    # the pool outlives an estimate, so the next one finds its thread idle
-    monkeypatch.setattr(sim, "_cores", lambda: 1)
+    # chunks smaller than a sub-batch start no thread at all
+    monkeypatch.setattr(sim, "_cores", lambda: 2)
     sim._pool.cache_clear()
     params = SystemParams(n=6, r=0.8, gamma=1.0)
+    estimate(params, "hpnc", 1000, seed=21)
+    assert started_threads == []
+    # chunks that fill sub-batches run on the pool, which outlives an
+    # estimate, so the next one like it finds its threads idle
+    monkeypatch.setattr(sim, "_SUBBATCH", 100)
     first = estimate(params, "hpnc", 1000, seed=21)
-    assert len(started_threads) == 1
+    assert 1 <= len(started_threads) <= 2
     started_threads.clear()
     assert estimate(params, "hpnc", 1000, seed=21) == first
     assert started_threads == []
@@ -143,20 +164,33 @@ def test_a_second_estimate_starts_no_thread(monkeypatch, started_threads):
         ("hpnc", 4, 0.4, 0.0, 3),  # fewer rounds than chunks
     ],
 )
-def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds, monkeypatch):
+def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds, monkeypatch, started_threads):
     params = SystemParams(n=n, r=r, gamma=10.0 ** (snr_db / 10.0))
+    # sub-batches small enough that every chunk fills them (8 chunks fill
+    # one, fewer chunks several and a shorter last one), so the chunks run
+    # on threads
+    monkeypatch.setattr(sim, "_SUBBATCH", max(1, rounds // 8))
+    started = dict.fromkeys((1, 2, 3), 0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
     try:
         for chunks in (1, 2, 5, 8):
             results = set()
-            for cores in (1, 2, 3):  # the pool size, whatever this machine has
+            for cores in started:  # the pool size, whatever this machine has
                 monkeypatch.setattr(sim, "_cores", lambda: cores)
                 sim._pool.cache_clear()  # the cached pool has the old size
+                started_threads.clear()
                 results.add(repr(estimate(params, scheme, rounds, seed=13, chunks=chunks)))
+                started[cores] += len(started_threads)
             assert len(results) == 1, (chunks, results)
     finally:
         sys.setswitchinterval(interval)
+    # each estimate of two or more chunks that fill sub-batches starts at
+    # least one thread on its fresh pool: chunks 2, 5 and 8, or at 3 rounds
+    # chunks 2 alone (whose first range may end before the second is handed
+    # over, so a second thread is not certain)
+    assert started[1] == 0
+    assert min(started[2], started[3]) >= (3 if rounds >= 8 else 1)
     if n == 12:
         est = estimate(params, scheme, rounds, seed=13)
         assert est.relay_bler > 0.1
@@ -377,7 +411,8 @@ def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monke
     # one sub-batch, then sub-batches of 1500, 1500 and 1000 rounds
     for sub in (sim._SUBBATCH, 1500):
         monkeypatch.setattr(sim, "_SUBBATCH", sub)
-        got = _chunk(n, tables, p, code, rounds, np.random.default_rng(5))
+        work = sim._work(min(sub, rounds), len(tables))
+        got = _chunk(n, tables, p, code, rounds, np.random.default_rng(5), work)
         expected, delivered_anyway = replay_chunk(n, tables, p, cb, rounds, sub, np.random.default_rng(5))
         assert delivered_anyway > 0
         assert got == expected
@@ -507,8 +542,8 @@ class _CountingRng:
         self._rng = rng
         self.sizes = []
 
-    def random(self, size=None):
-        values = self._rng.random(size)
+    def random(self, size=None, out=None):
+        values = self._rng.random(size, out=out)
         self.sizes.append(values.size)
         return values
 
@@ -525,9 +560,27 @@ def test_chunk_draws_one_uniform_per_group_and_direction():
         tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
         for p in (q_function(math.sqrt(2.0 * gamma)), 0.0):
             rng = _CountingRng(np.random.default_rng(9))
-            sent = _chunk(n, tables, p, cb, full + m, rng)[3]
+            sent = _chunk(n, tables, p, cb, full + m, rng, sim._work(full, groups))[3]
             assert sent > full + m
             assert rng.sizes == [groups * full, full, full, groups * m, m, m]
+
+
+@pytest.mark.parametrize("n", [6, 16])  # one group, three groups
+def test_chunk_writes_its_work_arrays_before_reading_them(n, monkeypatch):
+    # two sub-batches, the second shorter, through work arrays that start
+    # fresh and through ones that start filled with garbage.  At 0 dB many
+    # relay errors reach the downlink
+    monkeypatch.setattr(sim, "_SUBBATCH", 3000)
+    rho, gamma = 0.95, 1.0
+    cb = build_codebook(n, rho)
+    tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
+    p = q_function(math.sqrt(2.0 * gamma))
+    fresh = _chunk(n, tables, p, cb, 5000, np.random.default_rng(3), sim._work(3000, len(tables)))
+    garbage = sim._work(3000, len(tables))
+    for a in garbage:
+        a.fill({"f": np.nan, "i": -1, "b": True}[a.dtype.kind])
+    assert _chunk(n, tables, p, cb, 5000, np.random.default_rng(3), garbage) == fresh
+    assert fresh[2] > 0
 
 
 @pytest.mark.parametrize("n,rho", [(4, 0.7), (4, 0.95), (6, 0.5), (6, 0.7), (6, 0.8)])
