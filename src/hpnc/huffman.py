@@ -16,7 +16,10 @@ Codewords are canonical: blocks sorted by (length, block value) receive
 consecutive code values within each length, so the lengths fix the code
 and each codeword is kept as its last bits, decoded against a per-level
 base, after Moffat and Turpin, "On the implementation of minimum
-redundancy prefix codes" (IEEE Trans. Commun. 45(10), 1997).
+redundancy prefix codes" (IEEE Trans. Commun. 45(10), 1997).  One decoder
+reads a stream of codewords whose lengths are given: `decode_exact` runs
+it on one word, and `validate` on each code's codewords framed as one
+stream.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 from .model import block_to_int, equal_factor, int_to_block
 
 MAX_BLOCK_LEN = 16
+_BITS = frozenset((0, 1))
 
 
 def binary_entropy(p: float) -> float:
@@ -175,8 +179,7 @@ def _run_lengths(weights: list[int], classes: list[np.ndarray]) -> np.ndarray:
         if pairs:
             parents = np.arange(next_id, next_id + pairs)
             next_id += pairs
-            links.append((ids[0 : 2 * pairs : 2], parents, 1))
-            links.append((ids[1 : 2 * pairs : 2], parents, 1))
+            links.append((ids[: 2 * pairs], parents.repeat(2), 1))
             push(2 * weight, keys[0 : 2 * pairs : 2], parents)
         if keys.size % 2:
             if not heap:
@@ -304,26 +307,50 @@ def encode(cb: HuffmanCodebook, block: np.ndarray) -> np.ndarray:
     return cb.codeword_bits(block_to_int(block))
 
 
+def _decode_words(cb: HuffmanCodebook, bits: np.ndarray, lengths: list[int]) -> list[int]:
+    """Decode a 1-D bit array that is a stream of codewords of the given lengths.
+
+    Returns each word's block value, or -1 for a word that is no codeword of
+    its length (empty, longer than max_len, a 0 among its leading ones or a
+    tail outside its level).  An entry other than 0 or 1 anywhere in the
+    stream (0.0, 1.0 and bools pass) raises ValueError, as does a stream
+    whose size is not the sum of the lengths.
+    """
+    stream = bits.tolist()
+    if not _BITS.issuperset(stream):
+        bad = next(bit for bit in stream if bit not in _BITS)
+        raise ValueError(f"codeword bits must be 0 or 1, got {bad!r}")
+    values = []
+    end = 0
+    for length in lengths:
+        start, end = end, end + length
+        value = -1
+        ones = length - min(length, cb.n + 1)
+        if 0 < length <= cb.max_len and (not ones or stream[start : start + ones].count(1) == ones):
+            tail = 0
+            for bit in stream[start + ones : end]:
+                tail = 2 * tail + bit
+            place = int(tail) - cb._base.item(length)  # float bits sum to a float
+            if cb._first.item(length) <= place < cb._first.item(length + 1):
+                value = cb._order.item(place)
+        values.append(value)
+    if end != len(stream):
+        raise ValueError(f"stream of {len(stream)} bits, but the lengths sum to {end}")
+    return values
+
+
 def decode_exact(cb: HuffmanCodebook, bits: np.ndarray) -> np.ndarray | None:
     """Decode a bit sequence that must be exactly one codeword.
 
     Returns the block, or None when the bits are no codeword of their
     length (truncated, padded or empty input).  The caller treats None as a
-    block error.  Input of at most max_len bits with an entry other than 0
-    or 1 raises ValueError.
+    block error.  Input with an entry other than 0 or 1, wherever it sits,
+    raises ValueError.  The bits are decoded as a one-word stream by the
+    decoder that `validate` runs over each code's codewords as one stream.
     """
-    bits = np.asarray(bits)
-    length = int(bits.size)
-    if length == 0 or length > cb.max_len:
-        return None
-    low = min(length, cb.n + 1)
-    if length > low and not (bits[: length - low] == 1).all():
-        block_to_int(bits[: length - low])  # raises ValueError on an entry other than 0 or 1
-        return None
-    place = block_to_int(bits[length - low :]) - cb._base.item(length)
-    if not cb._first.item(length) <= place < cb._first.item(length + 1):
-        return None
-    return int_to_block(cb._order.item(place), cb.n)
+    bits = np.asarray(bits).ravel()
+    [value] = _decode_words(cb, bits, [bits.size])
+    return None if value < 0 else int_to_block(value, cb.n)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,12 @@ from hpnc.huffman import (
     encode,
     length_distribution,
     theoretical_rate,
+    _decode_words,
     _huffman_lengths,
     _integer_weights,
     _popcounts,
 )
+from hpnc import validation
 from hpnc.cli import DEFAULT_R_GRID
 from hpnc.model import equal_factor, int_to_block
 
@@ -102,6 +104,71 @@ def test_decode_failure_modes():
     assert decode_exact(cb, word[:-1]) is None  # truncated
     assert decode_exact(cb, np.array([], dtype=np.uint8)) is None
     assert decode_exact(cb, np.zeros(cb.max_len + 5, dtype=np.uint8)) is None
+
+
+@pytest.mark.parametrize("dtype", [np.float64, bool])
+def test_decode_takes_float_and_bool_bits(dtype):
+    cb = build_codebook(4, 0.95)
+    for v in range(16):
+        block = int_to_block(v, 4)
+        assert np.array_equal(decode_exact(cb, encode(cb, block).astype(dtype)), block)
+    assert decode_exact(cb, np.zeros(cb.max_len + 1, dtype=dtype)) is None
+
+
+# the (3, 1) code: 0, 1111110, 1111111, 111110, 11110, 1110, 110, 10; a
+# word of L bits is L - k ones, then a k = min(L, 4)-bit tail
+STREAM_CODE = (3, 1.0)
+
+
+@pytest.mark.parametrize("bad", ["1011110", "0000"])  # a 0 among the ones; a tail off its level
+def test_decoder_frames_a_stream_by_the_given_lengths(bad):
+    cb = build_codebook(*STREAM_CODE)
+    text = cb.codeword_text(2) + bad + cb.codeword_text(5)
+    bits = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
+    assert _decode_words(cb, bits, [7, len(bad), 4]) == [2, -1, 5]
+
+
+@pytest.mark.parametrize("where", [0, 6, 7, 13, 14, 17])  # first and last bit of each word
+def test_decoder_rejects_a_bad_entry_in_any_word(where):
+    cb = build_codebook(*STREAM_CODE)
+    bits = np.array([int(c) for c in "1111111" + "1011110" + "1110"])
+    assert _decode_words(cb, bits, [7, 7, 4]) == [2, -1, 5]
+    bits[where] = 2
+    with pytest.raises(ValueError, match="got 2"):
+        _decode_words(cb, bits, [7, 7, 4])
+
+
+def test_decoder_rejects_lengths_that_do_not_frame_the_stream():
+    cb = build_codebook(*STREAM_CODE)
+    bits = np.array([1, 1, 1, 0])
+    for lengths in ([3], [4, 1], []):
+        with pytest.raises(ValueError, match="lengths sum to"):
+            _decode_words(cb, bits, lengths)
+
+
+@pytest.mark.parametrize("word", [[1, 0, 1, 1, 1, 1, 2], [0, 1, 1, 1, 1, 1, 2]])
+def test_decode_checks_the_tail_behind_a_zero_among_the_ones(word):
+    # a 0 among the three leading ones once made the word a non-codeword
+    # before its tail was read, so the 2 went unseen and None came back
+    with pytest.raises(ValueError, match="got 2"):
+        decode_exact(build_codebook(*STREAM_CODE), np.array(word))
+
+
+def test_round_trip_check_counts_two_swapped_tails(monkeypatch):
+    # swapped equal-length tails keep the code prefix-free and complete, so
+    # only the round trip (and the table import) can see them
+    cb = build_codebook(3, 0.9)
+    tails = cb.tails.copy()
+    tails[[3, 5]] = tails[[5, 3]]  # two 5-bit codewords
+    monkeypatch.setattr(cb, "tails", tails)
+    monkeypatch.setattr(validation, "CODEBOOK_N_GRID", (3,))
+    monkeypatch.setattr(validation, "CODEBOOK_RHO_GRID", (0.9,))
+    # the import refuses the swapped table as non-canonical
+    monkeypatch.setattr(validation, "codebook_from_table", lambda text: cb)
+    checks = {c["name"]: c for c in validation.codebook_checks()}
+    assert checks["round_trip_all_blocks"]["deviation"] == 2
+    assert not checks["round_trip_all_blocks"]["passed"]
+    assert checks["prefix_free"]["passed"] and checks["kraft_equality"]["passed"]
 
 
 @pytest.mark.parametrize("n,rho", [(3, 1.0), (4, 1.0), (4, 0.95), (5, 0.7)])
