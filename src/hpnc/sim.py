@@ -1,21 +1,24 @@
 """Monte Carlo engine for full exchange rounds with reproducible seeding.
 
 estimate() splits the round budget into chunks; chunk k draws from an
-independent PCG64 stream seeded with SeedSequence((seed, k)), and results
-are commutative sums of per-chunk counters, so estimates are bit-identical
-for a fixed (seed, chunks) however the chunks are scheduled.  The non-empty
-chunks run in order over one set of work arrays in the calling thread,
-unless every chunk fills a whole sub-batch: then they split into one
-contiguous range per usable CPU, each with its own work arrays, on the
-process's one thread pool.
+independent PCG64 stream seeded with SeedSequence((seed, k, n, rho bits,
+gamma bits)), the float64 bit patterns of the design rho and of gamma, so
+the points of a sweep draw from different streams.  Results are
+commutative sums of per-chunk counters, so estimates are bit-identical for
+a fixed (params, scheme, rounds, seed, chunks) however the chunks are
+scheduled.  The non-empty chunks run in order over one set of work arrays
+in the calling thread, unless every chunk fills a whole sub-batch: then
+they split into one contiguous range per usable CPU, each with its own
+work arrays, on the process's one thread pool.
 
 Both schemes run the same chain kernel: the conventional baseline is the
 compressed scheme designed for r = 0, that is the rho = 0.5 threshold and
-code (the identity fixed-length code), fed with uncorrelated sources.
-The kernel samples the chain at the decision level: the relay keeps one
-XOR decision per bit and a terminal one hard bit per codeword bit, so no
-source, level or noise sample is drawn.  Within a chunk, rounds run in
-vectorised sub-batches of up to 2^16 rounds.  Each draws, in this order:
+code (the identity fixed-length code), fed with uncorrelated sources, and
+it keys its streams on that design point.  The kernel samples the chain
+at the decision level: the relay keeps one XOR decision per bit and a
+terminal one hard bit per codeword bit, so no source, level or noise
+sample is drawn.  Within a chunk, rounds run in vectorised sub-batches of
+up to 2^16 rounds.  Each draws, in this order:
 
 1. one uniform per (group, round), group by group: the block's n bits
    split MSB first into groups of 6 and one shorter group when 6 does not
@@ -27,20 +30,21 @@ vectorised sub-batches of up to 2^16 rounds.  Each draws, in this order:
    uniform.  The uniforms lie on the 2^-53 grid, so each outcome's
    probability is realised on that grid too, and a group's law is off by
    at most 4096 * 2^-53 (about 4.5e-13) in all;
-2. one uniform per round for the downlink towards T1, then one for T2.
-   Each sent bit flips independently with probability p = Q(sqrt(2 gamma))
-   and the receiver is granted the codeword length, so given the round's
+2. one binomial call for both downlinks, towards T1 and towards T2.  Each
+   sent bit flips independently with probability p = Q(sqrt(2 gamma)) and
+   the receiver is granted the codeword length, so given the round's
    (b, b_hat) a direction delivers b with a chance known in closed form:
    (1 - p)^L when b_hat = b and cw(b_hat) has L bits; p^d (1 - p)^(L - d)
    when cw(b) also has L bits and differs from cw(b_hat) in d of them; 0
-   otherwise.  The two directions are independent given (b, b_hat), so a
-   direction fails when its uniform is at least that chance.  No flip is
-   drawn, and p = 0 (above about 28.5 dB, where Q underflows) draws the
-   same uniforms.
+   otherwise.  The directions are independent given (b, b_hat), and the
+   rounds of one chance are i.i.d. trials, so one draw of shape
+   (2, classes) gives each direction's failures of the relay-right rounds
+   of each L, with chance -expm1(L log1p(-p)), and its deliveries of the
+   relay-wrong rounds of each (L, d).  Only classes that occur are drawn.
 
-The alias draw and then the per-round downlink draw changed the stream
-layout, so estimates differ from those of earlier versions by sampling
-noise only.
+The alias draw, then the per-round downlink draw, and then the per-class
+binomial and the per-point seed changed the stream layout, so estimates
+differ from those of earlier versions by sampling noise only.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .huffman import HuffmanCodebook, build_codebook
+from .huffman import build_codebook
 from .model import SystemParams
 from .phy import q_function
 from .pnc import PncThreshold, decision_errors, optimal_threshold
@@ -93,9 +97,10 @@ def relay_threshold(params: SystemParams) -> PncThreshold:
     return optimal_threshold(params.gamma, params.rho)
 
 
-def _child_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    # published stream derivation: PCG64 seeded from SeedSequence((seed, k))
-    return np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
+def _child_rng(seed: int, chunk_index: int, point: tuple) -> np.random.Generator:
+    # published stream derivation: PCG64 seeded from
+    # SeedSequence((seed, k, n, rho bits, gamma bits)), `point` the last three
+    return np.random.default_rng(np.random.SeedSequence((seed, chunk_index, *point)))
 
 
 _GROUP = 6  # bits per uplink draw: a group's table has 4^6 = 4096 outcomes
@@ -167,17 +172,17 @@ def _work(size: int, groups: int) -> tuple:
     """_chunk's work arrays for sub-batches of up to `size` rounds through
     `groups` uplink tables: rows of one block, whose first free raises
     glibc's trim threshold, so later estimates reuse its pages unfaulted."""
-    rows = np.empty((groups + 6, size))
+    rows = np.empty((groups + 5, size))
     ints = rows[groups + 1 : groups + 4].view(np.int64)
-    narrow = rows[-2].view(np.int32)[:size], rows[-1].view(bool)[:size]
-    return (rows[:groups].ravel(), rows[groups], *ints, *narrow)
+    return (rows[:groups].ravel(), rows[groups], *ints, rows[-1].view(bool)[:size])
 
 
 def _chunk(
     n: int,
     tables: list,
     p: float,
-    cb: HuffmanCodebook,
+    lengths: np.ndarray,
+    tails: np.ndarray,
     rounds: int,
     rng: np.random.Generator,
     work: tuple,
@@ -185,18 +190,20 @@ def _chunk(
     """Error counters of `rounds` exchange rounds through the chain.
 
     Each round draws one uniform per group of `tables` (_uplink_tables),
-    which gives its XOR block b and the relay's block b_hat, then one
-    uniform per direction, which fails when it is at least the chance that
-    the downlink delivers b.  The receiver is granted the codeword length
-    (genie framing), so a round the relay got right is delivered when its L
-    codeword bits all arrive, and a relay-wrong round when cw(b) has the
-    sent length and exactly the d bits where it differs from cw(b_hat)
-    flip.  Each sub-batch is computed in `work` (_work, sized for at least
+    which gives its XOR block b and the relay's block b_hat.  The receiver
+    is granted the codeword length (genie framing), so a round the relay got
+    right is delivered when its L codeword bits all arrive, and a
+    relay-wrong round when cw(b) has the sent length and exactly the d bits
+    where it differs from cw(b_hat) flip.  Each sub-batch then draws, per
+    direction, one binomial per class of rounds with one such chance.
+    `lengths` are the codeword lengths as intp, `tails` the code's tails.
+    Each sub-batch is computed in `work` (_work, sized for at least
     min(_SUBBATCH, rounds) rounds), which it writes before it reads.
     """
     low = (1 << n) - 1
-    flip = p ** np.arange(n + 2)  # flip[d]: d bits flip
-    err = [0, 0]  # [direction 2->1 at T1, direction 1->2 at T2]
+    # q_L = -expm1(L log1p(-p)) keeps its digits where 1 - (1 - p)^L cancels
+    log_keep = math.log1p(-p)
+    err = np.zeros(2, dtype=np.int64)  # [direction 2->1 at T1, direction 1->2 at T2]
     relay_err = 0
     dl_bits = 0
     remaining = rounds
@@ -204,7 +211,7 @@ def _chunk(
         m = min(_SUBBATCH, remaining)
         remaining -= m
         uniforms = work[0][: len(tables) * m]
-        real, index, block, value, lens, flag = (a[:m] for a in work[1:])
+        real, index, block, value, flag = (a[:m] for a in work[1:])
         u = rng.random(out=uniforms.reshape(len(tables), m))
         for g, ((cuts, outcomes), x) in enumerate(zip(tables, u)):
             # every index below is in range by construction: mode="clip"
@@ -221,26 +228,33 @@ def _chunk(
         wrong = np.flatnonzero(np.greater_equal(block, 1 << 2 * n, out=flag))
         relay_err += wrong.size
         hat = np.bitwise_and(block, low, out=index)
-        cb.lengths.take(hat, mode="clip", out=lens)
-        dl_bits += int(lens.sum())
-        # keep[j]: j bits arrive.  Sized by the codewords sent, not by
-        # max_len: a deep code (n = 16, r = 1: 65 535 bits) mostly sends
-        # short ones
-        keep = (1.0 - p) ** np.arange(lens.max() + 1)
-        chance = keep.take(lens, mode="clip", out=real)
-        chance[wrong] = 0.0
+        lens = lengths.take(hat, mode="clip", out=value)
+        # right[L]: the relay-right rounds that send L bits.  Sized by the
+        # codewords sent, not by max_len: a deep code (n = 16, r = 1:
+        # 65 535 bits) mostly sends short ones
+        sent = np.bincount(lens)
+        dl_bits += int(sent @ np.arange(sent.size))
+        wrong_lens = lens[wrong]
+        right = sent - np.bincount(wrong_lens, minlength=sent.size)
+        right_lens = np.flatnonzero(right)
         # a relay-wrong round can be delivered only when cw(b) has the sent
         # length L.  A codeword is L - k ones, then the tail's k bits, with k
-        # fixed by L, so cw(b_hat) ^ cw(b) is tails[b_hat] ^ tails[b]
+        # fixed by L, so cw(b_hat) ^ cw(b) is tails[b_hat] ^ tails[b], and
+        # its d <= n + 1 ones put the round in class L (n + 2) + d
         true = (block[wrong] >> n) & low
-        same = cb.lengths[true] == lens[wrong]
-        c, true = wrong[same], true[same]
-        d = np.bitwise_count(cb.tails[hat[c]] ^ cb.tails[true])
-        chance[c] = flip[d] * keep[lens[c] - d]
-        for e in range(2):
-            err[e] += int(np.count_nonzero(np.greater_equal(rng.random(out=uniforms[:m]), chance, out=flag)))
+        same = lengths[true] == wrong_lens
+        d = np.bitwise_count(tails[hat[wrong[same]]] ^ tails[true[same]])
+        pairs = np.bincount(wrong_lens[same] * (n + 2) + d)
+        classes = np.flatnonzero(pairs)
+        length, d = np.divmod(classes, n + 2)
+        counts = np.concatenate((right[right_lens], pairs[classes]))
+        chances = np.concatenate((-np.expm1(right_lens * log_keep), p**d * (1.0 - p) ** (length - d)))
+        draws = rng.binomial(counts, chances, size=(2, counts.size))
+        # a direction fails the relay-right rounds drawn to fail and the
+        # relay-wrong rounds not drawn to be delivered
+        err += draws[:, : right_lens.size].sum(axis=1) + wrong.size - draws[:, right_lens.size :].sum(axis=1)
 
-    return err[1], err[0], relay_err, dl_bits
+    return int(err[1]), int(err[0]), relay_err, dl_bits
 
 
 def _cores() -> int:
@@ -290,6 +304,10 @@ def estimate(
     tables = _uplink_tables(params.n, rho, e0, e1)
     p = q_function(math.sqrt(2.0 * params.gamma))
     cb = build_codebook(params.n, rho)
+    # the design point keys the streams, so the points of a sweep draw apart:
+    # n and the float64 bit patterns of the design rho and of gamma
+    point = (params.n, *np.array([rho, params.gamma]).view(np.uint64).tolist())
+    lengths = cb.lengths.astype(np.intp)  # the kernel's index type, converted once
 
     base, extra = divmod(rounds, chunks)
     # chunks past the round budget would be empty, so they are not run
@@ -300,7 +318,8 @@ def estimate(
         work = _work(min(_SUBBATCH, base + (extra > 0)), len(tables))
         totals = [0, 0, 0, 0]  # err12, err21, relay_err, dl_bits
         for k in range(first, stop):
-            counts = _chunk(params.n, tables, p, cb, base + (k < extra), _child_rng(seed, k), work)
+            rng = _child_rng(seed, k, point)
+            counts = _chunk(params.n, tables, p, lengths, cb.tails, base + (k < extra), rng, work)
             totals = [a + b for a, b in zip(totals, counts)]
         return totals
 

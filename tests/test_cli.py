@@ -417,9 +417,9 @@ def test_output_digest_is_pinned(tmp_path, capsys, args, digest):
 # SHA-256 of stdout: the fixed-width tables and the stdout export
 PINNED_STDOUT = [
     (["bler-sweep", *FAST_SWEEP],
-     "af9edd65ae79e005608728cf9330c46063ba628b982c209ee1eb8f8f17d63e7e"),
+     "2c8713882f3b4e5ab5b24949679f1ab71f9f5e36b99b896b5c0dacfdf41ffbb8"),
     (["throughput-sweep", *FAST_SWEEP],
-     "e6228e90bc6a73ebef4b04eed102d16123af2f48b79bb479e2ecd5d66d5499b6"),
+     "c4b8d6321b9ded2fb788e8da675d8fd0e7d9965b133999579e8aff0e7c87029f"),
     (["rate-table", "--n-stop", "8"],
      "a62e7c70cff29558d85766fc35ae91d7c6a9d49bd74028e76357d2f790072c66"),
     (["export-codebook", "--n", "8", "--r", "0.9"],
@@ -427,7 +427,7 @@ PINNED_STDOUT = [
     # 70 000 rounds per chunk: two sub-batches each
     (["throughput-sweep", "--n", "4", "--r", "0.9", "--snr-db-start", "0", "--snr-db-stop", "0",
       "--rounds", "140000", "--chunks", "2"],
-     "a53c075f88eea82a8acfef2ec398bb490ca5ae93784b138f6cfdaf1647bcc6fc"),
+     "268e9fcc1515386a884dd0d2071e48f7cf277d0dc527ed52ed4a93b7ec06b436"),
     # integer deviations only, so the report does not depend on the platform
     (["validate", "--checks", "codebooks"],
      "87f74f5e9fc15e7e8edba47c71f98d5823cd2dbc395f84d35681cd29ae6e24b7"),

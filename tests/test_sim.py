@@ -4,7 +4,6 @@ import math
 import sys
 import threading
 import tracemalloc
-import types
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +77,46 @@ def test_estimate_is_deterministic():
     assert first == second
     third = estimate(params, "hpnc", 40_000, seed=21, chunks=5)
     assert third != first  # chunk layout is part of the stream derivation
+
+
+def test_each_design_point_draws_its_own_streams(monkeypatch):
+    # chunk k of a point draws from SeedSequence((seed, k, n, rho bits,
+    # gamma bits)): two points of one seed share no stream, and the
+    # baseline keys on the rho = 0.5 design it runs, whatever r is
+    seeds = []
+    child_rng = sim._child_rng
+
+    def recorded(seed, k, point):
+        rng = child_rng(seed, k, point)
+        seeds.append(rng.bit_generator.seed_seq.entropy)
+        return rng
+
+    monkeypatch.setattr(sim, "_child_rng", recorded)
+    gamma = 10.0 ** 0.4
+    points = [
+        (SystemParams(n=6, r=0.4, gamma=gamma), "hpnc"),
+        (SystemParams(n=6, r=0.9, gamma=gamma), "hpnc"),
+        (SystemParams(n=6, r=0.9, gamma=10.0 ** 0.6), "hpnc"),
+        (SystemParams(n=4, r=0.9, gamma=gamma), "hpnc"),
+        (SystemParams(n=6, r=0.4, gamma=gamma), "conventional"),
+        (SystemParams(n=6, r=0.9, gamma=gamma), "conventional"),
+        (SystemParams(n=6, r=0.0, gamma=gamma), "hpnc"),
+    ]
+    streams = []
+    for params, scheme in points:
+        seeds.clear()
+        estimate(params, scheme, 3000, seed=21, chunks=3)
+        streams.append(seeds.copy())
+    bits = np.array([points[0][0].rho, gamma]).view(np.uint64).tolist()
+    assert streams[0] == [(21, k, 6, *bits) for k in range(3)]
+    # the hpnc points differ in r, in gamma and in n
+    assert len({tuple(s) for s in streams[:4]}) == 4
+    # the baseline at any r is the hpnc scheme designed for r = 0
+    assert streams[4] == streams[5] == streams[6]
+    assert not set(streams[4]) & set(streams[0] + streams[1])
+    # so two points of one seed draw different uniforms first
+    first = [sim._child_rng(21, 0, stream[0][2:]).random(4).tolist() for stream in streams[:4]]
+    assert len({tuple(u) for u in first}) == 4
 
 
 @pytest.fixture
@@ -201,7 +240,7 @@ def test_pending_chunks_stay_bounded(monkeypatch):
     params = SystemParams(n=3, r=0.5, gamma=2.0)
     estimate(params, "hpnc", 10, seed=1)  # threshold and codebook built before the trace
     monkeypatch.setattr(sim, "_chunk", lambda *args: (0, 0, 0, 0))
-    monkeypatch.setattr(sim, "_child_rng", lambda seed, k: None)
+    monkeypatch.setattr(sim, "_child_rng", lambda seed, k, point: None)
     tracemalloc.start()
     try:
         est = estimate(params, "hpnc", 10_000, seed=1, chunks=10_000)
@@ -401,37 +440,44 @@ def test_rho_one_uses_zero_threshold():
 )
 def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monkeypatch):
     # at these SNRs the downlink delivers some relay errors anyway, so the
-    # kernel's tail comparison decides part of the count.  The kernel gets
+    # kernel's tail comparison decides part of the classes.  The kernel gets
     # only the lengths and tails: the code has no other format
     rounds = 4000
     cb = build_codebook(n, rho)
     tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
     p = q_function(math.sqrt(2.0 * gamma))
-    code = types.SimpleNamespace(lengths=cb.lengths, tails=cb.tails)
+    lengths = cb.lengths.astype(np.intp)
     # one sub-batch, then sub-batches of 1500, 1500 and 1000 rounds
     for sub in (sim._SUBBATCH, 1500):
         monkeypatch.setattr(sim, "_SUBBATCH", sub)
         work = sim._work(min(sub, rounds), len(tables))
-        got = _chunk(n, tables, p, code, rounds, np.random.default_rng(5), work)
-        expected, delivered_anyway = replay_chunk(n, tables, p, cb, rounds, sub, np.random.default_rng(5))
+        rng = _CountingRng(np.random.default_rng(5))
+        got = _chunk(n, tables, p, lengths, cb.tails, rounds, rng, work)
+        replay = np.random.default_rng(5)
+        expected, delivered_anyway = replay_chunk(n, tables, p, cb, rounds, sub, replay, rng.binomials)
         assert delivered_anyway > 0
         assert got == expected
 
 
-def replay_chunk(n, tables, p, cb, rounds, sub, rng):
-    """The kernel's counters, from its draw order replayed, each round's
+def replay_chunk(n, tables, p, cb, rounds, sub, rng, binomials):
+    """The kernel's counters, from its draw order replayed: each round's
     groups drawn one at a time from their alias tables and each round's
     delivery chance computed from the text of its two codewords
-    (delivery_chance); also returns how many relay errors were delivered
-    anyway."""
+    (delivery_chance).  Per sub-batch the rounds are grouped by that chance
+    into the kernel's classes, in its order: the relay-right rounds by sent
+    length L, with their failure chance, then the relay-wrong rounds whose
+    true codeword also has L bits, by (L, d), with their delivery chance.
+    Each sub-batch's recorded binomial call (counts, chances, draws) must
+    have these classes, and its draws are replayed from the same arguments.
+    Also returns how many relay errors were delivered anyway."""
     low = (1 << n) - 1
     errors = [0, 0]
     relay_wrong = sent_total = delivered_anyway = 0
-    for first in range(0, rounds, sub):
+    for first, (counts, chances, draws) in zip(range(0, rounds, sub), binomials, strict=True):
         m = min(sub, rounds - first)
         u = rng.random((len(tables), m))
-        chance = np.empty(m)
-        wrong = np.zeros(m, bool)
+        right, anyway = {}, {}  # L -> [rounds, chance], (L, d) -> [rounds, chance]
+        never = 0  # relay-wrong rounds whose true codeword has another length
         for row in range(m):
             value = 0
             for (cuts, outcomes), draw in zip(tables, u[:, row]):
@@ -440,15 +486,29 @@ def replay_chunk(n, tables, p, cb, rounds, sub, rng):
                 value += int(outcomes[2 * i + 1] if x < cuts[i] else outcomes[2 * i])
             block = int_to_block((value >> n) & low, n)
             relayed = int_to_block(value & low, n)
-            sent = encode(cb, relayed)
-            chance[row] = delivery_chance(p, encode(cb, block), sent)
-            wrong[row] = not np.array_equal(relayed, block)
+            sent, word = encode(cb, relayed), encode(cb, block)
+            chance = delivery_chance(p, word, sent)
             sent_total += sent.size
-        relay_wrong += int(np.count_nonzero(wrong))
+            if np.array_equal(relayed, block):
+                right.setdefault(sent.size, [0, 1.0 - chance])[0] += 1
+            elif word.size == sent.size:
+                anyway.setdefault((sent.size, int(np.count_nonzero(word != sent))), [0, chance])[0] += 1
+            else:
+                assert chance == 0.0
+                never += 1
+        classes = [right[key] for key in sorted(right)] + [anyway[key] for key in sorted(anyway)]
+        assert counts.tolist() == [count for count, _ in classes]
+        assert chances == pytest.approx([chance for _, chance in classes], rel=1e-12, abs=0)
+        assert draws.shape == (2, len(classes))
+        # the replayed stream reaches the next sub-batch's uplink only when
+        # the binomial call draws what the kernel's did
+        assert np.array_equal(rng.binomial(counts, chances, size=draws.shape), draws)
+        wrong = sum(count for count, _ in anyway.values()) + never
+        relay_wrong += wrong
         for d in range(2):
-            delivered = rng.random(m) < chance
-            errors[d] += m - int(np.count_nonzero(delivered))
-            delivered_anyway += int(np.count_nonzero(delivered & wrong))
+            delivered = int(draws[d, len(right):].sum())
+            errors[d] += int(draws[d, : len(right)].sum()) + wrong - delivered
+            delivered_anyway += delivered
     return (errors[1], errors[0], relay_wrong, sent_total), delivered_anyway
 
 
@@ -535,24 +595,34 @@ def test_relay_bler_matches_the_exact_block_law(n):
 
 
 class _CountingRng:
-    """A Generator proxy with random() alone, which records how many
-    uniforms each call draws; the kernel calling any other method fails."""
+    """A Generator proxy with random() and binomial() alone, which records
+    how many uniforms each random() call draws and, for each binomial()
+    call, its counts, chances and draws; the kernel calling any other method
+    fails."""
 
     def __init__(self, rng):
         self._rng = rng
         self.sizes = []
+        self.binomials = []
 
     def random(self, size=None, out=None):
         values = self._rng.random(size, out=out)
         self.sizes.append(values.size)
         return values
 
+    def binomial(self, n, p, size=None):
+        draws = self._rng.binomial(n, p, size)
+        self.sizes.append(("binomial", draws.shape))
+        self.binomials.append((np.array(n), np.array(p), draws))
+        return draws
 
-def test_chunk_draws_one_uniform_per_group_and_direction():
+
+def test_chunk_draws_one_uniform_per_group_and_one_binomial_call():
     # r = 0.9 at 10 dB, where a bit flips with probability 3.9e-6, and at
     # p = 0: a sub-batch draws one uniform per round for each group of up
-    # to 6 bits (one at n = 6, three at n = 16), then one per round for each
-    # direction, and nothing per bit
+    # to 6 bits (one at n = 6, three at n = 16), then one binomial call over
+    # both directions and its live classes, and nothing per round or per
+    # bit for the downlink
     rho, gamma = 0.95, 10.0
     full, m = sim._SUBBATCH, 12_500
     for n, groups in [(6, 1), (16, 3)]:
@@ -560,9 +630,34 @@ def test_chunk_draws_one_uniform_per_group_and_direction():
         tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
         for p in (q_function(math.sqrt(2.0 * gamma)), 0.0):
             rng = _CountingRng(np.random.default_rng(9))
-            sent = _chunk(n, tables, p, cb, full + m, rng, sim._work(full, groups))[3]
+            err12, err21, relay_err, sent = _chunk(
+                n, tables, p, cb.lengths.astype(np.intp), cb.tails, full + m, rng, sim._work(full, groups)
+            )
             assert sent > full + m
-            assert rng.sizes == [groups * full, full, full, groups * m, m, m]
+            calls = [("binomial", (2, counts.size)) for counts, _, _ in rng.binomials]
+            assert rng.sizes == [groups * full, calls[0], groups * m, calls[1]]
+            # every class drawn holds rounds, and the classes hold at most the
+            # sub-batch's rounds
+            for (counts, chances, _), rounds in zip(rng.binomials, (full, m)):
+                assert np.all(counts > 0) and counts.sum() <= rounds
+                assert np.all((chances >= 0.0) & (chances <= 1.0))
+            assert 0 < relay_err < full + m
+            if p == 0.0:
+                assert err12 == err21 == relay_err
+
+
+def test_relay_right_failure_chance_keeps_its_digits():
+    # at p = 1e-13 a 20-bit codeword fails with chance 2e-12, which
+    # 1 - (1 - p)^20 gets about 1e-3 wrong, relatively, in float64
+    p, length, n = 1e-13, 20, 2
+    tables = sim._uplink_tables(n, 0.9, *decision_errors(1.0, optimal_threshold(1.0, 0.9)))
+    lengths = np.full(1 << n, length, dtype=np.intp)  # every block sends 20 bits
+    rng = _CountingRng(np.random.default_rng(4))
+    _chunk(n, tables, p, lengths, np.arange(1 << n), 1000, rng, sim._work(1000, len(tables)))
+    (counts, chances, _), = rng.binomials
+    exact = -math.expm1(length * math.log1p(-p))
+    assert chances[0] == pytest.approx(exact, rel=1e-12, abs=0)
+    assert abs(1.0 - (1.0 - p) ** length - exact) > 1e-4 * exact
 
 
 @pytest.mark.parametrize("n", [6, 16])  # one group, three groups
@@ -575,11 +670,12 @@ def test_chunk_writes_its_work_arrays_before_reading_them(n, monkeypatch):
     cb = build_codebook(n, rho)
     tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
     p = q_function(math.sqrt(2.0 * gamma))
-    fresh = _chunk(n, tables, p, cb, 5000, np.random.default_rng(3), sim._work(3000, len(tables)))
+    code = cb.lengths.astype(np.intp), cb.tails
+    fresh = _chunk(n, tables, p, *code, 5000, np.random.default_rng(3), sim._work(3000, len(tables)))
     garbage = sim._work(3000, len(tables))
     for a in garbage:
         a.fill({"f": np.nan, "i": -1, "b": True}[a.dtype.kind])
-    assert _chunk(n, tables, p, cb, 5000, np.random.default_rng(3), garbage) == fresh
+    assert _chunk(n, tables, p, *code, 5000, np.random.default_rng(3), garbage) == fresh
     assert fresh[2] > 0
 
 
