@@ -7,44 +7,45 @@ the points of a sweep draw from different streams.  Results are
 commutative sums of per-chunk counters, so estimates are bit-identical for
 a fixed (params, scheme, rounds, seed, chunks) however the chunks are
 scheduled.  The non-empty chunks run in order over one set of work arrays
-in the calling thread, unless every chunk fills a whole sub-batch: then
-they split into one contiguous range per usable CPU, each with its own
-work arrays, on the process's one thread pool.
+in the calling thread, unless each chunk expects enough relay errors to
+fill a whole sub-batch: then they split into one contiguous range per
+usable CPU, each with its own work arrays, on the process's one thread
+pool.
 
 Both schemes run the same chain kernel: the conventional baseline is the
 compressed scheme designed for r = 0, that is the rho = 0.5 threshold and
 code (the identity fixed-length code), fed with uncorrelated sources, and
 it keys its streams on that design point.  The kernel samples the chain
-at the decision level: the relay keeps one XOR decision per bit and a
-terminal one hard bit per codeword bit, so no source, level or noise
-sample is drawn.  Within a chunk, rounds run in vectorised sub-batches of
-up to 2^16 rounds.  Each draws, in this order:
+at the decision level, from each bit's law of (XOR bit, relay decision),
+[[rho (1 - e0), rho e0], [(1 - rho) e1, (1 - rho)(1 - e1)]] with (e0, e1)
+from pnc.decision_errors, so no source, level or noise sample is drawn.  A
+round the relay gets right enters the result only through the length L of
+the codeword it sends.  So each chunk of R rounds draws, in this order:
 
-1. one uniform per (group, round), group by group: the block's n bits
-   split MSB first into groups of 6 and one shorter group when 6 does not
-   divide n.  A bit's (XOR bit, relay decision) pair has the law
-   [[rho (1 - e0), rho e0], [(1 - rho) e1, (1 - rho)(1 - e1)]], with
-   (e0, e1) from pnc.decision_errors, and given the XOR bit the decisions
-   are independent, so a group's 4^g outcomes have the product law.
-   Walker's alias method (Vose's construction) draws an outcome from one
-   uniform.  The uniforms lie on the 2^-53 grid, so each outcome's
-   probability is realised on that grid too, and a group's law is off by
-   at most 4096 * 2^-53 (about 4.5e-13) in all;
-2. one binomial call for both downlinks, towards T1 and towards T2.  Each
-   sent bit flips independently with probability p = Q(sqrt(2 gamma)) and
-   the receiver is granted the codeword length, so given the round's
-   (b, b_hat) a direction delivers b with a chance known in closed form:
-   (1 - p)^L when b_hat = b and cw(b_hat) has L bits; p^d (1 - p)^(L - d)
-   when cw(b) also has L bits and differs from cw(b_hat) in d of them; 0
-   otherwise.  The directions are independent given (b, b_hat), and the
-   rounds of one chance are i.i.d. trials, so one draw of shape
-   (2, classes) gives each direction's failures of the relay-right rounds
-   of each L, with chance -expm1(L log1p(-p)), and its deliveries of the
-   relay-wrong rounds of each (L, d).  Only classes that occur are drawn.
+1. one multinomial over which group of the block's bits (6 each, MSB
+   first, and one shorter group when 6 does not divide n) holds a round's
+   first wrong decision, if any: the relay-wrong count is
+   Binomial(R, 1 - (1 - rho e0 - (1 - rho) e1)^n);
+2. one multinomial over the relay-right rounds' sent lengths;
+3. for the relay-wrong rounds alone, in sub-batches of up to 2^16, one
+   uniform per (group, round) from Walker alias tables (Vose's
+   construction): all right before the first wrong group, at least one
+   wrong in it, unconditioned after it.  The uniforms lie on the 2^-53
+   grid, so a table's law is off by at most 4096 * 2^-53 in all;
+4. one binomial call of shape (2, classes) for both downlinks.  Each sent
+   bit flips with probability p = Q(sqrt(2 gamma)) and the receiver is
+   granted the codeword length, so a direction delivers b with chance
+   (1 - p)^L when b_hat = b, p^d (1 - p)^(L - d) when cw(b) also has L bits
+   and differs from cw(b_hat) in d of them, and 0 otherwise.  The
+   directions are independent given (b, b_hat), so the call draws each
+   direction's failures of the relay-right rounds of each L, with chance
+   -expm1(L log1p(-p)), and its deliveries of the relay-wrong rounds of
+   each (L, d) that occurs.
 
-The alias draw, then the per-round downlink draw, and then the per-class
-binomial and the per-point seed changed the stream layout, so estimates
-differ from those of earlier versions by sampling noise only.
+The alias draw, the per-round downlink draw, the per-class binomial with
+the per-point seed, and the per-length counts of the relay-right rounds
+each changed the stream layout, so estimates differ from those of earlier
+versions by sampling noise only.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ SCHEME_HPNC = "hpnc"
 SCHEME_CONVENTIONAL = "conventional"
 
 _SUBBATCH = 1 << 16
+# expected relay-wrong rounds per chunk from which an estimate's chunks run
+# on the pool: below a sub-batch's worth, two threads measured slower than one
+_POOL_FROM = _SUBBATCH
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ def relay_threshold(params: SystemParams) -> PncThreshold:
 def _child_rng(seed: int, chunk_index: int, point: tuple) -> np.random.Generator:
     # published stream derivation: PCG64 seeded from
     # SeedSequence((seed, k, n, rho bits, gamma bits)), `point` the last three
-    return np.random.default_rng(np.random.SeedSequence((seed, chunk_index, *point)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index, *point))))
 
 
 _GROUP = 6  # bits per uplink draw: a group's table has 4^6 = 4096 outcomes
@@ -141,31 +145,63 @@ def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return thresholds, alias
 
 
-def _uplink_tables(n: int, rho: float, e0: float, e1: float) -> list:
-    """One (cuts, outcomes) alias table per group of up to _GROUP bits.
+def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.ndarray) -> tuple:
+    """_chunk's law of a round: (split, tables, sent, right, fail).
 
     A bit's joint law of (XOR bit b, relay decision b_hat) is
     [[rho (1 - e0), rho e0], [(1 - rho) e1, (1 - rho)(1 - e1)]], and given b
     the decisions are independent, so a g-bit group's law is the g-fold
-    Kronecker power, over outcomes (b bits << g) | b_hat bits.  A uniform u
-    draws bin i = floor(N u) and keeps i where N u < cuts[i] = i + its
-    threshold.  outcomes[2 i + keep] is the drawn outcome packed into the
-    block: b_hat's bits, then b's n bits above them, then 1 << 2n if they
-    differ, so a round's values add over its groups.
+    Kronecker power, over outcomes (b bits << g) | b_hat bits.  split[j] is
+    the chance that group j holds the first wrong decision, the earlier
+    groups' all-right masses times group j's wrong mass, and split[-1] that
+    none does.  tables[j] holds group j's alias tables (cuts, outcomes) of
+    its law given all right, given a wrong decision and unconditioned, each
+    None where no round needs it.  A uniform u draws bin i = floor(N u) and
+    keeps i where N u < cuts[i] = i + its threshold; outcomes[2 i + keep] is
+    the outcome packed into the block, b_hat's bits and b's n bits above
+    them, so a round's values add over its groups.  sent holds the lengths
+    a relay-right round can send, right their law, a weighted count of
+    `lengths`, and fail their failure chances.
     """
     joint = np.array([[rho * (1.0 - e0), rho * e0], [(1.0 - rho) * e1, (1.0 - rho) * (1.0 - e1)]])
-    tables = []
+    split, tables = [], []
+    before = 1.0  # the chance that the groups so far are all right
     for start in range(0, n, _GROUP):
         g = min(_GROUP, n - start)
         shift = n - start - g  # the group's lowest bit in the block, MSB first
         law = np.ones((1, 1))
         for _ in range(g):  # law = kron(law, joint)
             law = (law[:, None, :, None] * joint[None, :, None, :]).reshape(2 * law.shape[0], -1)
-        thresholds, alias = _alias_table(law.ravel())
+        law = law.ravel()
         true, hat = np.divmod(np.arange(law.size), 1 << g)
-        packed = ((true != hat).astype(np.int64) << (2 * n)) | (true << (n + shift)) | (hat << shift)
-        tables.append((np.arange(law.size) + thresholds, np.stack([packed[alias], packed], axis=1).ravel()))
-    return tables
+        packed = (true << (n + shift)) | (hat << shift)
+        right = true == hat
+        tables.append([])
+        masses = []  # sums of products, so no chance is a difference near 1
+        # the groups before the first wrong one are all right, the later
+        # ones unconditioned
+        for keep, needed in ((right, start + g < n), (~right, True), (slice(None), start > 0)):
+            part = law[keep]
+            masses.append(part.sum())
+            table = None
+            if needed and masses[-1] > 0.0:
+                thresholds, alias = _alias_table(part / masses[-1])
+                values = packed[keep]
+                table = np.arange(values.size) + thresholds, np.stack([values[alias], values], axis=1).ravel()
+            tables[-1].append(table)
+        split.append(before * masses[1])
+        before *= masses[0]
+    # the relay decides a block with k ones right with chance
+    # (rho (1 - e0))^(n - k) ((1 - rho)(1 - e1))^k
+    k = np.arange(n + 1)
+    weight = (rho * (1.0 - e0)) ** (n - k) * ((1.0 - rho) * (1.0 - e1)) ** k
+    right = np.bincount(lengths, weight[np.bitwise_count(np.arange(1 << n))])
+    sent = np.flatnonzero(right)
+    # numpy's multinomial rejects an all-right mass that rounding lifts past
+    # 1, and draws the last category as what the others leave anyway.
+    # -expm1(L log1p(-p)) keeps its digits where 1 - (1 - p)^L cancels
+    split.append(min(before, 1.0))
+    return np.array(split), tables, sent, right[sent] / right[sent].sum(), -np.expm1(sent * math.log1p(-p))
 
 
 def _work(size: int, groups: int) -> tuple:
@@ -179,7 +215,7 @@ def _work(size: int, groups: int) -> tuple:
 
 def _chunk(
     n: int,
-    tables: list,
+    law: tuple,
     p: float,
     lengths: np.ndarray,
     tails: np.ndarray,
@@ -189,72 +225,71 @@ def _chunk(
 ):
     """Error counters of `rounds` exchange rounds through the chain.
 
-    Each round draws one uniform per group of `tables` (_uplink_tables),
-    which gives its XOR block b and the relay's block b_hat.  The receiver
-    is granted the codeword length (genie framing), so a round the relay got
-    right is delivered when its L codeword bits all arrive, and a
-    relay-wrong round when cw(b) has the sent length and exactly the d bits
-    where it differs from cw(b_hat) flip.  Each sub-batch then draws, per
-    direction, one binomial per class of rounds with one such chance.
-    `lengths` are the codeword lengths as intp, `tails` the code's tails.
-    Each sub-batch is computed in `work` (_work, sized for at least
-    min(_SUBBATCH, rounds) rounds), which it writes before it reads.
+    One multinomial over `law`'s split counts the rounds by the group of
+    their first wrong decision, or none, and one over its right law the
+    relay-right rounds by sent length L.  Only the relay-wrong rounds draw
+    (b, b_hat), one uniform per group.  The receiver is granted the codeword
+    length (genie framing), so a relay-right round is delivered when its L
+    codeword bits all arrive, and a relay-wrong round when cw(b) has the
+    sent length and exactly the d bits where it differs from cw(b_hat)
+    flip.  One binomial call then draws, per direction, how many rounds of
+    each class of one such chance fail or are delivered.  `lengths` are the
+    codeword lengths as intp, `tails` the code's tails.  The relay-wrong
+    rounds run in sub-batches of up to _SUBBATCH in `work` (_work, sized for
+    at least min(_SUBBATCH, rounds) rounds), which each writes before it
+    reads.
     """
+    split, tables, sent, right, fail = law
     low = (1 << n) - 1
-    # q_L = -expm1(L log1p(-p)) keeps its digits where 1 - (1 - p)^L cancels
-    log_keep = math.log1p(-p)
-    err = np.zeros(2, dtype=np.int64)  # [direction 2->1 at T1, direction 1->2 at T2]
-    relay_err = 0
-    dl_bits = 0
-    remaining = rounds
-    while remaining:
-        m = min(_SUBBATCH, remaining)
-        remaining -= m
-        uniforms = work[0][: len(tables) * m]
-        real, index, block, value, flag = (a[:m] for a in work[1:])
-        u = rng.random(out=uniforms.reshape(len(tables), m))
-        for g, ((cuts, outcomes), x) in enumerate(zip(tables, u)):
-            # every index below is in range by construction: mode="clip"
-            # skips numpy's bounds check
-            x *= cuts.size  # bin i is [i, i + 1)
-            np.copyto(index, x, casting="unsafe")  # floor(x)
-            np.less(x, cuts.take(index, mode="clip", out=real), out=flag)
-            index *= 2
-            index += flag
-            # block becomes the rounds' packed outcomes, summed over groups
-            outcomes.take(index, mode="clip", out=value if g else block)
-            if g:
-                block += value
-        wrong = np.flatnonzero(np.greater_equal(block, 1 << 2 * n, out=flag))
-        relay_err += wrong.size
-        hat = np.bitwise_and(block, low, out=index)
-        lens = lengths.take(hat, mode="clip", out=value)
-        # right[L]: the relay-right rounds that send L bits.  Sized by the
-        # codewords sent, not by max_len: a deep code (n = 16, r = 1:
-        # 65 535 bits) mostly sends short ones
-        sent = np.bincount(lens)
-        dl_bits += int(sent @ np.arange(sent.size))
-        wrong_lens = lens[wrong]
-        right = sent - np.bincount(wrong_lens, minlength=sent.size)
-        right_lens = np.flatnonzero(right)
-        # a relay-wrong round can be delivered only when cw(b) has the sent
-        # length L.  A codeword is L - k ones, then the tail's k bits, with k
-        # fixed by L, so cw(b_hat) ^ cw(b) is tails[b_hat] ^ tails[b], and
-        # its d <= n + 1 ones put the round in class L (n + 2) + d
-        true = (block[wrong] >> n) & low
-        same = lengths[true] == wrong_lens
-        d = np.bitwise_count(tails[hat[wrong[same]]] ^ tails[true[same]])
-        pairs = np.bincount(wrong_lens[same] * (n + 2) + d)
-        classes = np.flatnonzero(pairs)
-        length, d = np.divmod(classes, n + 2)
-        counts = np.concatenate((right[right_lens], pairs[classes]))
-        chances = np.concatenate((-np.expm1(right_lens * log_keep), p**d * (1.0 - p) ** (length - d)))
-        draws = rng.binomial(counts, chances, size=(2, counts.size))
-        # a direction fails the relay-right rounds drawn to fail and the
-        # relay-wrong rounds not drawn to be delivered
-        err += draws[:, : right_lens.size].sum(axis=1) + wrong.size - draws[:, right_lens.size :].sum(axis=1)
-
-    return int(err[1]), int(err[0]), relay_err, dl_bits
+    *firsts, rest = rng.multinomial(rounds, split)
+    sent_counts = rng.multinomial(rest, right)
+    dl_bits = int(sent_counts @ sent)
+    pairs = np.zeros(0, dtype=np.int64)  # relay-wrong rounds by L (n + 2) + d
+    for first, todo in enumerate(firsts):
+        # all right before the first wrong group, unconditioned after it
+        draw = [t[0] for t in tables[:first]] + [tables[first][1]] + [t[2] for t in tables[first + 1 :]]
+        while todo:
+            m = min(_SUBBATCH, todo)
+            todo -= m
+            uniforms = work[0][: len(draw) * m]
+            real, index, block, value, flag = (a[:m] for a in work[1:])
+            u = rng.random(out=uniforms.reshape(len(draw), m))
+            for g, ((cuts, outcomes), x) in enumerate(zip(draw, u)):
+                # every index below is in range by construction: mode="clip"
+                # skips numpy's bounds check
+                x *= cuts.size  # bin i is [i, i + 1)
+                np.copyto(index, x, casting="unsafe")  # floor(x)
+                np.less(x, cuts.take(index, mode="clip", out=real), out=flag)
+                index *= 2
+                index += flag
+                # block becomes the rounds' packed outcomes, summed over groups
+                outcomes.take(index, mode="clip", out=value if g else block)
+                if g:
+                    block += value
+            hat = np.bitwise_and(block, low, out=index)
+            true = np.right_shift(block, n, out=block)
+            lens = lengths.take(hat, mode="clip", out=value)
+            dl_bits += int(lens.sum())
+            # a relay-wrong round can be delivered only when cw(b) has the
+            # sent length L.  A codeword is L - k ones, then the tail's k
+            # bits, with k fixed by L, so cw(b_hat) ^ cw(b) is
+            # tails[b_hat] ^ tails[b], and its d <= n + 1 ones put the round
+            # in class L (n + 2) + d
+            same = lengths[true] == lens
+            d = np.bitwise_count(tails[hat[same]] ^ tails[true[same]])
+            more = np.bincount(lens[same] * (n + 2) + d, minlength=pairs.size)
+            more[: pairs.size] += pairs
+            pairs = more
+    wrong = rounds - int(rest)
+    classes = np.flatnonzero(pairs)
+    length, d = np.divmod(classes, n + 2)
+    counts = np.concatenate((sent_counts, pairs[classes]))
+    chances = np.concatenate((fail, p**d * (1.0 - p) ** (length - d)))
+    draws = rng.binomial(counts, chances, size=(2, counts.size))
+    # a direction fails the relay-right rounds drawn to fail and the
+    # relay-wrong rounds not drawn to be delivered
+    err = draws[:, : sent.size].sum(axis=1) + wrong - draws[:, sent.size :].sum(axis=1)
+    return int(err[1]), int(err[0]), wrong, dl_bits
 
 
 def _cores() -> int:
@@ -284,8 +319,9 @@ def estimate(
 
     Rounds are split as evenly as possible over `chunks` independent streams;
     the result depends only on (params, scheme, rounds, seed, chunks), not on
-    how many threads run them.  Chunks of at least 2^16 rounds run on
-    min(non-empty chunks, usable CPUs) threads, smaller ones in the caller.
+    how many threads run them.  Chunks that expect at least 2^16 relay-wrong
+    rounds each run on min(non-empty chunks, usable CPUs) threads, others in
+    the caller.
     """
     if scheme not in (SCHEME_HPNC, SCHEME_CONVENTIONAL):
         raise ValueError(f"scheme must be 'hpnc' or 'conventional', got {scheme!r}")
@@ -301,13 +337,14 @@ def estimate(
     design = params if scheme == SCHEME_HPNC else replace(params, r=0.0)
     rho = design.rho
     e0, e1 = decision_errors(params.gamma, relay_threshold(design))
-    tables = _uplink_tables(params.n, rho, e0, e1)
     p = q_function(math.sqrt(2.0 * params.gamma))
     cb = build_codebook(params.n, rho)
     # the design point keys the streams, so the points of a sweep draw apart:
     # n and the float64 bit patterns of the design rho and of gamma
     point = (params.n, *np.array([rho, params.gamma]).view(np.uint64).tolist())
     lengths = cb.lengths.astype(np.intp)  # the kernel's index type, converted once
+    law = _chain_law(params.n, rho, e0, e1, p, lengths)
+    split, tables = law[:2]
 
     base, extra = divmod(rounds, chunks)
     # chunks past the round budget would be empty, so they are not run
@@ -319,13 +356,14 @@ def estimate(
         totals = [0, 0, 0, 0]  # err12, err21, relay_err, dl_bits
         for k in range(first, stop):
             rng = _child_rng(seed, k, point)
-            counts = _chunk(params.n, tables, p, lengths, cb.tails, base + (k < extra), rng, work)
+            counts = _chunk(params.n, law, p, lengths, cb.tails, base + (k < extra), rng, work)
             totals = [a + b for a, b in zip(totals, counts)]
         return totals
 
-    # threads pay only when every chunk fills whole sub-batches: smaller
-    # ones hand the interpreter lock back and forth more than they overlap
-    threads = min(active, _cores()) if base >= _SUBBATCH else 1
+    # threads pay only when the chunks' relay-wrong rounds, the only ones
+    # drawn per round, are expected to fill a whole sub-batch: smaller ones
+    # hand the interpreter lock back and forth more than they overlap
+    threads = min(active, _cores()) if base * split[:-1].sum() >= _POOL_FROM else 1
     bounds = [active * t // threads for t in range(threads + 1)]
     ranges = (map if threads == 1 else _pool().map)(run, bounds[:-1], bounds[1:])
     err12, err21, relay_err, dl_bits = (sum(c) for c in zip(*ranges))

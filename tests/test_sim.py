@@ -16,6 +16,7 @@ from hpnc.phy import q_function
 from hpnc.pnc import decision_errors, optimal_threshold
 from hpnc import sim
 from hpnc.sim import _chunk, estimate, relay_threshold
+from uplink_reference import draw_rounds, group_law, uplink_tables
 
 NOISELESS = 1e12  # BLER under e^-1e12: no error will ever be sampled
 
@@ -119,6 +120,18 @@ def test_each_design_point_draws_its_own_streams(monkeypatch):
     assert len({tuple(u) for u in first}) == 4
 
 
+def test_child_streams_are_default_rng_streams():
+    # _child_rng builds its PCG64 directly, without default_rng's wrapper,
+    # and must draw the very stream default_rng(SeedSequence(...)) draws
+    point = (6, *np.array([0.95, 10.0 ** 0.4]).view(np.uint64).tolist())
+    for seed, k in [(0, 0), (21, 3), (2**40 + 1, 7)]:
+        got = sim._child_rng(seed, k, point)
+        expected = np.random.default_rng(np.random.SeedSequence((seed, k, *point)))
+        assert got.random(4).tolist() == expected.random(4).tolist()
+        assert got.multinomial(1000, [0.2, 0.8]).tolist() == expected.multinomial(1000, [0.2, 0.8]).tolist()
+        assert got.binomial(10**6, 0.3, size=3).tolist() == expected.binomial(10**6, 0.3, size=3).tolist()
+
+
 @pytest.fixture
 def started_threads(monkeypatch):
     """The threads started while the test runs."""
@@ -140,25 +153,30 @@ def test_chunks_beyond_the_round_budget_are_empty(monkeypatch, started_threads):
     for rounds in (10, 1):
         many = estimate(params, "hpnc", rounds, seed=21, chunks=10**9)
         assert replace(many, chunks=rounds) == estimate(params, "hpnc", rounds, seed=21, chunks=rounds)
-    assert started_threads == []  # one-round chunks are smaller than a sub-batch
-    # with one-round sub-batches, `rounds` one-round chunks fill theirs, so
-    # they run on a fresh pool, with min(chunks run, CPUs) threads at most
-    monkeypatch.setattr(sim, "_SUBBATCH", 1)
+    assert started_threads == []  # one-round chunks expect under one relay error
+    # with the pool taken whatever the relay errors, only the `rounds`
+    # chunks that hold a round run, so a fresh pool starts min(rounds, CPUs)
+    # threads at most, however many chunks are asked for
+    monkeypatch.setattr(sim, "_POOL_FROM", 0)
     for rounds, cores in [(10, 1), (10, 2), (10, 3), (1, 3)]:
         monkeypatch.setattr(sim, "_cores", lambda: cores)
-        sim._pool.cache_clear()
-        started_threads.clear()
-        many = estimate(params, "hpnc", rounds, seed=21, chunks=10**9)
-        assert started_threads == []
-        assert replace(many, chunks=rounds) == estimate(params, "hpnc", rounds, seed=21, chunks=rounds)
-        if min(rounds, cores) == 1:
-            assert started_threads == []  # one range of chunks runs in the caller
-        else:
-            assert 1 <= len(started_threads) <= min(rounds, cores)
+        for chunks in (10**9, rounds):
+            sim._pool.cache_clear()
+            started_threads.clear()
+            result = replace(estimate(params, "hpnc", rounds, seed=21, chunks=chunks), chunks=rounds)
+            if chunks > rounds:
+                many = result
+            else:
+                assert result == many
+            if min(rounds, cores) == 1:
+                assert started_threads == []  # one range of chunks runs in the caller
+            else:
+                assert 1 <= len(started_threads) <= min(rounds, cores)
 
 
 def test_estimates_share_one_pool(monkeypatch, started_threads):
-    # chunks smaller than a sub-batch run in the caller, without the pool
+    # chunks that expect fewer relay errors than a sub-batch holds run in
+    # the caller, without the pool
     monkeypatch.setattr(sim, "_cores", lambda: 2)
     sim._pool.cache_clear()
     params = SystemParams(n=6, r=0.8, gamma=1.0)
@@ -166,10 +184,10 @@ def test_estimates_share_one_pool(monkeypatch, started_threads):
         estimate(params, "hpnc", 1000, seed=21, chunks=chunks)
     assert started_threads == []
     assert sim._pool.cache_info().currsize == 0
-    # chunks that fill sub-batches run on one pool of _cores() threads, which
+    # chunks that run on the pool share one pool of _cores() threads, which
     # serves every estimate whatever its chunk count, so no estimate starts
     # a thread past _cores()
-    monkeypatch.setattr(sim, "_SUBBATCH", 100)
+    monkeypatch.setattr(sim, "_POOL_FROM", 0)
     for chunks in (1, 8, 2):
         estimate(params, "hpnc", 1000, seed=21, chunks=chunks)
     assert 1 <= len(started_threads) <= 2
@@ -177,20 +195,32 @@ def test_estimates_share_one_pool(monkeypatch, started_threads):
 
 
 def test_a_second_estimate_starts_no_thread(monkeypatch, started_threads):
-    # chunks smaller than a sub-batch start no thread at all
+    # chunks that expect few relay errors start no thread at all
     monkeypatch.setattr(sim, "_cores", lambda: 2)
     sim._pool.cache_clear()
     params = SystemParams(n=6, r=0.8, gamma=1.0)
     estimate(params, "hpnc", 1000, seed=21)
     assert started_threads == []
-    # chunks that fill sub-batches run on the pool, which outlives an
-    # estimate, so the next one like it finds its threads idle
-    monkeypatch.setattr(sim, "_SUBBATCH", 100)
+    # on the pool, the 8 chunks split into two ranges of 4.  Each chunk
+    # waits at a two-party barrier, so the two ranges of an estimate run at
+    # once: the first estimate must start both threads.  The pool outlives
+    # an estimate and never holds more than _cores() threads, so the next
+    # estimate starts none
+    monkeypatch.setattr(sim, "_POOL_FROM", 0)
+    overlap = threading.Barrier(2, timeout=30)
+    chunk = sim._chunk
+
+    def overlapping(*args):
+        overlap.wait()
+        return chunk(*args)
+
+    monkeypatch.setattr(sim, "_chunk", overlapping)
     first = estimate(params, "hpnc", 1000, seed=21)
-    assert 1 <= len(started_threads) <= 2
+    assert len(started_threads) == 2
     started_threads.clear()
     assert estimate(params, "hpnc", 1000, seed=21) == first
     assert started_threads == []
+    assert not overlap.broken
 
 
 @pytest.mark.parametrize(
@@ -205,10 +235,10 @@ def test_a_second_estimate_starts_no_thread(monkeypatch, started_threads):
 )
 def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds, monkeypatch, started_threads):
     params = SystemParams(n=n, r=r, gamma=10.0 ** (snr_db / 10.0))
-    # sub-batches small enough that every chunk fills them (8 chunks fill
-    # one, fewer chunks several and a shorter last one), so the chunks run
-    # on threads
-    monkeypatch.setattr(sim, "_SUBBATCH", max(1, rounds // 8))
+    # the chunks run on threads whatever their relay errors, in sub-batches
+    # small enough that a chunk's relay errors fill several
+    monkeypatch.setattr(sim, "_POOL_FROM", 0)
+    monkeypatch.setattr(sim, "_SUBBATCH", max(1, rounds // 64))
     started = dict.fromkeys((1, 2, 3), 0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
@@ -224,12 +254,11 @@ def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds, monkeyp
             assert len(results) == 1, (chunks, results)
     finally:
         sys.setswitchinterval(interval)
-    # each estimate of two or more chunks that fill sub-batches starts at
-    # least one thread on its fresh pool: chunks 2, 5 and 8, or at 3 rounds
-    # chunks 2 alone (whose first range may end before the second is handed
-    # over, so a second thread is not certain)
+    # each estimate of two or more chunks that hold rounds starts at least
+    # one thread on its fresh pool: chunks 2, 5 and 8 (a range may end
+    # before the next is handed over, so a second thread is not certain)
     assert started[1] == 0
-    assert min(started[2], started[3]) >= (3 if rounds >= 8 else 1)
+    assert min(started[2], started[3]) >= 3
     if n == 12:
         est = estimate(params, scheme, rounds, seed=13)
         assert est.relay_bler > 0.1
@@ -444,72 +473,102 @@ def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monke
     # only the lengths and tails: the code has no other format
     rounds = 4000
     cb = build_codebook(n, rho)
-    tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
+    errors = decision_errors(gamma, optimal_threshold(gamma, rho))
     p = q_function(math.sqrt(2.0 * gamma))
     lengths = cb.lengths.astype(np.intp)
-    # one sub-batch, then sub-batches of 1500, 1500 and 1000 rounds
-    for sub in (sim._SUBBATCH, 1500):
+    law = sim._chain_law(n, rho, *errors, p, lengths)
+    # one sub-batch per first wrong group, then sub-batches of 300 rounds
+    for sub in (sim._SUBBATCH, 300):
         monkeypatch.setattr(sim, "_SUBBATCH", sub)
-        work = sim._work(min(sub, rounds), len(tables))
+        work = sim._work(min(sub, rounds), len(law[1]))
         rng = _CountingRng(np.random.default_rng(5))
-        got = _chunk(n, tables, p, lengths, cb.tails, rounds, rng, work)
+        got = _chunk(n, law, p, lengths, cb.tails, rounds, rng, work)
         replay = np.random.default_rng(5)
-        expected, delivered_anyway = replay_chunk(n, tables, p, cb, rounds, sub, replay, rng.binomials)
+        expected, delivered_anyway = replay_chunk(n, rho, errors, law, p, cb, rounds, sub, replay, rng.calls)
         assert delivered_anyway > 0
         assert got == expected
 
 
-def replay_chunk(n, tables, p, cb, rounds, sub, rng, binomials):
-    """The kernel's counters, from its draw order replayed: each round's
-    groups drawn one at a time from their alias tables and each round's
-    delivery chance computed from the text of its two codewords
-    (delivery_chance).  Per sub-batch the rounds are grouped by that chance
-    into the kernel's classes, in its order: the relay-right rounds by sent
-    length L, with their failure chance, then the relay-wrong rounds whose
-    true codeword also has L bits, by (L, d), with their delivery chance.
-    Each sub-batch's recorded binomial call (counts, chances, draws) must
-    have these classes, and its draws are replayed from the same arguments.
-    Also returns how many relay errors were delivered anyway."""
+def replay_chunk(n, rho, errors, law, p, cb, rounds, sub, rng, calls):
+    """The kernel's counters, from its draw order replayed and each round's
+    class taken from codeword text.
+
+    The two multinomial calls must draw over the laws that the per-round
+    reference's group laws (uplink_reference.group_law) imply: which group
+    holds a round's first wrong decision, if any, and a relay-right round's
+    sent length.  The relay-wrong rounds are replayed one round and group
+    at a time from the kernel's tables, and each must differ from its XOR
+    block first in the group it was drawn for.  Each round's delivery chance
+    comes from the text of its two codewords (delivery_chance).  The
+    binomial call must hold the kernel's classes in its order: the
+    relay-right rounds by sent length L, with their failure chance, then
+    the relay-wrong rounds whose true codeword also has L bits, by (L, d),
+    with their delivery chance.  Its draws are replayed from the same
+    arguments.  Also returns how many relay errors were delivered anyway."""
+    _, tables, sent_lengths, _, _ = law
+    words = [encode(cb, int_to_block(v, n)) for v in range(1 << n)]
+    groups = [(n - start - min(6, n - start), min(6, n - start)) for start in range(0, n, 6)]  # (shift, bits)
+    laws = [group_law(g, rho, *errors).reshape(1 << g, 1 << g) for _, g in groups]
+    right_mass = [float(np.trace(group)) for group in laws]
+    wrong_mass = [float(group[~np.eye(len(group), dtype=bool)].sum()) for group in laws]
+    split = [math.prod(right_mass[:j]) * wrong_mass[j] for j in range(len(groups))] + [math.prod(right_mass)]
+    weight = np.ones(1 << n)  # each block's chance to be relayed right
+    for (shift, g), group in zip(groups, laws):
+        bits = (np.arange(1 << n) >> shift) & ((1 << g) - 1)
+        weight *= group[bits, bits]
+    right_law = {}
+    for v, word in enumerate(words):
+        right_law[word.size] = right_law.get(word.size, 0.0) + weight[v]
+
+    (name, (count, pvals), firsts), (name2, (rest, right_pvals), right), *draws_made, binomial = calls
+    assert (name, name2, binomial[0]) == ("multinomial", "multinomial", "binomial")
+    assert count == rounds and pvals == pytest.approx(split, rel=1e-12, abs=0)
+    assert np.array_equal(rng.multinomial(rounds, pvals), firsts)
+    assert sent_lengths.tolist() == sorted(L for L, mass in right_law.items() if mass > 0.0)
+    total = sum(right_law.values())
+    assert right_pvals == pytest.approx([right_law[L] / total for L in sent_lengths], rel=1e-12, abs=0)
+    assert rest == firsts[-1] and np.array_equal(rng.multinomial(rest, right_pvals), right)
+
     low = (1 << n) - 1
-    errors = [0, 0]
-    relay_wrong = sent_total = delivered_anyway = 0
-    for first, (counts, chances, draws) in zip(range(0, rounds, sub), binomials, strict=True):
-        m = min(sub, rounds - first)
-        u = rng.random((len(tables), m))
-        right, anyway = {}, {}  # L -> [rounds, chance], (L, d) -> [rounds, chance]
-        never = 0  # relay-wrong rounds whose true codeword has another length
-        for row in range(m):
-            value = 0
-            for (cuts, outcomes), draw in zip(tables, u[:, row]):
-                x = draw * cuts.size
-                i = int(x)
-                value += int(outcomes[2 * i + 1] if x < cuts[i] else outcomes[2 * i])
-            block = int_to_block((value >> n) & low, n)
-            relayed = int_to_block(value & low, n)
-            sent, word = encode(cb, relayed), encode(cb, block)
-            chance = delivery_chance(p, word, sent)
-            sent_total += sent.size
-            if np.array_equal(relayed, block):
-                right.setdefault(sent.size, [0, 1.0 - chance])[0] += 1
-            elif word.size == sent.size:
-                anyway.setdefault((sent.size, int(np.count_nonzero(word != sent))), [0, chance])[0] += 1
-            else:
-                assert chance == 0.0
-                never += 1
-        classes = [right[key] for key in sorted(right)] + [anyway[key] for key in sorted(anyway)]
-        assert counts.tolist() == [count for count, _ in classes]
-        assert chances == pytest.approx([chance for _, chance in classes], rel=1e-12, abs=0)
-        assert draws.shape == (2, len(classes))
-        # the replayed stream reaches the next sub-batch's uplink only when
-        # the binomial call draws what the kernel's did
-        assert np.array_equal(rng.binomial(counts, chances, size=draws.shape), draws)
-        wrong = sum(count for count, _ in anyway.values()) + never
-        relay_wrong += wrong
-        for d in range(2):
-            delivered = int(draws[d, len(right):].sum())
-            errors[d] += int(draws[d, : len(right)].sum()) + wrong - delivered
-            delivered_anyway += delivered
-    return (errors[1], errors[0], relay_wrong, sent_total), delivered_anyway
+    anyway = {}  # (L, d) -> [rounds, chance]
+    never = 0  # relay-wrong rounds whose true codeword has another length
+    sent_total = int(right @ sent_lengths)
+    for first, todo in enumerate(firsts[:-1]):
+        draw = [t[0] for t in tables[:first]] + [tables[first][1]] + [t[2] for t in tables[first + 1 :]]
+        for start in range(0, todo, sub):
+            m = min(sub, todo - start)
+            assert draws_made.pop(0) == ("random", len(groups) * m, None)
+            u = rng.random((len(groups), m))
+            for row in range(m):
+                value = 0
+                for (cuts, outcomes), x in zip(draw, u[:, row] * [cuts.size for cuts, _ in draw]):
+                    i = int(x)
+                    value += int(outcomes[2 * i + 1] if x < cuts[i] else outcomes[2 * i])
+                true, relayed = (value >> n) & low, value & low
+                differ = [((true ^ relayed) >> shift) & ((1 << g) - 1) != 0 for shift, g in groups]
+                assert differ.index(True) == first
+                sent, word = words[relayed], words[true]
+                sent_total += sent.size
+                if word.size == sent.size:
+                    key = (sent.size, int(np.count_nonzero(word != sent)))
+                    anyway.setdefault(key, [0, delivery_chance(p, word, sent)])[0] += 1
+                else:
+                    assert delivery_chance(p, word, sent) == 0.0
+                    never += 1
+    assert draws_made == []
+
+    _, (counts, chances), draws = binomial
+    some_word = {word.size: word for word in words}
+    classes = [[c, 1.0 - delivery_chance(p, some_word[L], some_word[L])] for c, L in zip(right, sent_lengths)]
+    classes += [anyway[key] for key in sorted(anyway)]
+    assert counts.tolist() == [c for c, _ in classes]
+    assert chances == pytest.approx([chance for _, chance in classes], rel=1e-12, abs=0)
+    assert draws.shape == (2, len(classes))
+    assert np.array_equal(rng.binomial(counts, chances, size=draws.shape), draws)
+    wrong = rounds - int(rest)
+    errors_seen = [int(draws[d, : right.size].sum()) + wrong - int(draws[d, right.size :].sum()) for d in range(2)]
+    delivered_anyway = int(draws[:, right.size :].sum())
+    return (errors_seen[1], errors_seen[0], wrong, sent_total), delivered_anyway
 
 
 def product_law(g, rho, e0, e1):
@@ -523,50 +582,79 @@ def product_law(g, rho, e0, e1):
     return law
 
 
-def table_outcomes(cuts, outcomes, g):
-    """A one-group table's thresholds and the outcomes (b bits << g) |
-    b_hat bits it keeps and hands on, checking each packed value's flag."""
-    size = 4**g
-    thresholds = cuts - np.arange(size)
-    flag = outcomes >> (2 * g)
-    unpacked = outcomes & (size - 1)
-    assert np.array_equal(flag, (unpacked >> g != unpacked & ((1 << g) - 1)).astype(int))
-    return thresholds, unpacked[1::2], unpacked[0::2]
+ALIAS_CASES = [
+    (0.5, decision_errors(1.0, optimal_threshold(1.0, 0.5))),
+    (0.95, decision_errors(1.0, optimal_threshold(1.0, 0.95))),
+    (0.95, decision_errors(10.0, optimal_threshold(10.0, 0.95))),
+    (1.0, decision_errors(2.0, optimal_threshold(2.0, 1.0))),
+    (1.0, (0.0, 1.0)),  # the zero threshold at rho = 1: thresholds of 0
+    (0.95, (1e-300, 0.3)),
+]
 
 
 @pytest.mark.parametrize("g", range(1, 7))
-@pytest.mark.parametrize(
-    "rho,errors",
-    [
-        (0.5, decision_errors(1.0, optimal_threshold(1.0, 0.5))),
-        (0.95, decision_errors(1.0, optimal_threshold(1.0, 0.95))),
-        (0.95, decision_errors(10.0, optimal_threshold(10.0, 0.95))),
-        (1.0, decision_errors(2.0, optimal_threshold(2.0, 1.0))),
-        (1.0, (0.0, 1.0)),  # the zero threshold at rho = 1: thresholds of 0
-        (0.95, (1e-300, 0.3)),
-    ],
-)
+@pytest.mark.parametrize("rho,errors", ALIAS_CASES)
 def test_alias_table_implies_the_product_law(g, rho, errors):
     # bin i keeps threshold i of its 1/N and hands 1 - threshold i to its
-    # alias; summed, that is the law each group's uniform draws
-    (cuts, outcomes), = sim._uplink_tables(g, rho, *errors)
-    thresholds, kept, handed = table_outcomes(cuts, outcomes, g)
-    assert np.all((thresholds >= 0.0) & (thresholds <= 1.0))
-    size = 4**g
-    implied = (np.bincount(kept, thresholds, size) + np.bincount(handed, 1.0 - thresholds, size)) / size
+    # alias; summed, that is the law each group's uniform draws.  The
+    # per-round reference builds its one table per group with sim's Vose
+    # construction
+    (cuts, outcomes), = uplink_tables(g, rho, *errors)
+    implied = implied_law(cuts, outcomes, 4**g)
     assert np.max(np.abs(implied - product_law(g, rho, *errors))) <= 1e-13
+
+
+def implied_law(cuts, outcomes, size):
+    """The law over `size` outcomes that an alias table (cuts, outcomes)
+    draws, checking that each bin's threshold lies in [0, 1]."""
+    thresholds = cuts - np.arange(cuts.size)
+    assert np.all((thresholds >= 0.0) & (thresholds <= 1.0))
+    kept = np.bincount(outcomes[1::2], thresholds, size)
+    return (kept + np.bincount(outcomes[0::2], 1.0 - thresholds, size)) / cuts.size
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+@pytest.mark.parametrize("rho,errors", ALIAS_CASES)
+def test_relay_wrong_tables_imply_the_conditioned_product_law(g, rho, errors):
+    # n = 6 + g: a 6-bit group, then a g-bit one.  A relay-wrong round draws
+    # the first group given a wrong decision, or given all right when the
+    # second group holds the first wrong decision; it draws the second group
+    # given a wrong decision, or unconditioned.  So the kernel builds these
+    # four tables and no other, and split gives where the first wrong
+    # decision falls.  A mass of 0 builds no table
+    n = 6 + g
+    split, tables = sim._chain_law(n, rho, *errors, 0.1, np.ones(1 << n, dtype=np.intp))[:2]
+    masses = []
+    for (shift, width), group, needed in zip([(g, 6), (0, g)], tables, [(1, 1, 0), (0, 1, 1)]):
+        law = product_law(width, rho, *errors)
+        size = 1 << width
+        true, hat = np.divmod(np.arange(law.size), size)
+        keeps = (true == hat, true != hat, np.ones(law.size, dtype=bool))
+        masses.append([law[keep].sum() for keep in keeps[:2]])
+        for table, keep, need in zip(group, keeps, needed):
+            if not need or law[keep].sum() == 0.0:
+                assert table is None
+                continue
+            cuts, outcomes = table
+            # each outcome is packed into the block: b_hat's bits at the
+            # group's place, b's n bits above
+            b, b_hat = (outcomes >> (n + shift)) & (size - 1), (outcomes >> shift) & (size - 1)
+            assert np.array_equal(outcomes, (b << (n + shift)) | (b_hat << shift))
+            implied = implied_law(cuts, (b << width) | b_hat, law.size)
+            assert np.max(np.abs(implied - np.where(keep, law, 0.0) / law[keep].sum())) <= 1e-13
+    (right0, wrong0), (right1, wrong1) = masses
+    assert np.allclose(split, [wrong0, right0 * wrong1, right0 * right1], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("rho,gamma", [(0.5, 1.0), (0.95, 2.0)])
 def test_alias_draws_follow_the_product_law(rho, gamma):
-    # 10^6 draws, binned by outcome; bins expecting fewer than 5 draws are
-    # pooled, and chi-square is within 5 standard deviations of its dof
+    # 10^6 rounds of the per-round reference, binned by outcome; bins
+    # expecting fewer than 5 draws are pooled, and chi-square is within 5
+    # standard deviations of its dof
     g, draws = 6, 10**6
     errors = decision_errors(gamma, optimal_threshold(gamma, rho))
-    (cuts, outcomes), = sim._uplink_tables(g, rho, *errors)
-    x = np.random.default_rng(17).random(draws) * cuts.size
-    i = x.astype(np.intp)
-    counts = np.bincount(outcomes[2 * i + (x < cuts[i])] & (4**g - 1), minlength=4**g)
+    true, hat = draw_rounds(g, uplink_tables(g, rho, *errors), np.random.default_rng(17), draws)
+    counts = np.bincount((true << g) | hat, minlength=4**g)
     expected = draws * product_law(g, rho, *errors)
     rare = expected < 5.0
     observed = np.append(counts[~rare], counts[rare].sum())
@@ -574,6 +662,63 @@ def test_alias_draws_follow_the_product_law(rho, gamma):
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     dof = observed.size - 1
     assert dof > 100
+    assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof)
+
+
+@pytest.mark.parametrize(
+    "n,r,snr_db",
+    [
+        (6, 0.9, 0.0),  # one group
+        (12, 0.95, 0.0),  # two groups
+        (13, 0.8, 3.0),  # three, the middle one drawn from all three tables
+    ],
+)
+def test_chunk_classes_follow_the_per_round_reference(n, r, snr_db):
+    # the kernel's class counts against those of rounds drawn one by one
+    # from the unconditioned group laws (uplink_reference) and classed from
+    # codeword text: relay-right rounds by sent length L, relay-wrong rounds
+    # whose true codeword has the sent length by (L, d), and the other
+    # relay-wrong rounds.  Two samples of 2e5 rounds; classes with fewer
+    # than 20 rounds in both samples are pooled, and the two-sample
+    # chi-square is within 5 standard deviations of its dof
+    rho, gamma, rounds = (1.0 + r) / 2.0, 10.0 ** (snr_db / 10.0), 200_000
+    errors = decision_errors(gamma, optimal_threshold(gamma, rho))
+    cb = build_codebook(n, rho)
+    lengths = cb.lengths.astype(np.intp)
+    p = 0.1  # any p in (0, 1): each relay-wrong class then has its own chance
+    law = sim._chain_law(n, rho, *errors, p, lengths)
+    rng = _CountingRng(np.random.default_rng(71))
+    _chunk(n, law, p, lengths, cb.tails, rounds, rng, sim._work(min(sim._SUBBATCH, rounds), len(law[1])))
+    (_, (_, _), firsts), (_, _, right), *_, (_, (counts, chances), _) = rng.calls
+    kernel = {("right", int(L)): int(c) for L, c in zip(law[2], right)}
+    # the kernel's chances p^d (1 - p)^(L - d), recomputed as it does, name
+    # its classes (L, d)
+    length, d = np.divmod(np.arange((cb.max_len + 1) * (n + 2)), n + 2)
+    names = dict(zip((p**d * (1.0 - p) ** (length - d)).tolist(), zip(length.tolist(), d.tolist())))
+    assert len(names) == length.size
+    for count, chance in zip(counts[right.size :].tolist(), chances[right.size :].tolist()):
+        kernel[("wrong", *names[chance])] = count
+    kernel["never"] = int(firsts[:-1].sum()) - int(counts[right.size :].sum())
+
+    true, hat = draw_rounds(n, uplink_tables(n, rho, *errors), np.random.default_rng(72), rounds)
+    texts = [cb.codeword_text(v) for v in range(1 << n)]
+    reference = {}
+    ok = true == hat
+    for L, count in enumerate(np.bincount([len(texts[v]) for v in hat[ok].tolist()])):
+        if count:
+            reference[("right", L)] = int(count)
+    pairs, count = np.unique((hat[~ok] << n) | true[~ok], return_counts=True)
+    for pair, c in zip(pairs.tolist(), count.tolist()):
+        sent, word = texts[pair >> n], texts[pair & ((1 << n) - 1)]
+        key = ("wrong", len(sent), sum(a != b for a, b in zip(sent, word))) if len(sent) == len(word) else "never"
+        reference[key] = reference.get(key, 0) + c
+
+    both = [(kernel.get(key, 0), reference.get(key, 0)) for key in set(kernel) | set(reference)]
+    rare = [pair for pair in both if sum(pair) < 20]
+    bins = [pair for pair in both if sum(pair) >= 20] + [tuple(map(sum, zip(*rare)))] * bool(rare)
+    chi2 = sum((a - b) ** 2 / (a + b) for a, b in bins)
+    dof = len(bins) - 1
+    assert dof >= 10
     assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof)
 
 
@@ -594,67 +739,107 @@ def test_relay_bler_matches_the_exact_block_law(n):
     assert abs(est.relay_bler - expected) <= 4.0 * se
 
 
+@pytest.mark.parametrize("n,r,snr_db", [(6, 0.9, 0.0), (12, 0.95, 0.0), (6, 0.4, 4.0)])
+def test_downlink_bits_and_relay_bler_match_their_exact_laws(n, r, snr_db):
+    # b_hat's bits are i.i.d., each 1 with chance q = (1 - rho)(1 - e1) +
+    # rho e0, so the mean sent length is sum_b q^k (1 - q)^(n - k) L(b), k
+    # the ones of b.  The relay errs in a bit with chance w = rho e0 +
+    # (1 - rho) e1, so in a block with chance 1 - (1 - w)^n.  At 0 dB the
+    # design length law is up to 31 % off the first
+    params = SystemParams(n=n, r=r, gamma=10.0 ** (snr_db / 10.0))
+    rho = params.rho
+    e0, e1 = decision_errors(params.gamma, relay_threshold(params))
+    q = (1.0 - rho) * (1.0 - e1) + rho * e0
+    ones = np.array([bin(v).count("1") for v in range(1 << n)])
+    hat_law = q**ones * (1.0 - q) ** (n - ones)
+    lengths = build_codebook(n, rho).lengths.astype(float)
+    mean = float(hat_law @ lengths)
+    spread = math.sqrt(float(hat_law @ (lengths - mean) ** 2))
+    wrong = -math.expm1(n * math.log1p(-(rho * e0 + (1.0 - rho) * e1)))
+    rounds = 200_000
+    est = estimate(params, "hpnc", rounds, seed=83)
+    assert abs(est.mean_downlink_bits - mean) <= 4.0 * spread / math.sqrt(rounds)
+    assert abs(est.relay_bler - wrong) <= 4.0 * math.sqrt(wrong * (1.0 - wrong) / rounds)
+
+
 class _CountingRng:
-    """A Generator proxy with random() and binomial() alone, which records
-    how many uniforms each random() call draws and, for each binomial()
-    call, its counts, chances and draws; the kernel calling any other method
-    fails."""
+    """A Generator proxy with multinomial(), random() and binomial() alone,
+    which records each call as (method, its arguments or size, its draws);
+    the kernel calling any other method fails."""
 
     def __init__(self, rng):
         self._rng = rng
-        self.sizes = []
-        self.binomials = []
+        self.calls = []
+
+    def multinomial(self, n, pvals):
+        draws = self._rng.multinomial(n, pvals)
+        self.calls.append(("multinomial", (int(n), np.array(pvals)), draws))
+        return draws
 
     def random(self, size=None, out=None):
         values = self._rng.random(size, out=out)
-        self.sizes.append(values.size)
+        self.calls.append(("random", values.size, None))
         return values
 
     def binomial(self, n, p, size=None):
         draws = self._rng.binomial(n, p, size)
-        self.sizes.append(("binomial", draws.shape))
-        self.binomials.append((np.array(n), np.array(p), draws))
+        self.calls.append(("binomial", (np.array(n), np.array(p)), draws))
         return draws
 
 
-def test_chunk_draws_one_uniform_per_group_and_one_binomial_call():
-    # r = 0.9 at 10 dB, where a bit flips with probability 3.9e-6, and at
-    # p = 0: a sub-batch draws one uniform per round for each group of up
-    # to 6 bits (one at n = 6, three at n = 16), then one binomial call over
-    # both directions and its live classes, and nothing per round or per
-    # bit for the downlink
-    rho, gamma = 0.95, 10.0
-    full, m = sim._SUBBATCH, 12_500
+def test_chunk_draws_one_uniform_per_group_and_one_binomial_call(monkeypatch):
+    # a chunk draws one multinomial over which group holds a round's first
+    # wrong decision, if any, one over the relay-right rounds' sent lengths,
+    # then for the relay-wrong rounds alone one uniform per round for each
+    # group of up to 6 bits (one at n = 6, three at n = 16), in sub-batches
+    # per first wrong group, and last one binomial call over both
+    # directions and the classes: nothing per relay-right round, and
+    # nothing per round or per bit for the downlink.  At 10 dB the relay
+    # errs in about 1e-5 to 1e-4 of the rounds, at 0 dB in a quarter or
+    # more, and at rho = 1 never, so there no per-round value is drawn
+    sub = 2000
+    monkeypatch.setattr(sim, "_SUBBATCH", sub)
     for n, groups in [(6, 1), (16, 3)]:
-        cb = build_codebook(n, rho)
-        tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
-        for p in (q_function(math.sqrt(2.0 * gamma)), 0.0):
-            rng = _CountingRng(np.random.default_rng(9))
-            err12, err21, relay_err, sent = _chunk(
-                n, tables, p, cb.lengths.astype(np.intp), cb.tails, full + m, rng, sim._work(full, groups)
-            )
-            assert sent > full + m
-            calls = [("binomial", (2, counts.size)) for counts, _, _ in rng.binomials]
-            assert rng.sizes == [groups * full, calls[0], groups * m, calls[1]]
-            # every class drawn holds rounds, and the classes hold at most the
-            # sub-batch's rounds
-            for (counts, chances, _), rounds in zip(rng.binomials, (full, m)):
-                assert np.all(counts > 0) and counts.sum() <= rounds
+        for rho, gamma, rounds in [(0.95, 10.0, 10**6), (0.95, 1.0, 12_500), (1.0, 1.0, 12_500)]:
+            cb = build_codebook(n, rho)
+            lengths = cb.lengths.astype(np.intp)
+            errors = decision_errors(gamma, optimal_threshold(gamma, rho))
+            for p in (q_function(math.sqrt(2.0 * gamma)), 0.0):
+                law = sim._chain_law(n, rho, *errors, p, lengths)
+                rng = _CountingRng(np.random.default_rng(9))
+                err12, err21, relay_err, sent = _chunk(
+                    n, law, p, lengths, cb.tails, rounds, rng, sim._work(sub, groups)
+                )
+                (_, (_, split), firsts), (_, (rest, _), right) = rng.calls[:2]
+                assert split.size == groups + 1 and right.size == law[2].size
+                assert relay_err == rounds - rest == firsts[:-1].sum()
+                uniforms = [groups * min(sub, left) for todo in firsts[:-1] for left in range(todo, 0, -sub)]
+                names = ["multinomial", "multinomial", *["random"] * len(uniforms), "binomial"]
+                assert [call[0] for call in rng.calls] == names
+                assert [call[1] for call in rng.calls[2:-1]] == uniforms
+                _, (counts, chances), draws = rng.calls[-1]
+                assert draws.shape == (2, counts.size)
+                assert np.array_equal(counts[: right.size], right) and counts.sum() <= rounds
                 assert np.all((chances >= 0.0) & (chances <= 1.0))
-            assert 0 < relay_err < full + m
-            if p == 0.0:
-                assert err12 == err21 == relay_err
+                assert sent >= rounds
+                if rho == 1.0:
+                    assert relay_err == 0 and uniforms == []
+                else:
+                    assert 0 < relay_err < rounds
+                if p == 0.0:
+                    assert err12 == err21 == relay_err
 
 
 def test_relay_right_failure_chance_keeps_its_digits():
     # at p = 1e-13 a 20-bit codeword fails with chance 2e-12, which
     # 1 - (1 - p)^20 gets about 1e-3 wrong, relatively, in float64
     p, length, n = 1e-13, 20, 2
-    tables = sim._uplink_tables(n, 0.9, *decision_errors(1.0, optimal_threshold(1.0, 0.9)))
+    errors = decision_errors(1.0, optimal_threshold(1.0, 0.9))
     lengths = np.full(1 << n, length, dtype=np.intp)  # every block sends 20 bits
+    law = sim._chain_law(n, 0.9, *errors, p, lengths)
     rng = _CountingRng(np.random.default_rng(4))
-    _chunk(n, tables, p, lengths, np.arange(1 << n), 1000, rng, sim._work(1000, len(tables)))
-    (counts, chances, _), = rng.binomials
+    _chunk(n, law, p, lengths, np.arange(1 << n), 1000, rng, sim._work(1000, len(law[1])))
+    _, (counts, chances), _ = rng.calls[-1]
     exact = -math.expm1(length * math.log1p(-p))
     assert chances[0] == pytest.approx(exact, rel=1e-12, abs=0)
     assert abs(1.0 - (1.0 - p) ** length - exact) > 1e-4 * exact
@@ -662,21 +847,22 @@ def test_relay_right_failure_chance_keeps_its_digits():
 
 @pytest.mark.parametrize("n", [6, 16])  # one group, three groups
 def test_chunk_writes_its_work_arrays_before_reading_them(n, monkeypatch):
-    # two sub-batches, the second shorter, through work arrays that start
-    # fresh and through ones that start filled with garbage.  At 0 dB many
-    # relay errors reach the downlink
+    # sub-batches of relay-wrong rounds, the last of each first wrong group
+    # shorter, through work arrays that start fresh and through ones that
+    # start filled with garbage.  At 0 dB a quarter or more of the rounds
+    # are relay-wrong, and many reach the downlink
     monkeypatch.setattr(sim, "_SUBBATCH", 3000)
     rho, gamma = 0.95, 1.0
     cb = build_codebook(n, rho)
-    tables = sim._uplink_tables(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)))
     p = q_function(math.sqrt(2.0 * gamma))
     code = cb.lengths.astype(np.intp), cb.tails
-    fresh = _chunk(n, tables, p, *code, 5000, np.random.default_rng(3), sim._work(3000, len(tables)))
-    garbage = sim._work(3000, len(tables))
+    law = sim._chain_law(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)), p, code[0])
+    fresh = _chunk(n, law, p, *code, 20_000, np.random.default_rng(3), sim._work(3000, len(law[1])))
+    garbage = sim._work(3000, len(law[1]))
     for a in garbage:
         a.fill({"f": np.nan, "i": -1, "b": True}[a.dtype.kind])
-    assert _chunk(n, tables, p, *code, 5000, np.random.default_rng(3), garbage) == fresh
-    assert fresh[2] > 0
+    assert _chunk(n, law, p, *code, 20_000, np.random.default_rng(3), garbage) == fresh
+    assert fresh[2] > 3000  # more than one sub-batch
 
 
 @pytest.mark.parametrize("n,rho", [(4, 0.7), (4, 0.95), (6, 0.5), (6, 0.7), (6, 0.8)])
