@@ -8,10 +8,12 @@ scaled to a common denominator), so tie resolution, and hence the codebook,
 is bit-identical across platforms.  A block's weight depends only on its
 number of ones, so the code is built over runs of equal-weight nodes, n + 1
 of them at the start, after Moffat and Turpin, "Efficient construction of
-minimum-redundancy codes for large alphabets" (IEEE Trans. IT 44(4), 1998).
-The run construction gives exactly the lengths of a heap over all 2^n
-leaves with ties broken by block value; that heap stays as the oracle of
-the tests and, under the reversed tie-break, of `cross_check_optimality`.
+minimum-redundancy codes for large alphabets" (IEEE Trans. IT 44(4), 1998):
+the runs count leaves per depth, the root's counts are the length profile,
+and the blocks take its lengths in (weight desc, value desc) order.  That
+gives exactly the lengths of a heap over all 2^n leaves with ties broken by
+block value; that heap stays as the oracle of the tests and, under the
+reversed tie-break, of `cross_check_optimality`.
 Codewords are canonical: blocks sorted by (length, block value) receive
 consecutive code values within each length, so the lengths fix the code
 and each codeword is kept as its last bits, decoded against a per-level
@@ -36,6 +38,7 @@ import numpy as np
 from .model import block_to_int, equal_factor, int_to_block
 
 MAX_BLOCK_LEN = 16
+_CHAIN = 1 << 17  # the zero-weight chain's mark in a shape: above any leaf count
 _BITS = frozenset((0, 1))
 
 
@@ -75,12 +78,11 @@ def _popcounts(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n))
 
 
+@lru_cache(maxsize=None)
 def _popcount_classes(n: int) -> list[np.ndarray]:
     """The n-bit block values with k ones, ascending, for k = 0..n."""
     ones = _popcounts(n)
-    blocks = np.argsort(ones, kind="stable")
-    ends = np.cumsum(np.bincount(ones, minlength=n + 1)).tolist()
-    return [blocks[start:end] for start, end in zip([0, *ends], ends)]
+    return np.split(np.argsort(ones, kind="stable"), np.cumsum(np.bincount(ones))[:-1])
 
 
 def _class_weights(n: int, rho: float) -> list[int]:
@@ -123,13 +125,15 @@ def _huffman_lengths(weights: list[int], reverse: bool = False) -> np.ndarray:
     return np.array(depth[:count], dtype=np.int32)
 
 
-def _by_key(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """One run's (keys, ids) from equal-weight parts, in ascending key order."""
-    if len(parts) == 1:
-        return parts[0]
-    keys = np.concatenate([keys for keys, _ in parts])
+def _in_key_order(segments: list[tuple]) -> list[tuple]:
+    """Segments of one weight merged into key order, cut where the shape changes."""
+    keys = np.concatenate([keys[start::step][:count] for count, _, keys, start, step in segments])
     order = np.argsort(keys)
-    return keys[order], np.concatenate([ids for _, ids in parts])[order]
+    counts, shapes, *_ = zip(*segments)
+    ids = np.repeat([shapes.index(shape) for shape in shapes], counts)[order]
+    cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
+    keys = keys[order]
+    return [(b - a, shapes[ids.item(a)], keys, a, 1) for a, b in zip(cuts, cuts[1:])]
 
 
 def _run_lengths(weights: list[int], classes: list[np.ndarray]) -> np.ndarray:
@@ -137,69 +141,75 @@ def _run_lengths(weights: list[int], classes: list[np.ndarray]) -> np.ndarray:
     tie-break, merged run by run instead of leaf by leaf.
 
     classes[i] holds, ascending, the values of the leaves of weight
-    weights[i]; together they are 0..N-1.  A run is a set of equal-weight
-    nodes: keys sorted ascending and the matching node ids.  The leaves
-    start as one run per class, and a heap holds the distinct run weights.
-    The leaf heap pops the nodes of the smallest weight w in key order, so
-    one step here replays a whole stretch of it.  For w > 0 the nodes pair
-    off consecutively into a run of weight 2w, each pair keeping its first
-    (smaller) key, and an odd last node merges with the first node of the
-    next run.  For w = 0 each merged node keeps weight 0 and the smallest
-    key, so it is popped next again: the run folds into one chain.  Depths
-    come from the recorded merges, replayed from the root down.
+    weights[i]; together they are 0..N-1.  A run is the live nodes of one
+    weight, as segments (count, shape, keys, start, step): count nodes of
+    one shape with the ascending keys keys[start::step].  A shape counts a
+    node's leaves per depth below it in 32-bit fields, so shapes a and b
+    merge into (a + b) << 32 and the root's shape is the length profile.
+    The leaf heap pops the smallest weight w in key order, so for w > 0 a
+    run pairs off in order into weight 2w, each pair keeping its first key,
+    and an odd last node merges with the next run's first.  For w = 0 the
+    run folds into one chain, which the shapes carry as one marked leaf.
+    Along (weight, key) the heap's lengths never increase.
     """
-    runs: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    heap: list[int] = []
+    runs: dict[int, list[tuple]] = {}
 
-    def push(weight: int, keys: np.ndarray, ids: np.ndarray) -> None:
-        if weight not in runs:
-            runs[weight] = []
-            heapq.heappush(heap, weight)
-        runs[weight].append((keys, ids))
+    def add(weight: int, *segment) -> None:
+        runs.setdefault(weight, []).append(segment)
 
-    # a leaf's key and id are its value
     for weight, leaves in zip(weights, classes):
-        push(weight, leaves, leaves)
-    count = sum(leaves.size for leaves in classes)
+        add(weight, leaves.size, 1, leaves, 0, 1)
+    groups = [[leaves for _, _, leaves, _, _ in runs[weight]] for weight in sorted(runs)]
+    ascending = np.concatenate([np.sort(np.concatenate(g)) if g[1:] else g[0] for g in groups])
 
-    # (children, parent ids, depth below the parent), in merge order
-    links: list[tuple[np.ndarray, np.ndarray | int, np.ndarray | int]] = []
-    next_id = count
+    chain = 0
     while True:
-        weight = heapq.heappop(heap)
-        keys, ids = _by_key(runs.pop(weight))
-        if weight == 0 and keys.size > 1:
-            # the first two nodes sit deepest, each later one a level higher
-            depths = np.arange(keys.size, 0, -1)
-            depths[0] = keys.size - 1
-            links.append((ids, next_id, depths))
-            keys, ids = keys[:1], np.array([next_id])
-            next_id += 1
-        pairs = keys.size // 2
-        if pairs:
-            parents = np.arange(next_id, next_id + pairs)
-            next_id += pairs
-            links.append((ids[: 2 * pairs], parents.repeat(2), 1))
-            push(2 * weight, keys[0 : 2 * pairs : 2], parents)
-        if keys.size % 2:
-            if not heap:
-                break  # the last node left is the root
-            next_weight = heap[0]
-            next_keys, next_ids = _by_key(runs[next_weight])
-            if next_keys.size > 1:
-                runs[next_weight] = [(next_keys[1:], next_ids[1:])]
-            else:
-                del runs[next_weight]
-                heapq.heappop(heap)
-            links.append((np.array([ids[-1], next_ids[0]]), next_id, 1))
-            key = min(keys[-1], next_keys[0])
-            push(weight + next_weight, np.array([key]), np.array([next_id]))
-            next_id += 1
+        weight = min(runs)
+        segments = runs.pop(weight)
+        if not weight:
+            chain = sum(count for count, *_ in segments)
+            _, _, keys, start, _ = min(segments, key=lambda segment: segment[2].item(segment[3]))
+            segments = [(1, _CHAIN, keys, start, 1)]
+        elif len(segments) > 1:
+            segments = _in_key_order(segments)
+        carry = None  # (shape, keys, index) of a node left over for the next pair
+        for count, shape, keys, start, step in segments:
+            if carry is not None:
+                add(2 * weight, 1, (carry[0] + shape) << 32, carry[1], carry[2], 1)
+                count, start, carry = count - 1, start + step, None
+            if count > 1:
+                add(2 * weight, count // 2, shape << 33, keys, start, 2 * step)
+            if count % 2:
+                carry = (shape, keys, start + (count - 1) * step)
+        if carry is None:
+            continue
+        if not runs:
+            break  # the last node left is the root
+        next_weight = min(runs)
+        after = runs[next_weight]
+        if len(after) > 1:
+            after[:] = _in_key_order(after)
+        count, shape, keys, start, step = after.pop(0)
+        if count > 1:
+            after.insert(0, (count - 1, shape, keys, start + step, step))
+        elif not after:
+            del runs[next_weight]
+        if carry[1].item(carry[2]) < keys.item(start):
+            keys, start = carry[1], carry[2]
+        add(weight + next_weight, 1, (carry[0] + shape) << 32, keys, start, 1)
 
-    depth = np.zeros(next_id, dtype=np.int32)
-    for children, parents, below in reversed(links):
-        depth[children] = depth[parents] + below
-    return depth[:count]
+    root = carry[0]
+    fields = np.frombuffer(root.to_bytes(4 * ((root.bit_length() + 31) // 32), "little"), "<u4")
+    profile = np.concatenate((fields, np.zeros(chain, dtype=fields.dtype)))
+    if chain:
+        # the chain's first two leaves sit deepest, each later one a level higher
+        top = int(fields.argmax())
+        profile[top] -= _CHAIN
+        profile[top + 1 : top + chain] += 1
+        profile[top + chain - 1] += 1
+    lengths = np.empty(ascending.size, dtype=np.int32)
+    lengths[ascending] = np.repeat(np.arange(profile.size, dtype=np.int32), profile)[::-1]
+    return lengths
 
 
 def _total_length(n: int, rho: float, lengths: np.ndarray) -> int:

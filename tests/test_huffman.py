@@ -1,5 +1,6 @@
 """Codebook construction, coding round trips, length statistics, rates."""
 
+import functools
 import math
 
 import numpy as np
@@ -347,18 +348,36 @@ TIE_PRONE_RHOS = (0.5, 0.625, 2 / 3, 0.75, 0.875, 1.0)
 DESIGN_RHOS = tuple((1.0 + 0.1 * k) / 2.0 for k in range(10)) + TIE_PRONE_RHOS
 
 
+@functools.lru_cache(maxsize=None)
+def _heap_lengths(n: int, rho: float) -> np.ndarray:
+    """The leaf-by-leaf heap's lengths, shared by the tests below."""
+    return _huffman_lengths(_integer_weights(n, rho))
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_run_construction_replays_the_leaf_heap(n):
     for rho in DESIGN_RHOS:
-        heap = _huffman_lengths(_integer_weights(n, rho))
-        assert np.array_equal(build_codebook(n, rho).lengths, heap), rho
+        assert np.array_equal(build_codebook(n, rho).lengths, _heap_lengths(n, rho)), rho
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_heap_lengths_never_decrease_along_weight_then_value(n):
+    # the rule that lets a code's length profile fix every block's length,
+    # checked on the heap alone
+    values = np.arange(1 << n)
+    for rho in DESIGN_RHOS:
+        weights = _integer_weights(n, rho)
+        rank = {weight: i for i, weight in enumerate(sorted(set(weights)))}
+        order = np.lexsort((-values, -np.array([rank[weight] for weight in weights])))
+        assert (np.diff(_heap_lengths(n, rho)[order]) >= 0).all(), rho
 
 
 @pytest.mark.parametrize("n", range(13, 17))
-@pytest.mark.parametrize("rho", [0.625, 0.95, 1.0])
+@pytest.mark.parametrize("rho", [0.5, 0.625, 0.75, 0.95, 1.0])
 def test_run_construction_matches_the_heap_up_to_n16(n, rho):
+    # (14, 0.75) is one of the codes whose runs of equal weight interleave
     weights = _integer_weights(n, rho)
-    heap = _huffman_lengths(weights)
+    heap = _heap_lengths(n, rho)
     runs = build_codebook(n, rho).lengths
     total = sum(w * int(l) for w, l in zip(weights, heap))
     assert sum(w * int(l) for w, l in zip(weights, runs)) == total

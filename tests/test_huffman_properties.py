@@ -112,3 +112,12 @@ def test_run_construction_replays_the_heap_on_any_tied_weights(weights):
     distinct = sorted(set(weights))
     classes = [np.flatnonzero(values == w) for w in distinct]
     assert np.array_equal(_run_lengths(distinct, classes), _huffman_lengths(weights))
+
+
+@settings(max_examples=400)
+@given(st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=48))
+def test_heap_lengths_never_decrease_along_weight_then_key(weights):
+    # a leaf's key is its index: sorted by (weight desc, key desc), the
+    # heap's lengths can be read off its length profile alone
+    order = np.lexsort((-np.arange(len(weights)), -np.array(weights)))
+    assert (np.diff(_huffman_lengths(weights)[order]) >= 0).all()
