@@ -7,10 +7,10 @@ the points of a sweep draw from different streams.  Results are
 commutative sums of per-chunk counters, so estimates are bit-identical for
 a fixed (params, scheme, rounds, seed, chunks) however the chunks are
 scheduled.  The non-empty chunks run in order over one set of work arrays
-in the calling thread, unless each chunk expects enough relay errors to
-fill a whole sub-batch: then they split into one contiguous range per
-usable CPU, each with its own work arrays, on the process's one thread
-pool.
+in the calling thread, unless each chunk expects enough rounds drawn one
+by one, the relay errors of a code of more than one group, to fill a whole
+sub-batch: then they split into one contiguous range per usable CPU, each
+with its own work arrays, on the process's one thread pool.
 
 Both schemes run the same chain kernel: the conventional baseline is the
 compressed scheme designed for r = 0, that is the rho = 0.5 threshold and
@@ -20,11 +20,26 @@ at the decision level, from each bit's law of (XOR bit, relay decision),
 [[rho (1 - e0), rho e0], [(1 - rho) e1, (1 - rho)(1 - e1)]] with (e0, e1)
 from pnc.decision_errors, so no source, level or noise sample is drawn.  A
 round the relay gets right enters the result only through the length L of
-the codeword it sends.  So each chunk of R rounds draws, in this order:
+the codeword it sends.  Each sent bit flips with probability
+p = Q(sqrt(2 gamma)) and the receiver is granted the codeword length, so a
+direction delivers b with chance (1 - p)^L when b_hat = b, p^d (1 - p)^(L - d)
+when cw(b) also has L bits and differs from cw(b_hat) in d of them, and 0
+otherwise.  A code of one group of bits (n <= 6) holds the law of
+(b, b_hat) as 4^n products, so each chunk of R rounds draws, in this order:
 
-1. one multinomial over which group of the block's bits (6 each, MSB
-   first, and one shorter group when 6 does not divide n) holds a round's
-   first wrong decision, if any: the relay-wrong count is
+1. one multinomial over the round classes: relay right by L, relay wrong
+   by (L, d) where cw(b) has L bits too, and relay wrong by L otherwise;
+2. one binomial call of shape (2, classes) for both downlinks.  The
+   directions are independent given (b, b_hat), so the call draws each
+   direction's failures of the relay-right rounds of each L, with chance
+   -expm1(L log1p(-p)), and its deliveries of the relay-wrong rounds of
+   each (L, d).
+
+A longer code draws its rounds by groups of 6 bits, MSB first, and one
+shorter group when 6 does not divide n:
+
+1. one multinomial over which group holds a round's first wrong decision,
+   if any: the relay-wrong count is
    Binomial(R, 1 - (1 - rho e0 - (1 - rho) e1)^n);
 2. one multinomial over the relay-right rounds' sent lengths;
 3. for the relay-wrong rounds alone, in sub-batches of up to 2^16, one
@@ -32,20 +47,12 @@ the codeword it sends.  So each chunk of R rounds draws, in this order:
    construction): all right before the first wrong group, at least one
    wrong in it, unconditioned after it.  The uniforms lie on the 2^-53
    grid, so a table's law is off by at most 4096 * 2^-53 in all;
-4. one binomial call of shape (2, classes) for both downlinks.  Each sent
-   bit flips with probability p = Q(sqrt(2 gamma)) and the receiver is
-   granted the codeword length, so a direction delivers b with chance
-   (1 - p)^L when b_hat = b, p^d (1 - p)^(L - d) when cw(b) also has L bits
-   and differs from cw(b_hat) in d of them, and 0 otherwise.  The
-   directions are independent given (b, b_hat), so the call draws each
-   direction's failures of the relay-right rounds of each L, with chance
-   -expm1(L log1p(-p)), and its deliveries of the relay-wrong rounds of
-   each (L, d) that occurs.
+4. one binomial call as above, over the (L, d) classes that occur.
 
 The alias draw, the per-round downlink draw, the per-class binomial with
-the per-point seed, and the per-length counts of the relay-right rounds
-each changed the stream layout, so estimates differ from those of earlier
-versions by sampling noise only.
+the per-point seed, the per-length counts of the relay-right rounds and
+the class counts of a one-group code each changed the stream layout, so
+estimates differ from those of earlier versions by sampling noise only.
 """
 
 from __future__ import annotations
@@ -145,23 +152,35 @@ def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return thresholds, alias
 
 
-def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.ndarray) -> tuple:
-    """_chunk's law of a round: (split, tables, sent, right, fail).
+def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.ndarray, tails: np.ndarray) -> tuple:
+    """_chunk's law of a round: (split, tables, sent, right, chances, nright).
 
     A bit's joint law of (XOR bit b, relay decision b_hat) is
     [[rho (1 - e0), rho e0], [(1 - rho) e1, (1 - rho)(1 - e1)]], and given b
     the decisions are independent, so a g-bit group's law is the g-fold
-    Kronecker power, over outcomes (b bits << g) | b_hat bits.  split[j] is
-    the chance that group j holds the first wrong decision, the earlier
-    groups' all-right masses times group j's wrong mass, and split[-1] that
-    none does.  tables[j] holds group j's alias tables (cuts, outcomes) of
-    its law given all right, given a wrong decision and unconditioned, each
-    None where no round needs it.  A uniform u draws bin i = floor(N u) and
-    keeps i where N u < cuts[i] = i + its threshold; outcomes[2 i + keep] is
-    the outcome packed into the block, b_hat's bits and b's n bits above
-    them, so a round's values add over its groups.  sent holds the lengths
-    a relay-right round can send, right their law, a weighted count of
-    `lengths`, and fail their failure chances.
+    Kronecker power, over outcomes (b bits << g) | b_hat bits.
+
+    A code of one group (n <= _GROUP) draws no round: split is the law of
+    its round classes, each a weighted count of the group's law, so no chance
+    is a difference near 1.  They are, in this order and each only where it
+    has mass, the relay-right rounds by sent length L, the relay-wrong rounds
+    whose cw(b) has L bits too by (L, d), d the popcount of
+    tails[b_hat] ^ tails[b], and the other relay-wrong rounds by L.  sent
+    holds each class's L, chances the failure chance -expm1(L log1p(-p)) of
+    the first nright classes and the delivery chance p^d (1 - p)^(L - d) of
+    the (L, d) ones, tables is empty and right None.
+
+    A longer code draws its relay-wrong rounds one by one.  split[j] is the
+    chance that group j holds the first wrong decision, the earlier groups'
+    all-right masses times group j's wrong mass, and split[-1] that none
+    does.  tables[j] holds group j's alias tables (cuts, outcomes) of its law
+    given all right, given a wrong decision and unconditioned, each None
+    where no round needs it.  A uniform u draws bin i = floor(N u) and keeps
+    i where N u < cuts[i] = i + its threshold; outcomes[2 i + keep] is the
+    outcome packed into the block, b_hat's bits and b's n bits above them,
+    so a round's values add over its groups.  sent holds the lengths a
+    relay-right round can send, right their law, a weighted count of
+    `lengths`, and chances their failure chances, nright of them.
     """
     joint = np.array([[rho * (1.0 - e0), rho * e0], [(1.0 - rho) * e1, (1.0 - rho) * (1.0 - e1)]])
     split, tables = [], []
@@ -173,6 +192,19 @@ def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.n
         for _ in range(g):  # law = kron(law, joint)
             law = (law[:, None, :, None] * joint[None, :, None, :]).reshape(2 * law.shape[0], -1)
         law = law.ravel()
+        if g == n:
+            # over [b, b_hat], class (kind, L, d) is keyed (kind (max_len + 1)
+            # + L) (n + 2) + d: kind 0 relay right, 1 relay wrong with a
+            # deliverable cw(b), 2 not
+            kind = np.where(lengths[:, None] == lengths, 1, 2)
+            np.fill_diagonal(kind, 0)
+            d = np.bitwise_count(tails[:, None] ^ tails) * (kind == 1)
+            size = (int(lengths.max()) + 1) * (n + 2)
+            mass = np.bincount((kind * size + lengths * (n + 2) + d).ravel(), law)
+            cells = np.flatnonzero(mass)
+            kind, (sent, d) = cells // size, np.divmod(cells % size, n + 2)
+            chances = np.where(kind == 0, -np.expm1(sent * math.log1p(-p)), p**d * (1.0 - p) ** (sent - d))
+            return mass[cells], [], sent, None, chances[kind < 2], int(np.count_nonzero(kind == 0))
         true, hat = np.divmod(np.arange(law.size), 1 << g)
         packed = (true << (n + shift)) | (hat << shift)
         right = true == hat
@@ -201,7 +233,7 @@ def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.n
     # 1, and draws the last category as what the others leave anyway.
     # -expm1(L log1p(-p)) keeps its digits where 1 - (1 - p)^L cancels
     split.append(min(before, 1.0))
-    return np.array(split), tables, sent, right[sent] / right[sent].sum(), -np.expm1(sent * math.log1p(-p))
+    return np.array(split), tables, sent, right[sent] / right[sent].sum(), -np.expm1(sent * math.log1p(-p)), sent.size
 
 
 def _work(size: int, groups: int) -> tuple:
@@ -225,26 +257,30 @@ def _chunk(
 ):
     """Error counters of `rounds` exchange rounds through the chain.
 
-    One multinomial over `law`'s split counts the rounds by the group of
-    their first wrong decision, or none, and one over its right law the
-    relay-right rounds by sent length L.  Only the relay-wrong rounds draw
-    (b, b_hat), one uniform per group.  The receiver is granted the codeword
-    length (genie framing), so a relay-right round is delivered when its L
-    codeword bits all arrive, and a relay-wrong round when cw(b) has the
-    sent length and exactly the d bits where it differs from cw(b_hat)
-    flip.  One binomial call then draws, per direction, how many rounds of
-    each class of one such chance fail or are delivered.  `lengths` are the
-    codeword lengths as intp, `tails` the code's tails.  The relay-wrong
-    rounds run in sub-batches of up to _SUBBATCH in `work` (_work, sized for
-    at least min(_SUBBATCH, rounds) rounds), which each writes before it
-    reads.
+    The receiver is granted the codeword length (genie framing), so a
+    relay-right round is delivered when its L codeword bits all arrive, and
+    a relay-wrong round when cw(b) has the sent length and exactly the d
+    bits where it differs from cw(b_hat) flip.  A code of one group counts
+    the rounds into `law`'s classes of one such chance with one multinomial.
+    A longer code counts them by the group of their first wrong decision, or
+    none, with one multinomial over `law`'s split, and the relay-right ones
+    by sent length L with one over its right law; only its relay-wrong
+    rounds draw (b, b_hat), one uniform per group, in sub-batches of up to
+    _SUBBATCH in `work` (_work, sized for at least min(_SUBBATCH, rounds)
+    rounds), which each writes before it reads.  One binomial call then
+    draws, per direction, how many rounds of each class fail or are
+    delivered.  `lengths` are the codeword lengths as intp, `tails` the
+    code's tails.
     """
-    split, tables, sent, right, fail = law
+    split, tables, sent, right, chances, nright = law
     low = (1 << n) - 1
-    *firsts, rest = rng.multinomial(rounds, split)
-    sent_counts = rng.multinomial(rest, right)
-    dl_bits = int(sent_counts @ sent)
-    pairs = np.zeros(0, dtype=np.int64)  # relay-wrong rounds by L (n + 2) + d
+    counts = rng.multinomial(rounds, split)
+    firsts = ()
+    if tables:  # counts by first wrong group, then the relay-right ones by L
+        firsts, counts = counts[:-1], rng.multinomial(counts[-1], right)
+    dl_bits = int(counts @ sent)
+    wrong = rounds - int(counts[:nright].sum())
+    pairs = np.zeros(0, dtype=np.int64)  # drawn relay-wrong rounds by L (n + 2) + d
     for first, todo in enumerate(firsts):
         # all right before the first wrong group, unconditioned after it
         draw = [t[0] for t in tables[:first]] + [tables[first][1]] + [t[2] for t in tables[first + 1 :]]
@@ -280,15 +316,15 @@ def _chunk(
             more = np.bincount(lens[same] * (n + 2) + d, minlength=pairs.size)
             more[: pairs.size] += pairs
             pairs = more
-    wrong = rounds - int(rest)
-    classes = np.flatnonzero(pairs)
-    length, d = np.divmod(classes, n + 2)
-    counts = np.concatenate((sent_counts, pairs[classes]))
-    chances = np.concatenate((fail, p**d * (1.0 - p) ** (length - d)))
-    draws = rng.binomial(counts, chances, size=(2, counts.size))
+    if pairs.size:
+        classes = np.flatnonzero(pairs)
+        length, d = np.divmod(classes, n + 2)
+        counts = np.concatenate((counts, pairs[classes]))
+        chances = np.concatenate((chances, p**d * (1.0 - p) ** (length - d)))
+    draws = rng.binomial(counts[: chances.size], chances, size=(2, chances.size))
     # a direction fails the relay-right rounds drawn to fail and the
     # relay-wrong rounds not drawn to be delivered
-    err = draws[:, : sent.size].sum(axis=1) + wrong - draws[:, sent.size :].sum(axis=1)
+    err = draws[:, :nright].sum(axis=1) + wrong - draws[:, nright:].sum(axis=1)
     return int(err[1]), int(err[0]), wrong, dl_bits
 
 
@@ -319,9 +355,9 @@ def estimate(
 
     Rounds are split as evenly as possible over `chunks` independent streams;
     the result depends only on (params, scheme, rounds, seed, chunks), not on
-    how many threads run them.  Chunks that expect at least 2^16 relay-wrong
-    rounds each run on min(non-empty chunks, usable CPUs) threads, others in
-    the caller.
+    how many threads run them.  Chunks that each expect at least 2^16 rounds
+    drawn one by one, which only codes of more than 6 bits draw, run on
+    min(non-empty chunks, usable CPUs) threads, others in the caller.
     """
     if scheme not in (SCHEME_HPNC, SCHEME_CONVENTIONAL):
         raise ValueError(f"scheme must be 'hpnc' or 'conventional', got {scheme!r}")
@@ -343,7 +379,7 @@ def estimate(
     # n and the float64 bit patterns of the design rho and of gamma
     point = (params.n, *np.array([rho, params.gamma]).view(np.uint64).tolist())
     lengths = cb.lengths.astype(np.intp)  # the kernel's index type, converted once
-    law = _chain_law(params.n, rho, e0, e1, p, lengths)
+    law = _chain_law(params.n, rho, e0, e1, p, lengths, cb.tails)
     split, tables = law[:2]
 
     base, extra = divmod(rounds, chunks)
@@ -352,7 +388,7 @@ def estimate(
 
     def run(first: int, stop: int):
         # chunks first..stop-1 in order, over one set of work arrays
-        work = _work(min(_SUBBATCH, base + (extra > 0)), len(tables))
+        work = _work(min(_SUBBATCH, base + (extra > 0)), len(tables)) if tables else ()
         totals = [0, 0, 0, 0]  # err12, err21, relay_err, dl_bits
         for k in range(first, stop):
             rng = _child_rng(seed, k, point)
@@ -360,10 +396,11 @@ def estimate(
             totals = [a + b for a, b in zip(totals, counts)]
         return totals
 
-    # threads pay only when the chunks' relay-wrong rounds, the only ones
-    # drawn per round, are expected to fill a whole sub-batch: smaller ones
-    # hand the interpreter lock back and forth more than they overlap
-    threads = min(active, _cores()) if base * split[:-1].sum() >= _POOL_FROM else 1
+    # threads pay only when the rounds drawn one by one, the relay-wrong
+    # rounds of a code of more than one group, are expected to fill a whole
+    # sub-batch per chunk: fewer hand the interpreter lock back and forth
+    # more than they overlap
+    threads = min(active, _cores()) if base * split[: len(tables)].sum() >= _POOL_FROM else 1
     bounds = [active * t // threads for t in range(threads + 1)]
     ranges = (map if threads == 1 else _pool().map)(run, bounds[:-1], bounds[1:])
     err12, err21, relay_err, dl_bits = (sum(c) for c in zip(*ranges))

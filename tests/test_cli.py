@@ -417,18 +417,18 @@ def test_output_digest_is_pinned(tmp_path, capsys, args, digest):
 # SHA-256 of stdout: the fixed-width tables and the stdout export
 PINNED_STDOUT = [
     (["bler-sweep", *FAST_SWEEP],
-     "62ec3b9af8dfb8455b5d3e00cdc69a43ce41597e4d80f822a9ab2681fe6f0c2b"),
+     "d0de21bcdd59a4c38838102d1410e81fa866711850537e49d8d5955d0a4b133a"),
     (["throughput-sweep", *FAST_SWEEP],
-     "37dcb7909523b27e1dbd6efc2014aba0651e62726842647e819e5ca64b6ddbf5"),
+     "7154e12cf39d92c1def3731f927501db86f76a569c7ca47efae0ed5a0e15cb27"),
     (["rate-table", "--n-stop", "8"],
      "a62e7c70cff29558d85766fc35ae91d7c6a9d49bd74028e76357d2f790072c66"),
     (["export-codebook", "--n", "8", "--r", "0.9"],
      "11fc8ff37cf3a4aa4e3888e2a194e4aa8345d72ad107b06fbd9e8ba1ecf01c70"),
     # 70 000 rounds per chunk, more than a sub-batch: the relay errs in
-    # about 10 400 of them, which are drawn round by round in one sub-batch
+    # about 10 400 of them, and a code of one group counts them by class
     (["throughput-sweep", "--n", "4", "--r", "0.9", "--snr-db-start", "0", "--snr-db-stop", "0",
       "--rounds", "140000", "--chunks", "2"],
-     "94cef763d367a19883a0d447c2a76daa579814d2b52cde2ce223b2faad0a5a95"),
+     "c1e814091e53794156dc8116ec2e6f895b7522437a215321973f2c0fd21d3154"),
     # integer deviations only, so the report does not depend on the platform
     (["validate", "--checks", "codebooks"],
      "87f74f5e9fc15e7e8edba47c71f98d5823cd2dbc395f84d35681cd29ae6e24b7"),

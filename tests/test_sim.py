@@ -16,6 +16,7 @@ from hpnc.phy import q_function
 from hpnc.pnc import decision_errors, optimal_threshold
 from hpnc import sim
 from hpnc.sim import _chunk, estimate, relay_threshold
+from test_huffman import DESIGN_RHOS
 from uplink_reference import draw_rounds, group_law, uplink_tables
 
 NOISELESS = 1e12  # BLER under e^-1e12: no error will ever be sampled
@@ -24,12 +25,15 @@ NOISELESS = 1e12  # BLER under e^-1e12: no error will ever be sampled
 def exact_chain_bler(n, rho, gamma, tau, cb):
     """Exact per-direction BLER of the simulated chain, by enumeration.
 
-    Sums P(b) P(b_hat | b) p^d (1 - p)^(L - d) over every pair of blocks
-    whose codewords have the same length L and differ in d bits, with
-    p = Q(sqrt(2 gamma)) the downlink bit-flip probability: the chance that
-    the receiver, granted the sent length, reads cw(b) although the relay
-    sent cw(b_hat).  Returns (BLER, probability that a relay error is
-    delivered correctly anyway).
+    The receiver, granted the sent length, reads cw(b) although the relay
+    sent cw(b_hat) with chance p^d (1 - p)^(L - d) when both codewords have L
+    bits and differ in d of them, p = Q(sqrt(2 gamma)) the downlink bit-flip
+    probability, and 0 otherwise.  The BLER sums P(b) P(b_hat | b) times the
+    chance that b is not read over every pair of blocks; for b_hat = b that
+    is the chance that some of the L bits flip, sum_{d >= 1} C(L, d) p^d
+    (1 - p)^(L - d).  So it is a sum of products and keeps its digits at any
+    SNR.  Returns (BLER, probability that a relay error is delivered
+    correctly anyway).
     """
     sigma = math.sqrt(0.5 / gamma)
     p = q_function(math.sqrt(2.0 * gamma))
@@ -46,9 +50,13 @@ def exact_chain_bler(n, rho, gamma, tau, cb):
     relay = np.prod(np.where(differ, flip[bits][:, None, :], 1.0 - flip[bits][:, None, :]), axis=2)
     words = [encode(cb, row) for row in bits]
     deliver = np.array([[delivery_chance(p, word, sent) for sent in words] for word in words])
-    joint = prior[:, None] * relay * deliver
-    anyway = float(joint.sum() - np.trace(joint))
-    return 1.0 - float(joint.sum()), anyway
+    fail = 1.0 - deliver
+    fail[np.diag_indices(size)] = [
+        sum(math.comb(word.size, d) * p**d * (1.0 - p) ** (word.size - d) for d in range(1, word.size + 1))
+        for word in words
+    ]
+    mass = prior[:, None] * relay
+    return float((mass * fail).sum()), float((mass * deliver)[~np.eye(size, dtype=bool)].sum())
 
 
 def exact_point_bler(params, scheme):
@@ -153,7 +161,7 @@ def test_chunks_beyond_the_round_budget_are_empty(monkeypatch, started_threads):
     for rounds in (10, 1):
         many = estimate(params, "hpnc", rounds, seed=21, chunks=10**9)
         assert replace(many, chunks=rounds) == estimate(params, "hpnc", rounds, seed=21, chunks=rounds)
-    assert started_threads == []  # one-round chunks expect under one relay error
+    assert started_threads == []  # an n = 6 code draws no round one by one
     # with the pool taken whatever the relay errors, only the `rounds`
     # chunks that hold a round run, so a fresh pool starts min(rounds, CPUs)
     # threads at most, however many chunks are asked for
@@ -175,8 +183,8 @@ def test_chunks_beyond_the_round_budget_are_empty(monkeypatch, started_threads):
 
 
 def test_estimates_share_one_pool(monkeypatch, started_threads):
-    # chunks that expect fewer relay errors than a sub-batch holds run in
-    # the caller, without the pool
+    # chunks that expect fewer rounds drawn one by one than a sub-batch
+    # holds, here none at n = 6, run in the caller, without the pool
     monkeypatch.setattr(sim, "_cores", lambda: 2)
     sim._pool.cache_clear()
     params = SystemParams(n=6, r=0.8, gamma=1.0)
@@ -195,7 +203,7 @@ def test_estimates_share_one_pool(monkeypatch, started_threads):
 
 
 def test_a_second_estimate_starts_no_thread(monkeypatch, started_threads):
-    # chunks that expect few relay errors start no thread at all
+    # chunks that draw no round one by one start no thread at all
     monkeypatch.setattr(sim, "_cores", lambda: 2)
     sim._pool.cache_clear()
     params = SystemParams(n=6, r=0.8, gamma=1.0)
@@ -380,6 +388,35 @@ def test_estimate_matches_exact_chain(scheme, n, r, snr_db):
     assert abs(est.bler_21 - expected) <= 4.0 * se
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("rho", sorted(set(DESIGN_RHOS)))  # 0.5 is the baseline's design
+def test_one_group_class_law_is_the_exact_chain(n, rho):
+    # a code of one group draws its rounds' classes from one multinomial, so
+    # its class law must be the chain's law: per direction, the BLER and the
+    # mass of relay errors delivered anyway are exact_chain_bler's, and the
+    # mean sent length is sum_b q^k (1 - q)^(n - k) L(b), with k the ones of
+    # b and q = (1 - rho)(1 - e1) + rho e0 the chance that a relayed bit is 1
+    cb = build_codebook(n, rho)
+    lengths = cb.lengths.astype(np.intp)
+    ones = np.bitwise_count(np.arange(1 << n))
+    for snr_db in (0.0, 4.0, 10.0):
+        gamma = 10.0 ** (snr_db / 10.0)
+        threshold = optimal_threshold(gamma, rho)
+        e0, e1 = decision_errors(gamma, threshold)
+        p = q_function(math.sqrt(2.0 * gamma))
+        mass, tables, sent, _, chances, nright = sim._chain_law(n, rho, e0, e1, p, lengths, cb.tails)
+        assert tables == [] and np.all(mass > 0.0)
+        live = chances.size  # relay right, then relay wrong and deliverable
+        bler = mass[:nright] @ chances[:nright] + mass[nright:live] @ (1.0 - chances[nright:]) + mass[live:].sum()
+        anyway = mass[nright:live] @ chances[nright:]
+        expected, expected_anyway = exact_chain_bler(n, rho, gamma, threshold.tau, cb)
+        assert bler == pytest.approx(expected, rel=1e-12, abs=0)
+        assert anyway == pytest.approx(expected_anyway, rel=1e-12, abs=0)
+        q = (1.0 - rho) * (1.0 - e1) + rho * e0
+        expected_mean = float((q**ones * (1.0 - q) ** (n - ones)) @ cb.lengths)
+        assert mass @ sent == pytest.approx(expected_mean, rel=1e-12, abs=0)
+
+
 def test_deep_code_downlink_is_ragged():
     # max_len is 2^10 - 1 = 1023, but only the all-zero block's codeword is sent
     params = SystemParams(n=10, r=1.0, gamma=1.0)
@@ -464,7 +501,7 @@ def test_rho_one_uses_zero_threshold():
     "n,rho,gamma",
     [
         (12, 0.5, 1.0),  # the baseline's 12-bit identity code: all tail, no ones
-        (6, 0.8, 0.5),  # a variable-length code, 2 to 12 bits: flips land in the ones
+        (7, 0.8, 0.5),  # a variable-length code of two groups: flips land in the ones
     ],
 )
 def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monkeypatch):
@@ -476,7 +513,7 @@ def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monke
     errors = decision_errors(gamma, optimal_threshold(gamma, rho))
     p = q_function(math.sqrt(2.0 * gamma))
     lengths = cb.lengths.astype(np.intp)
-    law = sim._chain_law(n, rho, *errors, p, lengths)
+    law = sim._chain_law(n, rho, *errors, p, lengths, cb.tails)
     # one sub-batch per first wrong group, then sub-batches of 300 rounds
     for sub in (sim._SUBBATCH, 300):
         monkeypatch.setattr(sim, "_SUBBATCH", sub)
@@ -505,7 +542,7 @@ def replay_chunk(n, rho, errors, law, p, cb, rounds, sub, rng, calls):
     the relay-wrong rounds whose true codeword also has L bits, by (L, d),
     with their delivery chance.  Its draws are replayed from the same
     arguments.  Also returns how many relay errors were delivered anyway."""
-    _, tables, sent_lengths, _, _ = law
+    _, tables, sent_lengths, _, _, _ = law
     words = [encode(cb, int_to_block(v, n)) for v in range(1 << n)]
     groups = [(n - start - min(6, n - start), min(6, n - start)) for start in range(0, n, 6)]  # (shift, bits)
     laws = [group_law(g, rho, *errors).reshape(1 << g, 1 << g) for _, g in groups]
@@ -623,7 +660,8 @@ def test_relay_wrong_tables_imply_the_conditioned_product_law(g, rho, errors):
     # four tables and no other, and split gives where the first wrong
     # decision falls.  A mass of 0 builds no table
     n = 6 + g
-    split, tables = sim._chain_law(n, rho, *errors, 0.1, np.ones(1 << n, dtype=np.intp))[:2]
+    code = np.ones(1 << n, dtype=np.intp)  # lengths and tails
+    split, tables = sim._chain_law(n, rho, *errors, 0.1, code, code)[:2]
     masses = []
     for (shift, width), group, needed in zip([(g, 6), (0, g)], tables, [(1, 1, 0), (0, 1, 1)]):
         law = product_law(width, rho, *errors)
@@ -668,7 +706,7 @@ def test_alias_draws_follow_the_product_law(rho, gamma):
 @pytest.mark.parametrize(
     "n,r,snr_db",
     [
-        (6, 0.9, 0.0),  # one group
+        (6, 0.9, 0.0),  # one group: the rounds counted by class
         (12, 0.95, 0.0),  # two groups
         (13, 0.8, 3.0),  # three, the middle one drawn from all three tables
     ],
@@ -686,19 +724,22 @@ def test_chunk_classes_follow_the_per_round_reference(n, r, snr_db):
     cb = build_codebook(n, rho)
     lengths = cb.lengths.astype(np.intp)
     p = 0.1  # any p in (0, 1): each relay-wrong class then has its own chance
-    law = sim._chain_law(n, rho, *errors, p, lengths)
+    law = sim._chain_law(n, rho, *errors, p, lengths, cb.tails)
     rng = _CountingRng(np.random.default_rng(71))
     _chunk(n, law, p, lengths, cb.tails, rounds, rng, sim._work(min(sim._SUBBATCH, rounds), len(law[1])))
-    (_, (_, _), firsts), (_, _, right), *_, (_, (counts, chances), _) = rng.calls
-    kernel = {("right", int(L)): int(c) for L, c in zip(law[2], right)}
+    # the binomial call holds the relay-right rounds by sent length first,
+    # then the relay-wrong rounds that can be delivered; the rest never are
+    _, (counts, chances), _ = rng.calls[-1]
+    nright = law[5]
+    kernel = {("right", int(L)): int(c) for L, c in zip(law[2][:nright], counts)}
     # the kernel's chances p^d (1 - p)^(L - d), recomputed as it does, name
     # its classes (L, d)
     length, d = np.divmod(np.arange((cb.max_len + 1) * (n + 2)), n + 2)
     names = dict(zip((p**d * (1.0 - p) ** (length - d)).tolist(), zip(length.tolist(), d.tolist())))
     assert len(names) == length.size
-    for count, chance in zip(counts[right.size :].tolist(), chances[right.size :].tolist()):
+    for count, chance in zip(counts[nright:].tolist(), chances[nright:].tolist()):
         kernel[("wrong", *names[chance])] = count
-    kernel["never"] = int(firsts[:-1].sum()) - int(counts[right.size :].sum())
+    kernel["never"] = rounds - int(counts.sum())
 
     true, hat = draw_rounds(n, uplink_tables(n, rho, *errors), np.random.default_rng(72), rounds)
     texts = [cb.codeword_text(v) for v in range(1 << n)]
@@ -788,39 +829,55 @@ class _CountingRng:
 
 
 def test_chunk_draws_one_uniform_per_group_and_one_binomial_call(monkeypatch):
-    # a chunk draws one multinomial over which group holds a round's first
-    # wrong decision, if any, one over the relay-right rounds' sent lengths,
-    # then for the relay-wrong rounds alone one uniform per round for each
-    # group of up to 6 bits (one at n = 6, three at n = 16), in sub-batches
-    # per first wrong group, and last one binomial call over both
-    # directions and the classes: nothing per relay-right round, and
-    # nothing per round or per bit for the downlink.  At 10 dB the relay
-    # errs in about 1e-5 to 1e-4 of the rounds, at 0 dB in a quarter or
-    # more, and at rho = 1 never, so there no per-round value is drawn
+    # a code of one group (n <= 6) draws one multinomial over the round
+    # classes and one binomial call, nothing per round.  A longer one draws
+    # one multinomial over which group holds a round's first wrong decision,
+    # if any, one over the relay-right rounds' sent lengths, then for the
+    # relay-wrong rounds alone one uniform per round for each group of up
+    # to 6 bits (three at n = 16), in sub-batches per first wrong group,
+    # and last one binomial call over both directions and the classes:
+    # nothing per relay-right round, and nothing per round or per bit for
+    # the downlink.  At 10 dB the relay errs in about 1e-5 to 1e-4 of the
+    # rounds, at 0 dB in a quarter or more, and at rho = 1 never, so there
+    # no per-round value is drawn
     sub = 2000
     monkeypatch.setattr(sim, "_SUBBATCH", sub)
-    for n, groups in [(6, 1), (16, 3)]:
+    for n, groups in [(1, 0), (6, 0), (16, 3)]:
         for rho, gamma, rounds in [(0.95, 10.0, 10**6), (0.95, 1.0, 12_500), (1.0, 1.0, 12_500)]:
             cb = build_codebook(n, rho)
             lengths = cb.lengths.astype(np.intp)
             errors = decision_errors(gamma, optimal_threshold(gamma, rho))
             for p in (q_function(math.sqrt(2.0 * gamma)), 0.0):
-                law = sim._chain_law(n, rho, *errors, p, lengths)
+                law = sim._chain_law(n, rho, *errors, p, lengths, cb.tails)
+                nright = law[5]
                 rng = _CountingRng(np.random.default_rng(9))
                 err12, err21, relay_err, sent = _chunk(
-                    n, law, p, lengths, cb.tails, rounds, rng, sim._work(sub, groups)
+                    n, law, p, lengths, cb.tails, rounds, rng, sim._work(sub, groups) if groups else ()
                 )
-                (_, (_, split), firsts), (_, (rest, _), right) = rng.calls[:2]
-                assert split.size == groups + 1 and right.size == law[2].size
-                assert relay_err == rounds - rest == firsts[:-1].sum()
-                uniforms = [groups * min(sub, left) for todo in firsts[:-1] for left in range(todo, 0, -sub)]
-                names = ["multinomial", "multinomial", *["random"] * len(uniforms), "binomial"]
-                assert [call[0] for call in rng.calls] == names
-                assert [call[1] for call in rng.calls[2:-1]] == uniforms
                 _, (counts, chances), draws = rng.calls[-1]
+                if groups:
+                    (_, (_, split), firsts), (_, (rest, _), right) = rng.calls[:2]
+                    assert split.size == groups + 1 and right.size == law[2].size == nright
+                    assert relay_err == rounds - rest == firsts[:-1].sum()
+                    uniforms = [groups * min(sub, left) for todo in firsts[:-1] for left in range(todo, 0, -sub)]
+                    names = ["multinomial", "multinomial", *["random"] * len(uniforms), "binomial"]
+                    assert [call[0] for call in rng.calls] == names
+                    assert [call[1] for call in rng.calls[2:-1]] == uniforms
+                    assert np.array_equal(counts[: right.size], right) and counts.sum() <= rounds
+                else:
+                    uniforms = []
+                    assert [call[0] for call in rng.calls] == ["multinomial", "binomial"]
+                    (_, (total, cells), classes), = rng.calls[:1]
+                    assert total == rounds and cells.size == law[2].size
+                    assert np.array_equal(counts, classes[: chances.size])
+                    assert relay_err == rounds - classes[:nright].sum()
+                    assert sent == classes @ law[2]
                 assert draws.shape == (2, counts.size)
-                assert np.array_equal(counts[: right.size], right) and counts.sum() <= rounds
                 assert np.all((chances >= 0.0) & (chances <= 1.0))
+                # the second row is the 1 -> 2 direction: its relay-right
+                # failures and its relay-wrong rounds not delivered
+                for row, err in zip(draws, (err21, err12)):
+                    assert err == row[:nright].sum() + relay_err - row[nright:].sum()
                 assert sent >= rounds
                 if rho == 1.0:
                     assert relay_err == 0 and uniforms == []
@@ -836,16 +893,16 @@ def test_relay_right_failure_chance_keeps_its_digits():
     p, length, n = 1e-13, 20, 2
     errors = decision_errors(1.0, optimal_threshold(1.0, 0.9))
     lengths = np.full(1 << n, length, dtype=np.intp)  # every block sends 20 bits
-    law = sim._chain_law(n, 0.9, *errors, p, lengths)
+    law = sim._chain_law(n, 0.9, *errors, p, lengths, np.arange(1 << n))
     rng = _CountingRng(np.random.default_rng(4))
-    _chunk(n, law, p, lengths, np.arange(1 << n), 1000, rng, sim._work(1000, len(law[1])))
+    _chunk(n, law, p, lengths, np.arange(1 << n), 1000, rng, ())
     _, (counts, chances), _ = rng.calls[-1]
     exact = -math.expm1(length * math.log1p(-p))
     assert chances[0] == pytest.approx(exact, rel=1e-12, abs=0)
     assert abs(1.0 - (1.0 - p) ** length - exact) > 1e-4 * exact
 
 
-@pytest.mark.parametrize("n", [6, 16])  # one group, three groups
+@pytest.mark.parametrize("n", [7, 16])  # two groups, three groups
 def test_chunk_writes_its_work_arrays_before_reading_them(n, monkeypatch):
     # sub-batches of relay-wrong rounds, the last of each first wrong group
     # shorter, through work arrays that start fresh and through ones that
@@ -856,7 +913,7 @@ def test_chunk_writes_its_work_arrays_before_reading_them(n, monkeypatch):
     cb = build_codebook(n, rho)
     p = q_function(math.sqrt(2.0 * gamma))
     code = cb.lengths.astype(np.intp), cb.tails
-    law = sim._chain_law(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)), p, code[0])
+    law = sim._chain_law(n, rho, *decision_errors(gamma, optimal_threshold(gamma, rho)), p, *code)
     fresh = _chunk(n, law, p, *code, 20_000, np.random.default_rng(3), sim._work(3000, len(law[1])))
     garbage = sim._work(3000, len(law[1]))
     for a in garbage:

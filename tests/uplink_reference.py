@@ -1,9 +1,10 @@
 """Per-round reference for the relay's decisions, for the tests.
 
-The simulator draws only its relay-wrong rounds one by one, from tables
-conditioned on the group that holds the first wrong decision, and counts
-its relay-right rounds by sent length alone.  This draws every round the
-plain way: one uniform per group of up to 6 bits, MSB first, each from a
+The simulator counts the rounds of a code of up to 6 bits by class and
+draws none of them; a longer code draws only its relay-wrong rounds one by
+one, from tables conditioned on the group that holds the first wrong
+decision, and counts its relay-right rounds by sent length alone.  This
+draws every round the plain way: one uniform per group of up to 6 bits, MSB first, each from a
 Walker alias table of the group's unconditioned law, the product of the
 per-bit law of (XOR bit, relay decision).
 """
