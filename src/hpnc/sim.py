@@ -25,29 +25,25 @@ p = Q(sqrt(2 gamma)) and the receiver is granted the codeword length, so a
 direction delivers b with chance (1 - p)^L when b_hat = b, p^d (1 - p)^(L - d)
 when cw(b) also has L bits and differs from cw(b_hat) in d of them, and 0
 otherwise.  A code of one group of bits (n <= 6) holds the law of
-(b, b_hat) as 4^n products, so each chunk of R rounds draws, in this order:
+(b, b_hat) as 4^n products; a longer code draws its relay-wrong rounds by
+groups of 6 bits, MSB first, and one shorter group when 6 does not divide
+n.  Each chunk of R rounds draws, in this order:
 
-1. one multinomial over the round classes: relay right by L, relay wrong
+1. one multinomial whose first cells, for n > 6, count which group holds
+   a round's first wrong decision (the relay-wrong count is
+   Binomial(R, 1 - (1 - rho e0 - (1 - rho) e1)^n)), and whose other cells
+   are the round classes: relay right by L, then, for n <= 6, relay wrong
    by (L, d) where cw(b) has L bits too, and relay wrong by L otherwise;
-2. one binomial call of shape (2, classes) for both downlinks.  The
-   directions are independent given (b, b_hat), so the call draws each
-   direction's failures of the relay-right rounds of each L, with chance
-   -expm1(L log1p(-p)), and its deliveries of the relay-wrong rounds of
-   each (L, d).
-
-A longer code draws its rounds by groups of 6 bits, MSB first, and one
-shorter group when 6 does not divide n:
-
-1. one multinomial over which group holds a round's first wrong decision,
-   if any: the relay-wrong count is
-   Binomial(R, 1 - (1 - rho e0 - (1 - rho) e1)^n);
-2. one multinomial over the relay-right rounds' sent lengths;
-3. for the relay-wrong rounds alone, in sub-batches of up to 2^16, one
-   uniform per (group, round) from Walker alias tables (Vose's
+2. for n > 6, the relay-wrong rounds one by one, in sub-batches of up to
+   2^16, one uniform per (group, round) from Walker alias tables (Vose's
    construction): all right before the first wrong group, at least one
    wrong in it, unconditioned after it.  The uniforms lie on the 2^-53
    grid, so a table's law is off by at most 4096 * 2^-53 in all;
-4. one binomial call as above, over the (L, d) classes that occur.
+3. one binomial call of shape (2, classes) for both downlinks.  The
+   directions are independent given (b, b_hat), so the call draws each
+   direction's failures of the relay-right rounds of each L, with chance
+   -expm1(L log1p(-p)), and its deliveries of the relay-wrong rounds of
+   each (L, d) that occurs.
 
 The alias draw, the per-round downlink draw, the per-class binomial with
 the per-point seed, the per-length counts of the relay-right rounds and
@@ -153,34 +149,33 @@ def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.ndarray, tails: np.ndarray) -> tuple:
-    """_chunk's law of a round: (split, tables, sent, right, chances, nright).
+    """_chunk's law of a round: (split, tables, sent, chances, nright).
 
     A bit's joint law of (XOR bit b, relay decision b_hat) is
     [[rho (1 - e0), rho e0], [(1 - rho) e1, (1 - rho)(1 - e1)]], and given b
     the decisions are independent, so a g-bit group's law is the g-fold
     Kronecker power, over outcomes (b bits << g) | b_hat bits.
 
-    A code of one group (n <= _GROUP) draws no round: split is the law of
-    its round classes, each a weighted count of the group's law, so no chance
-    is a difference near 1.  They are, in this order and each only where it
-    has mass, the relay-right rounds by sent length L, the relay-wrong rounds
-    whose cw(b) has L bits too by (L, d), d the popcount of
-    tails[b_hat] ^ tails[b], and the other relay-wrong rounds by L.  sent
-    holds each class's L, chances the failure chance -expm1(L log1p(-p)) of
-    the first nright classes and the delivery chance p^d (1 - p)^(L - d) of
-    the (L, d) ones, tables is empty and right None.
+    split is the law of _chunk's one multinomial.  For a code of more than
+    one group (n > _GROUP) it opens with one cell per group j, the chance
+    that j holds the first wrong decision: the earlier groups' all-right
+    masses times group j's wrong mass.  Then come the round classes, each
+    only where it has mass: the relay-right rounds by sent length L, and
+    for a code of one group the relay-wrong rounds whose cw(b) has L bits
+    too by (L, d), d the popcount of tails[b_hat] ^ tails[b], and the other
+    relay-wrong rounds by L.  A one-group class is a weighted count of the
+    group's law, and a longer code's relay-right class the all-right mass
+    times its share of a weighted count of `lengths`, so no chance is a
+    difference near 1.  sent holds each class's L, and chances the failure
+    chance -expm1(L log1p(-p)) of the first nright classes and the delivery
+    chance p^d (1 - p)^(L - d) of the (L, d) ones.
 
-    A longer code draws its relay-wrong rounds one by one.  split[j] is the
-    chance that group j holds the first wrong decision, the earlier groups'
-    all-right masses times group j's wrong mass, and split[-1] that none
-    does.  tables[j] holds group j's alias tables (cuts, outcomes) of its law
-    given all right, given a wrong decision and unconditioned, each None
-    where no round needs it.  A uniform u draws bin i = floor(N u) and keeps
-    i where N u < cuts[i] = i + its threshold; outcomes[2 i + keep] is the
-    outcome packed into the block, b_hat's bits and b's n bits above them,
-    so a round's values add over its groups.  sent holds the lengths a
-    relay-right round can send, right their law, a weighted count of
-    `lengths`, and chances their failure chances, nright of them.
+    tables[j] (none for one group) holds group j's alias tables
+    (cuts, outcomes) of its law given all right, given a wrong decision and
+    unconditioned, each None where no round needs it.  A uniform u draws
+    bin i = floor(N u) and keeps i where N u < cuts[i] = i + its threshold;
+    outcomes[2 i + keep] is the outcome packed into the block, b_hat's bits
+    and b's n bits above them, so a round's values add over its groups.
     """
     joint = np.array([[rho * (1.0 - e0), rho * e0], [(1.0 - rho) * e1, (1.0 - rho) * (1.0 - e1)]])
     split, tables = [], []
@@ -204,7 +199,7 @@ def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.n
             cells = np.flatnonzero(mass)
             kind, (sent, d) = cells // size, np.divmod(cells % size, n + 2)
             chances = np.where(kind == 0, -np.expm1(sent * math.log1p(-p)), p**d * (1.0 - p) ** (sent - d))
-            return mass[cells], [], sent, None, chances[kind < 2], int(np.count_nonzero(kind == 0))
+            return mass[cells], [], sent, chances[kind < 2], int(np.count_nonzero(kind == 0))
         true, hat = np.divmod(np.arange(law.size), 1 << g)
         packed = (true << (n + shift)) | (hat << shift)
         right = true == hat
@@ -224,22 +219,24 @@ def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.n
         split.append(before * masses[1])
         before *= masses[0]
     # the relay decides a block with k ones right with chance
-    # (rho (1 - e0))^(n - k) ((1 - rho)(1 - e1))^k
+    # (rho (1 - e0))^(n - k) ((1 - rho)(1 - e1))^k.  A relay-right cell is
+    # the all-right mass times its length's share: summed raw, the weights
+    # can run 1e-12 past that mass, past what numpy's multinomial accepts
     k = np.arange(n + 1)
     weight = (rho * (1.0 - e0)) ** (n - k) * ((1.0 - rho) * (1.0 - e1)) ** k
     right = np.bincount(lengths, weight[np.bitwise_count(np.arange(1 << n))])
     sent = np.flatnonzero(right)
-    # numpy's multinomial rejects an all-right mass that rounding lifts past
-    # 1, and draws the last category as what the others leave anyway.
+    split.extend(before * right[sent] / right[sent].sum())
     # -expm1(L log1p(-p)) keeps its digits where 1 - (1 - p)^L cancels
-    split.append(min(before, 1.0))
-    return np.array(split), tables, sent, right[sent] / right[sent].sum(), -np.expm1(sent * math.log1p(-p)), sent.size
+    return np.array(split), tables, sent, -np.expm1(sent * math.log1p(-p)), sent.size
 
 
 def _work(size: int, groups: int) -> tuple:
     """_chunk's work arrays for sub-batches of up to `size` rounds through
     `groups` uplink tables: rows of one block, whose first free raises
-    glibc's trim threshold, so later estimates reuse its pages unfaulted."""
+    glibc's trim threshold, so later estimates reuse its pages unfaulted.
+    Full sub-batches still pay for the reuse: fresh arrays per sub-batch
+    made a 10^6-round n = 12 estimate 1.1-1.2x slower (2-core VM)."""
     rows = np.empty((groups + 5, size))
     ints = rows[groups + 1 : groups + 4].view(np.int64)
     return (rows[:groups].ravel(), rows[groups], *ints, rows[-1].view(bool)[:size])
@@ -260,24 +257,22 @@ def _chunk(
     The receiver is granted the codeword length (genie framing), so a
     relay-right round is delivered when its L codeword bits all arrive, and
     a relay-wrong round when cw(b) has the sent length and exactly the d
-    bits where it differs from cw(b_hat) flip.  A code of one group counts
-    the rounds into `law`'s classes of one such chance with one multinomial.
-    A longer code counts them by the group of their first wrong decision, or
-    none, with one multinomial over `law`'s split, and the relay-right ones
-    by sent length L with one over its right law; only its relay-wrong
-    rounds draw (b, b_hat), one uniform per group, in sub-batches of up to
-    _SUBBATCH in `work` (_work, sized for at least min(_SUBBATCH, rounds)
-    rounds), which each writes before it reads.  One binomial call then
-    draws, per direction, how many rounds of each class fail or are
-    delivered.  `lengths` are the codeword lengths as intp, `tails` the
-    code's tails.
+    bits where it differs from cw(b_hat) flip.  The chunk draws (1) one
+    multinomial over `law`'s split, whose first cells count the rounds by
+    the group of their first wrong decision (none for a code of one group)
+    and whose others count them into classes of one such chance; (2) for a
+    longer code, its relay-wrong rounds' (b, b_hat), one uniform per group,
+    in sub-batches of up to _SUBBATCH in `work` (_work, sized for at least
+    min(_SUBBATCH, rounds) rounds), which each writes before it reads; and
+    (3) one binomial call, per direction, of how many rounds of each class
+    fail or are delivered.  `lengths` are the codeword lengths as
+    intp, `tails` the code's tails.
     """
-    split, tables, sent, right, chances, nright = law
+    split, tables, sent, chances, nright = law
     low = (1 << n) - 1
     counts = rng.multinomial(rounds, split)
-    firsts = ()
-    if tables:  # counts by first wrong group, then the relay-right ones by L
-        firsts, counts = counts[:-1], rng.multinomial(counts[-1], right)
+    # Python ints: a loop over even an empty numpy array costs 0.5 us more
+    firsts, counts = counts[: len(tables)].tolist(), counts[len(tables) :]
     dl_bits = int(counts @ sent)
     wrong = rounds - int(counts[:nright].sum())
     pairs = np.zeros(0, dtype=np.int64)  # drawn relay-wrong rounds by L (n + 2) + d

@@ -429,6 +429,11 @@ PINNED_STDOUT = [
     (["throughput-sweep", "--n", "4", "--r", "0.9", "--snr-db-start", "0", "--snr-db-stop", "0",
       "--rounds", "140000", "--chunks", "2"],
      "c1e814091e53794156dc8116ec2e6f895b7522437a215321973f2c0fd21d3154"),
+    # a code of two groups: of each 10 000-round chunk, hpnc draws about
+    # 2 600 relay-wrong rounds one by one and the baseline about 7 500
+    (["throughput-sweep", "--n", "12", "--r", "0.95", "--snr-db-start", "0", "--snr-db-stop", "0",
+      "--rounds", "20000", "--chunks", "2"],
+     "34a4641b95bfe547ddc28c1363f5098087aaf40c96714353ef423f52e2e01884"),
     # integer deviations only, so the report does not depend on the platform
     (["validate", "--checks", "codebooks"],
      "87f74f5e9fc15e7e8edba47c71f98d5823cd2dbc395f84d35681cd29ae6e24b7"),

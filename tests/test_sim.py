@@ -404,7 +404,7 @@ def test_one_group_class_law_is_the_exact_chain(n, rho):
         threshold = optimal_threshold(gamma, rho)
         e0, e1 = decision_errors(gamma, threshold)
         p = q_function(math.sqrt(2.0 * gamma))
-        mass, tables, sent, _, chances, nright = sim._chain_law(n, rho, e0, e1, p, lengths, cb.tails)
+        mass, tables, sent, chances, nright = sim._chain_law(n, rho, e0, e1, p, lengths, cb.tails)
         assert tables == [] and np.all(mass > 0.0)
         live = chances.size  # relay right, then relay wrong and deliverable
         bler = mass[:nright] @ chances[:nright] + mass[nright:live] @ (1.0 - chances[nright:]) + mass[live:].sum()
@@ -530,25 +530,26 @@ def replay_chunk(n, rho, errors, law, p, cb, rounds, sub, rng, calls):
     """The kernel's counters, from its draw order replayed and each round's
     class taken from codeword text.
 
-    The two multinomial calls must draw over the laws that the per-round
+    The one multinomial call must draw over the law that the per-round
     reference's group laws (uplink_reference.group_law) imply: which group
-    holds a round's first wrong decision, if any, and a relay-right round's
-    sent length.  The relay-wrong rounds are replayed one round and group
-    at a time from the kernel's tables, and each must differ from its XOR
-    block first in the group it was drawn for.  Each round's delivery chance
-    comes from the text of its two codewords (delivery_chance).  The
-    binomial call must hold the kernel's classes in its order: the
-    relay-right rounds by sent length L, with their failure chance, then
-    the relay-wrong rounds whose true codeword also has L bits, by (L, d),
-    with their delivery chance.  Its draws are replayed from the same
-    arguments.  Also returns how many relay errors were delivered anyway."""
-    _, tables, sent_lengths, _, _, _ = law
+    holds a round's first wrong decision, then, for the relay-right rounds,
+    the all-right mass split by their sent length.  The relay-wrong rounds
+    are replayed one round and group at a time from the kernel's tables,
+    and each must differ from its XOR block first in the group it was drawn
+    for.  Each round's delivery chance comes from the text of its two
+    codewords (delivery_chance).  The binomial call must hold the kernel's
+    classes in its order: the relay-right rounds by sent length L, with
+    their failure chance, then the relay-wrong rounds whose true codeword
+    also has L bits, by (L, d), with their delivery chance.  Its draws are
+    replayed from the same arguments.  Also returns how many relay errors
+    were delivered anyway."""
+    _, tables, sent_lengths, _, _ = law
     words = [encode(cb, int_to_block(v, n)) for v in range(1 << n)]
     groups = [(n - start - min(6, n - start), min(6, n - start)) for start in range(0, n, 6)]  # (shift, bits)
     laws = [group_law(g, rho, *errors).reshape(1 << g, 1 << g) for _, g in groups]
     right_mass = [float(np.trace(group)) for group in laws]
     wrong_mass = [float(group[~np.eye(len(group), dtype=bool)].sum()) for group in laws]
-    split = [math.prod(right_mass[:j]) * wrong_mass[j] for j in range(len(groups))] + [math.prod(right_mass)]
+    split = [math.prod(right_mass[:j]) * wrong_mass[j] for j in range(len(groups))]
     weight = np.ones(1 << n)  # each block's chance to be relayed right
     for (shift, g), group in zip(groups, laws):
         bits = (np.arange(1 << n) >> shift) & ((1 << g) - 1)
@@ -557,20 +558,20 @@ def replay_chunk(n, rho, errors, law, p, cb, rounds, sub, rng, calls):
     for v, word in enumerate(words):
         right_law[word.size] = right_law.get(word.size, 0.0) + weight[v]
 
-    (name, (count, pvals), firsts), (name2, (rest, right_pvals), right), *draws_made, binomial = calls
-    assert (name, name2, binomial[0]) == ("multinomial", "multinomial", "binomial")
-    assert count == rounds and pvals == pytest.approx(split, rel=1e-12, abs=0)
-    assert np.array_equal(rng.multinomial(rounds, pvals), firsts)
+    (name, (count, pvals), drawn), *draws_made, binomial = calls
+    assert (name, binomial[0]) == ("multinomial", "binomial")
     assert sent_lengths.tolist() == sorted(L for L, mass in right_law.items() if mass > 0.0)
     total = sum(right_law.values())
-    assert right_pvals == pytest.approx([right_law[L] / total for L in sent_lengths], rel=1e-12, abs=0)
-    assert rest == firsts[-1] and np.array_equal(rng.multinomial(rest, right_pvals), right)
+    split += [math.prod(right_mass) * right_law[L] / total for L in sent_lengths]
+    assert count == rounds and pvals == pytest.approx(split, rel=1e-12, abs=0)
+    assert np.array_equal(rng.multinomial(rounds, pvals), drawn)
+    firsts, right = drawn[: len(groups)], drawn[len(groups) :]
 
     low = (1 << n) - 1
     anyway = {}  # (L, d) -> [rounds, chance]
     never = 0  # relay-wrong rounds whose true codeword has another length
     sent_total = int(right @ sent_lengths)
-    for first, todo in enumerate(firsts[:-1]):
+    for first, todo in enumerate(firsts):
         draw = [t[0] for t in tables[:first]] + [tables[first][1]] + [t[2] for t in tables[first + 1 :]]
         for start in range(0, todo, sub):
             m = min(sub, todo - start)
@@ -602,7 +603,7 @@ def replay_chunk(n, rho, errors, law, p, cb, rounds, sub, rng, calls):
     assert chances == pytest.approx([chance for _, chance in classes], rel=1e-12, abs=0)
     assert draws.shape == (2, len(classes))
     assert np.array_equal(rng.binomial(counts, chances, size=draws.shape), draws)
-    wrong = rounds - int(rest)
+    wrong = rounds - int(right.sum())
     errors_seen = [int(draws[d, : right.size].sum()) + wrong - int(draws[d, right.size :].sum()) for d in range(2)]
     delivered_anyway = int(draws[:, right.size :].sum())
     return (errors_seen[1], errors_seen[0], wrong, sent_total), delivered_anyway
@@ -730,7 +731,7 @@ def test_chunk_classes_follow_the_per_round_reference(n, r, snr_db):
     # the binomial call holds the relay-right rounds by sent length first,
     # then the relay-wrong rounds that can be delivered; the rest never are
     _, (counts, chances), _ = rng.calls[-1]
-    nright = law[5]
+    nright = law[4]
     kernel = {("right", int(L)): int(c) for L, c in zip(law[2][:nright], counts)}
     # the kernel's chances p^d (1 - p)^(L - d), recomputed as it does, name
     # its classes (L, d)
@@ -829,17 +830,17 @@ class _CountingRng:
 
 
 def test_chunk_draws_one_uniform_per_group_and_one_binomial_call(monkeypatch):
-    # a code of one group (n <= 6) draws one multinomial over the round
-    # classes and one binomial call, nothing per round.  A longer one draws
-    # one multinomial over which group holds a round's first wrong decision,
-    # if any, one over the relay-right rounds' sent lengths, then for the
-    # relay-wrong rounds alone one uniform per round for each group of up
-    # to 6 bits (three at n = 16), in sub-batches per first wrong group,
-    # and last one binomial call over both directions and the classes:
-    # nothing per relay-right round, and nothing per round or per bit for
-    # the downlink.  At 10 dB the relay errs in about 1e-5 to 1e-4 of the
-    # rounds, at 0 dB in a quarter or more, and at rho = 1 never, so there
-    # no per-round value is drawn
+    # every code draws one multinomial whose first cells count which group
+    # of a code of more than one group holds a round's first wrong decision,
+    # and whose other cells are the round classes: relay right by sent
+    # length, then for a code of one group (n <= 6) relay wrong by class.
+    # Then for the relay-wrong rounds of a longer code alone one uniform per
+    # round for each group of up to 6 bits (three at n = 16), in
+    # sub-batches per first wrong group, and last one binomial call over
+    # both directions and the classes: nothing per relay-right round, and
+    # nothing per round or per bit for the downlink.  At 10 dB the relay
+    # errs in about 1e-5 to 1e-4 of the rounds, at 0 dB in a quarter or
+    # more, and at rho = 1 never, so there no per-round value is drawn
     sub = 2000
     monkeypatch.setattr(sim, "_SUBBATCH", sub)
     for n, groups in [(1, 0), (6, 0), (16, 3)]:
@@ -849,29 +850,24 @@ def test_chunk_draws_one_uniform_per_group_and_one_binomial_call(monkeypatch):
             errors = decision_errors(gamma, optimal_threshold(gamma, rho))
             for p in (q_function(math.sqrt(2.0 * gamma)), 0.0):
                 law = sim._chain_law(n, rho, *errors, p, lengths, cb.tails)
-                nright = law[5]
+                nright, live = law[4], law[3].size
                 rng = _CountingRng(np.random.default_rng(9))
                 err12, err21, relay_err, sent = _chunk(
                     n, law, p, lengths, cb.tails, rounds, rng, sim._work(sub, groups) if groups else ()
                 )
-                _, (counts, chances), draws = rng.calls[-1]
-                if groups:
-                    (_, (_, split), firsts), (_, (rest, _), right) = rng.calls[:2]
-                    assert split.size == groups + 1 and right.size == law[2].size == nright
-                    assert relay_err == rounds - rest == firsts[:-1].sum()
-                    uniforms = [groups * min(sub, left) for todo in firsts[:-1] for left in range(todo, 0, -sub)]
-                    names = ["multinomial", "multinomial", *["random"] * len(uniforms), "binomial"]
-                    assert [call[0] for call in rng.calls] == names
-                    assert [call[1] for call in rng.calls[2:-1]] == uniforms
-                    assert np.array_equal(counts[: right.size], right) and counts.sum() <= rounds
-                else:
-                    uniforms = []
-                    assert [call[0] for call in rng.calls] == ["multinomial", "binomial"]
-                    (_, (total, cells), classes), = rng.calls[:1]
-                    assert total == rounds and cells.size == law[2].size
-                    assert np.array_equal(counts, classes[: chances.size])
-                    assert relay_err == rounds - classes[:nright].sum()
-                    assert sent == classes @ law[2]
+                (_, (total, split), drawn), *middle, (_, (counts, chances), draws) = rng.calls
+                assert total == rounds and split.size == groups + law[2].size
+                # the first cells are the relay-wrong rounds drawn one by
+                # one, the others the classes, which open the binomial call
+                firsts, classes = drawn[:groups], drawn[groups:]
+                uniforms = [groups * min(sub, left) for todo in firsts for left in range(todo, 0, -sub)]
+                names = ["multinomial", *["random"] * len(uniforms), "binomial"]
+                assert [call[0] for call in rng.calls] == names
+                assert [call[1] for call in middle] == uniforms
+                assert np.array_equal(counts[:live], classes[:live]) and counts.sum() <= rounds
+                assert relay_err == firsts.sum() + classes[nright:].sum()
+                # each relay-wrong round drawn one by one sends 1 to max_len bits
+                assert firsts.sum() <= sent - classes @ law[2] <= firsts.sum() * cb.max_len
                 assert draws.shape == (2, counts.size)
                 assert np.all((chances >= 0.0) & (chances <= 1.0))
                 # the second row is the 1 -> 2 direction: its relay-right
@@ -900,6 +896,27 @@ def test_relay_right_failure_chance_keeps_its_digits():
     exact = -math.expm1(length * math.log1p(-p))
     assert chances[0] == pytest.approx(exact, rel=1e-12, abs=0)
     assert abs(1.0 - (1.0 - p) ** length - exact) > 1e-4 * exact
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 12, 13, 16])
+def test_chunk_law_is_one_numpy_accepts(n):
+    # _chunk's one multinomial draws over split, and numpy rejects a cell
+    # outside [0, 1] or cells before the last that sum past 1 + 1e-12.  A
+    # longer code's relay-right cells are the all-right mass times each sent
+    # length's share: the raw weighted counts of the lengths sum up to
+    # 9.7e-13 past that mass (n = 16, rho = 0.5, 13.5 dB)
+    rng = np.random.default_rng(0)
+    for rho in (0.5, 0.7, 0.95, 0.975, 1.0):
+        cb = build_codebook(n, rho)
+        lengths = cb.lengths.astype(np.intp)
+        for snr_db in range(-10, 45):
+            gamma = 10.0 ** (snr_db / 10.0)
+            errors = decision_errors(gamma, optimal_threshold(gamma, rho))
+            p = q_function(math.sqrt(2.0 * gamma))
+            split = sim._chain_law(n, rho, *errors, p, lengths, cb.tails)[0]
+            assert np.all((split >= 0.0) & (split <= 1.0))
+            assert abs(split.sum() - 1.0) <= 1e-14
+            assert rng.multinomial(10, split).sum() == 10
 
 
 @pytest.mark.parametrize("n", [7, 16])  # two groups, three groups
