@@ -18,34 +18,27 @@ from dataclasses import dataclass
 
 from .huffman import LengthDistribution
 from .phy import q_function
-from .pnc import pnc_block_error, pnc_symbol_error_closed
+from .pnc import _block_error, pnc_symbol_error_closed
 
 
 def downlink_bler_given_k(gamma: float, k: int) -> float:
     """Error probability of a k-bit BPSK codeword: 1 - (1 - Q(sqrt(2*gamma)))^k."""
-    if k < 1:
-        raise ValueError(f"codeword length k must be >= 1, got {k}")
-    return 1.0 - (1.0 - q_function(math.sqrt(2.0 * gamma))) ** k
+    return _codeword_error(q_function(math.sqrt(2.0 * gamma)), k)
 
 
 def avg_downlink_bler(gamma: float, ld: LengthDistribution) -> float:
     """Downlink block error averaged over the codeword length distribution."""
-    return math.fsum(
-        ld.pmf[k] * downlink_bler_given_k(gamma, k) for k in ld.support
-    )
+    return _avg_downlink_bler(q_function(math.sqrt(2.0 * gamma)), ld)
 
 
 def hpnc_bler(gamma: float, rho: float, n: int, ld: LengthDistribution) -> float:
     """End-to-end BLER of the compressed scheme (one direction)."""
-    relay = pnc_block_error(gamma, rho, n)
-    return 1.0 - (1.0 - relay) * (1.0 - avg_downlink_bler(gamma, ld))
+    return _hpnc_bler(pnc_symbol_error_closed(gamma, rho), q_function(math.sqrt(2.0 * gamma)), n, ld)
 
 
 def hpnc_bler_asym_medium(gamma: float, rho: float, n: int, mean_len: float) -> float:
     """First-order expansion of the exact BLER: n*P_sym + mean_len*Q(sqrt(2*gamma))."""
-    return n * pnc_symbol_error_closed(gamma, rho) + mean_len * q_function(
-        math.sqrt(2.0 * gamma)
-    )
+    return _asym_medium(pnc_symbol_error_closed(gamma, rho), q_function(math.sqrt(2.0 * gamma)), n, mean_len)
 
 
 def hpnc_bler_asym_high(gamma: float, rho: float, n: int, mean_len: float) -> float:
@@ -63,7 +56,31 @@ def hpnc_bler_asym_high(gamma: float, rho: float, n: int, mean_len: float) -> fl
     relay never errs, it still charges n*Q.  At rho = 0.5 with mean length n
     this is the baseline's (5n/2) * Q, whose MAP limit is (1 + sqrt(2)) * n * Q.
     """
-    return (2.0 * n - rho * n + mean_len) * q_function(math.sqrt(2.0 * gamma))
+    return _asym_high(q_function(math.sqrt(2.0 * gamma)), rho, n, mean_len)
+
+
+# the forms above, of the downlink bit flip chance q = Q(sqrt(2*gamma)) and
+# the relay symbol error p_sym, which hpnc_bler_point evaluates once each
+def _codeword_error(q: float, k: int) -> float:
+    if k < 1:
+        raise ValueError(f"codeword length k must be >= 1, got {k}")
+    return 1.0 - (1.0 - q) ** k
+
+
+def _avg_downlink_bler(q: float, ld: LengthDistribution) -> float:
+    return math.fsum(ld.pmf[k] * _codeword_error(q, k) for k in ld.support)
+
+
+def _hpnc_bler(p_sym: float, q: float, n: int, ld: LengthDistribution) -> float:
+    return 1.0 - (1.0 - _block_error(p_sym, n)) * (1.0 - _avg_downlink_bler(q, ld))
+
+
+def _asym_medium(p_sym: float, q: float, n: int, mean_len: float) -> float:
+    return n * p_sym + mean_len * q
+
+
+def _asym_high(q: float, rho: float, n: int, mean_len: float) -> float:
+    return (2.0 * n - rho * n + mean_len) * q
 
 
 def bler_gain(c_hpnc: float, rho: float) -> float:
@@ -92,11 +109,12 @@ class BlerPoint:
 
 
 def hpnc_bler_point(gamma: float, rho: float, n: int, ld: LengthDistribution) -> BlerPoint:
+    p_sym, q = pnc_symbol_error_closed(gamma, rho), q_function(math.sqrt(2.0 * gamma))
     return BlerPoint(
         gamma=gamma,
-        exact=hpnc_bler(gamma, rho, n, ld),
-        asym_medium=min(1.0, hpnc_bler_asym_medium(gamma, rho, n, ld.mean)),
-        asym_high=min(1.0, hpnc_bler_asym_high(gamma, rho, n, ld.mean)),
+        exact=_hpnc_bler(p_sym, q, n, ld),
+        asym_medium=min(1.0, _asym_medium(p_sym, q, n, ld.mean)),
+        asym_high=min(1.0, _asym_high(q, rho, n, ld.mean)),
     )
 
 

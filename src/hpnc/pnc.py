@@ -127,6 +127,10 @@ def pnc_symbol_error_numeric(gamma: float, rho: float, tau: float) -> float:
 
 def pnc_block_error(gamma: float, rho: float, n: int) -> float:
     """Relay block error over n independent symbols: 1 - (1 - P_sym)^n."""
+    return _block_error(pnc_symbol_error_closed(gamma, rho), n)
+
+
+def _block_error(p_sym: float, n: int) -> float:  # pnc_block_error's form, given P_sym
     if n < 1:
         raise ValueError(f"block length n must be >= 1, got {n}")
-    return 1.0 - (1.0 - pnc_symbol_error_closed(gamma, rho)) ** n
+    return 1.0 - (1.0 - p_sym) ** n

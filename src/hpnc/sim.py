@@ -3,7 +3,9 @@
 estimate() splits the round budget into chunks; chunk k draws from an
 independent PCG64 stream seeded with SeedSequence((seed, k, n, rho bits,
 gamma bits)), the float64 bit patterns of the design rho and of gamma, so
-the points of a sweep draw from different streams.  Results are
+the points of a sweep draw from different streams.  SeedSequence mixes
+those ints' little-endian 32-bit words, so an estimate works out all but
+k's once and hands SeedSequence one uint32 array: the same streams.  Results are
 commutative sums of per-chunk counters, so estimates are bit-identical for
 a fixed (params, scheme, rounds, seed, chunks) however the chunks are
 scheduled.  The non-empty chunks run in order over one set of work arrays
@@ -36,7 +38,8 @@ n.  Each chunk of R rounds draws, in this order:
    by (L, d) where cw(b) has L bits too, and relay wrong by L otherwise;
 2. for n > 6, the relay-wrong rounds one by one, in sub-batches of up to
    2^16, one uniform per (group, round) from Walker alias tables (Vose's
-   construction): all right before the first wrong group, at least one
+   construction), each made when a chunk first needs it, once per group
+   size: all right before the first wrong group, at least one
    wrong in it, unconditioned after it.  The uniforms lie on the 2^-53
    grid, so a table's law is off by at most 4096 * 2^-53 in all;
 3. one binomial call of shape (2, classes) for both downlinks.  The
@@ -55,9 +58,10 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -104,10 +108,18 @@ def relay_threshold(params: SystemParams) -> PncThreshold:
     return optimal_threshold(params.gamma, params.rho)
 
 
-def _child_rng(seed: int, chunk_index: int, point: tuple) -> np.random.Generator:
-    # published stream derivation: PCG64 seeded from
-    # SeedSequence((seed, k, n, rho bits, gamma bits)), `point` the last three
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index, *point))))
+def _words(*values: int) -> list[int]:
+    # the little-endian 32-bit words that SeedSequence mixes for nonnegative ints
+    return [(v >> s) & 0xFFFFFFFF for v in values for s in range(0, max(v.bit_length(), 1), 32)]
+
+
+def _child_rng(seed: list[int], chunk_index: int, point: list[int]) -> np.random.Generator:
+    # published stream derivation: PCG64 seeded from SeedSequence((seed, k,
+    # n, rho bits, gamma bits)), here from those ints' words, `seed`'s and
+    # `point`'s made once per estimate: the same pool, without numpy's
+    # conversion of each int
+    words = np.array([*seed, *_words(chunk_index), *point], dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 _GROUP = 6  # bits per uplink draw: a group's table has 4^6 = 4096 outcomes
@@ -148,76 +160,102 @@ def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return thresholds, alias
 
 
+@lru_cache(maxsize=256)
+def _class_keys(n: int, code: bytes) -> tuple[np.ndarray, int]:
+    """The read-only class key (kind (max_len + 1) + L) (n + 2) + d of each
+    [b, b_hat] of a one-group code, whose lengths and tails `code` holds as
+    int64, and the kind stride: kind 0 relay right, 1 relay wrong with a
+    deliverable cw(b), 2 not."""
+    lengths, tails = np.frombuffer(code, dtype=np.int64).reshape(2, -1)
+    kind = np.where(lengths[:, None] == lengths, 1, 2)
+    np.fill_diagonal(kind, 0)
+    d = np.bitwise_count(tails[:, None] ^ tails) * (kind == 1)
+    size = (int(lengths.max()) + 1) * (n + 2)
+    keys = (kind * size + lengths * (n + 2) + d).ravel()
+    keys.flags.writeable = False
+    return keys, size
+
+
+class _Tables:
+    """A group's alias tables given all right, given a wrong decision and
+    unconditioned, as items 0 to 2, each made by make(kind) when first read."""
+
+    def __init__(self, make, lock: threading.Lock):
+        self.make, self.lock, self.made = make, lock, {}
+
+    def __getitem__(self, kind: int):
+        with self.lock:  # made once, whichever thread reads it first
+            if kind not in self.made:
+                self.made[kind] = self.make(kind)
+            return self.made[kind]
+
+
 def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.ndarray, tails: np.ndarray) -> tuple:
     """_chunk's law of a round: (split, tables, sent, chances, nright).
 
-    A bit's joint law of (XOR bit b, relay decision b_hat) is
-    [[rho (1 - e0), rho e0], [(1 - rho) e1, (1 - rho)(1 - e1)]], and given b
-    the decisions are independent, so a g-bit group's law is the g-fold
-    Kronecker power, over outcomes (b bits << g) | b_hat bits.
-
-    split is the law of _chunk's one multinomial.  For a code of more than
-    one group (n > _GROUP) it opens with one cell per group j, the chance
-    that j holds the first wrong decision: the earlier groups' all-right
-    masses times group j's wrong mass.  Then come the round classes, each
-    only where it has mass: the relay-right rounds by sent length L, and
-    for a code of one group the relay-wrong rounds whose cw(b) has L bits
-    too by (L, d), d the popcount of tails[b_hat] ^ tails[b], and the other
-    relay-wrong rounds by L.  A one-group class is a weighted count of the
-    group's law, and a longer code's relay-right class the all-right mass
-    times its share of a weighted count of `lengths`, so no chance is a
-    difference near 1.  sent holds each class's L, and chances the failure
+    A g-bit group's law of (b, b_hat) is the g-fold Kronecker power of the
+    bit's law (module docstring), over outcomes (b bits << g) | b_hat bits.
+    split is the law of _chunk's multinomial: for a code of more than one
+    group (n > _GROUP) one cell per group j first, the chance that j holds
+    the first wrong decision, then the round classes where they have mass:
+    relay right by sent length L, and for a code of one group relay wrong
+    by (L, d), d the popcount of tails[b_hat] ^ tails[b], where cw(b) has L
+    bits too, and by L otherwise.  Each is a sum of products, so no chance
+    is a difference near 1: a one-group class weighs the group's law over
+    the code's cached class keys (_class_keys), and a longer code's
+    relay-right class is the all-right mass times its share of a weighted
+    count of `lengths`.  sent holds each class's L, and chances the failure
     chance -expm1(L log1p(-p)) of the first nright classes and the delivery
     chance p^d (1 - p)^(L - d) of the (L, d) ones.
 
     tables[j] (none for one group) holds group j's alias tables
-    (cuts, outcomes) of its law given all right, given a wrong decision and
-    unconditioned, each None where no round needs it.  A uniform u draws
-    bin i = floor(N u) and keeps i where N u < cuts[i] = i + its threshold;
-    outcomes[2 i + keep] is the outcome packed into the block, b_hat's bits
-    and b's n bits above them, so a round's values add over its groups.
+    (cuts, outcomes) given all right, given a wrong decision and
+    unconditioned: None where no round needs one, else made when a chunk
+    first draws from it, with cuts shared by the groups of one size.  A
+    uniform u draws bin i = floor(N u) and keeps i where
+    N u < cuts[i] = i + its threshold; outcomes[2 i + keep] is the outcome
+    packed into the block, b_hat's bits and b's n bits above them, so a
+    round's values add over its groups.
     """
     joint = np.array([[rho * (1.0 - e0), rho * e0], [(1.0 - rho) * e1, (1.0 - rho) * (1.0 - e1)]])
-    split, tables = [], []
-    before = 1.0  # the chance that the groups so far are all right
-    for start in range(0, n, _GROUP):
-        g = min(_GROUP, n - start)
-        shift = n - start - g  # the group's lowest bit in the block, MSB first
+    laws = {}  # per group size: its law and each outcome's b bits and b_hat bits
+    for g in {min(_GROUP, n - start) for start in range(0, n, _GROUP)}:
         law = np.ones((1, 1))
         for _ in range(g):  # law = kron(law, joint)
             law = (law[:, None, :, None] * joint[None, :, None, :]).reshape(2 * law.shape[0], -1)
-        law = law.ravel()
         if g == n:
-            # over [b, b_hat], class (kind, L, d) is keyed (kind (max_len + 1)
-            # + L) (n + 2) + d: kind 0 relay right, 1 relay wrong with a
-            # deliverable cw(b), 2 not
-            kind = np.where(lengths[:, None] == lengths, 1, 2)
-            np.fill_diagonal(kind, 0)
-            d = np.bitwise_count(tails[:, None] ^ tails) * (kind == 1)
-            size = (int(lengths.max()) + 1) * (n + 2)
-            mass = np.bincount((kind * size + lengths * (n + 2) + d).ravel(), law)
+            keys, size = _class_keys(n, np.concatenate((lengths, tails), dtype=np.int64).tobytes())
+            mass = np.bincount(keys, law.ravel())
             cells = np.flatnonzero(mass)
             kind, (sent, d) = cells // size, np.divmod(cells % size, n + 2)
             chances = np.where(kind == 0, -np.expm1(sent * math.log1p(-p)), p**d * (1.0 - p) ** (sent - d))
             return mass[cells], [], sent, chances[kind < 2], int(np.count_nonzero(kind == 0))
-        true, hat = np.divmod(np.arange(law.size), 1 << g)
-        packed = (true << (n + shift)) | (hat << shift)
-        right = true == hat
-        tables.append([])
-        masses = []  # sums of products, so no chance is a difference near 1
-        # the groups before the first wrong one are all right, the later
-        # ones unconditioned
-        for keep, needed in ((right, start + g < n), (~right, True), (slice(None), start > 0)):
-            part = law[keep]
-            masses.append(part.sum())
-            table = None
-            if needed and masses[-1] > 0.0:
-                thresholds, alias = _alias_table(part / masses[-1])
-                values = packed[keep]
-                table = np.arange(values.size) + thresholds, np.stack([values[alias], values], axis=1).ravel()
-            tables[-1].append(table)
-        split.append(before * masses[1])
-        before *= masses[0]
+        laws[g] = (law.ravel(), *np.divmod(np.arange(law.size), 1 << g))
+    lock, shared = threading.Lock(), {}  # per (group size, kind): cuts and aliases
+
+    def make(start: int, kind: int):
+        g = min(_GROUP, n - start)
+        law, true, hat = laws[g]
+        keep = (true == hat, true != hat, slice(None))[kind]
+        # all right before the first wrong group, unconditioned after it
+        if not (start + g < n, True, start > 0)[kind] or law[keep].sum() == 0.0:
+            return None
+        if (g, kind) not in shared:
+            thresholds, alias = _alias_table(law[keep] / law[keep].sum())
+            shared[g, kind] = np.arange(alias.size) + thresholds, alias
+        cuts, alias = shared[g, kind]
+        shift = n - start - g  # the group's lowest bit in the block, MSB first
+        values = ((true << (n + shift)) | (hat << shift))[keep]
+        return cuts, np.stack([values[alias], values], axis=1).ravel()
+
+    split, tables = [], []
+    before = 1.0  # the chance that the groups so far are all right
+    for start in range(0, n, _GROUP):
+        law, true, hat = laws[min(_GROUP, n - start)]
+        tables.append(_Tables(partial(make, start), lock))
+        # sums of products, so no chance is a difference near 1
+        split.append(before * law[true != hat].sum())
+        before *= law[true == hat].sum()
     # the relay decides a block with k ones right with chance
     # (rho (1 - e0))^(n - k) ((1 - rho)(1 - e1))^k.  A relay-right cell is
     # the all-right mass times its length's share: summed raw, the weights
@@ -252,20 +290,12 @@ def _chunk(
     rng: np.random.Generator,
     work: tuple,
 ):
-    """Error counters of `rounds` exchange rounds through the chain.
-
-    The receiver is granted the codeword length (genie framing), so a
-    relay-right round is delivered when its L codeword bits all arrive, and
-    a relay-wrong round when cw(b) has the sent length and exactly the d
-    bits where it differs from cw(b_hat) flip.  The chunk draws (1) one
-    multinomial over `law`'s split, whose first cells count the rounds by
-    the group of their first wrong decision (none for a code of one group)
-    and whose others count them into classes of one such chance; (2) for a
-    longer code, its relay-wrong rounds' (b, b_hat), one uniform per group,
-    in sub-batches of up to _SUBBATCH in `work` (_work, sized for at least
-    min(_SUBBATCH, rounds) rounds), which each writes before it reads; and
-    (3) one binomial call, per direction, of how many rounds of each class
-    fail or are delivered.  `lengths` are the codeword lengths as
+    """Error counters of `rounds` exchange rounds through the chain, drawn
+    in the order the module docstring gives: one multinomial over `law`'s
+    split (_chain_law), for a code of more than one group its relay-wrong
+    rounds in sub-batches of up to _SUBBATCH in `work` (_work, sized for at
+    least min(_SUBBATCH, rounds) rounds), which each writes before it
+    reads, and one binomial call.  `lengths` are the codeword lengths as
     intp, `tails` the code's tails.
     """
     split, tables, sent, chances, nright = law
@@ -277,6 +307,8 @@ def _chunk(
     wrong = rounds - int(counts[:nright].sum())
     pairs = np.zeros(0, dtype=np.int64)  # drawn relay-wrong rounds by L (n + 2) + d
     for first, todo in enumerate(firsts):
+        if not todo:  # a table that no chunk draws from is never made
+            continue
         # all right before the first wrong group, unconditioned after it
         draw = [t[0] for t in tables[:first]] + [tables[first][1]] + [t[2] for t in tables[first + 1 :]]
         while todo:
@@ -370,14 +402,15 @@ def estimate(
     e0, e1 = decision_errors(params.gamma, relay_threshold(design))
     p = q_function(math.sqrt(2.0 * params.gamma))
     cb = build_codebook(params.n, rho)
+    base, extra = divmod(rounds, chunks)
+    if (base + (extra > 0)) * cb.max_len >= 1 << 63:  # a chunk counts its downlink bits in int64
+        raise ValueError(f"rounds: over 2^63 - 1 downlink bits per chunk at max_len {cb.max_len}; use more chunks")
     # the design point keys the streams, so the points of a sweep draw apart:
     # n and the float64 bit patterns of the design rho and of gamma
-    point = (params.n, *np.array([rho, params.gamma]).view(np.uint64).tolist())
+    seed_words, point = _words(seed), _words(params.n, *np.array([rho, params.gamma]).view(np.uint64).tolist())
     lengths = cb.lengths.astype(np.intp)  # the kernel's index type, converted once
     law = _chain_law(params.n, rho, e0, e1, p, lengths, cb.tails)
     split, tables = law[:2]
-
-    base, extra = divmod(rounds, chunks)
     # chunks past the round budget would be empty, so they are not run
     active = min(chunks, rounds)
 
@@ -386,7 +419,7 @@ def estimate(
         work = _work(min(_SUBBATCH, base + (extra > 0)), len(tables)) if tables else ()
         totals = [0, 0, 0, 0]  # err12, err21, relay_err, dl_bits
         for k in range(first, stop):
-            rng = _child_rng(seed, k, point)
+            rng = _child_rng(seed_words, k, point)
             counts = _chunk(params.n, law, p, lengths, cb.tails, base + (k < extra), rng, work)
             totals = [a + b for a, b in zip(totals, counts)]
         return totals

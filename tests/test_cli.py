@@ -91,6 +91,15 @@ def test_invalid_config_sets_exit_code(capsys):
         assert capsys.readouterr().err.startswith(f"error: {field}:")
 
 
+def test_rounds_past_int64_bits_per_chunk_exit_2(capsys):
+    # 10^20 rounds in one chunk overflow int64 counters: a clean exit 2,
+    # and 10^12 rounds in one chunk still run
+    base = ["bler-sweep", "--n", "6", "--r", "0.9", "--snr-db-start", "10", "--snr-db-stop", "10", "--chunks", "1"]
+    assert main([*base, "--rounds", str(10**20)]) == 2
+    assert capsys.readouterr().err.startswith("error: rounds:")
+    assert main([*base, "--rounds", str(10**12)]) == 0
+
+
 def test_sweep_near_the_largest_snr_prints_no_nan(capsys):
     # from about 3079.5 dB, 2 * gamma overflows and the closed form read
     # Q(inf - inf); the relay's per-bit errors take the same limit, 0

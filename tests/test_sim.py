@@ -1,5 +1,7 @@
 """Monte Carlo engine: determinism, noiseless chains, analytical agreement."""
 
+import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -91,13 +93,14 @@ def test_estimate_is_deterministic():
 def test_each_design_point_draws_its_own_streams(monkeypatch):
     # chunk k of a point draws from SeedSequence((seed, k, n, rho bits,
     # gamma bits)): two points of one seed share no stream, and the
-    # baseline keys on the rho = 0.5 design it runs, whatever r is
-    seeds = []
+    # baseline keys on the rho = 0.5 design it runs, whatever r is.  A
+    # stream is named by the entropy pool of the SeedSequence it comes from
+    seqs = []
     child_rng = sim._child_rng
 
     def recorded(seed, k, point):
         rng = child_rng(seed, k, point)
-        seeds.append(rng.bit_generator.seed_seq.entropy)
+        seqs.append(rng.bit_generator.seed_seq)
         return rng
 
     monkeypatch.setattr(sim, "_child_rng", recorded)
@@ -111,33 +114,38 @@ def test_each_design_point_draws_its_own_streams(monkeypatch):
         (SystemParams(n=6, r=0.9, gamma=gamma), "conventional"),
         (SystemParams(n=6, r=0.0, gamma=gamma), "hpnc"),
     ]
-    streams = []
+    streams, firsts = [], []
     for params, scheme in points:
-        seeds.clear()
+        seqs.clear()
         estimate(params, scheme, 3000, seed=21, chunks=3)
-        streams.append(seeds.copy())
+        streams.append([tuple(seq.pool.tolist()) for seq in seqs])
+        firsts.append(tuple(np.random.default_rng(seqs[0]).random(4).tolist()))
     bits = np.array([points[0][0].rho, gamma]).view(np.uint64).tolist()
-    assert streams[0] == [(21, k, 6, *bits) for k in range(3)]
+    assert streams[0] == [tuple(np.random.SeedSequence((21, k, 6, *bits)).pool.tolist()) for k in range(3)]
     # the hpnc points differ in r, in gamma and in n
     assert len({tuple(s) for s in streams[:4]}) == 4
     # the baseline at any r is the hpnc scheme designed for r = 0
     assert streams[4] == streams[5] == streams[6]
     assert not set(streams[4]) & set(streams[0] + streams[1])
     # so two points of one seed draw different uniforms first
-    first = [sim._child_rng(21, 0, stream[0][2:]).random(4).tolist() for stream in streams[:4]]
-    assert len({tuple(u) for u in first}) == 4
+    assert len(set(firsts[:4])) == 4
 
 
 def test_child_streams_are_default_rng_streams():
-    # _child_rng builds its PCG64 directly, without default_rng's wrapper,
-    # and must draw the very stream default_rng(SeedSequence(...)) draws
-    point = (6, *np.array([0.95, 10.0 ** 0.4]).view(np.uint64).tolist())
-    for seed, k in [(0, 0), (21, 3), (2**40 + 1, 7)]:
-        got = sim._child_rng(seed, k, point)
-        expected = np.random.default_rng(np.random.SeedSequence((seed, k, *point)))
-        assert got.random(4).tolist() == expected.random(4).tolist()
-        assert got.multinomial(1000, [0.2, 0.8]).tolist() == expected.multinomial(1000, [0.2, 0.8]).tolist()
-        assert got.binomial(10**6, 0.3, size=3).tolist() == expected.binomial(10**6, 0.3, size=3).tolist()
+    # _child_rng takes the 32-bit words of the seed and of the point, builds
+    # its PCG64 directly, without default_rng's wrapper, and must draw the
+    # very stream default_rng(SeedSequence((seed, k, *point))) draws: for
+    # seeds of one, two and three words, a chunk index past 2^32, and
+    # gamma = 10.0, whose bit pattern has a zero low word
+    assert np.array([10.0]).view(np.uint64)[0] & 0xFFFFFFFF == 0
+    for rho, gamma in [(0.95, 10.0 ** 0.4), (0.5, 10.0)]:
+        point = (6, *np.array([rho, gamma]).view(np.uint64).tolist())
+        for seed, k in itertools.product((0, 21, 2**32, 2**40 + 1, 2**64 + 5), (0, 7, 2**33)):
+            got = sim._child_rng(sim._words(seed), k, sim._words(*point))
+            expected = np.random.default_rng(np.random.SeedSequence((seed, k, *point)))
+            assert got.random(4).tolist() == expected.random(4).tolist()
+            assert got.multinomial(1000, [0.2, 0.8]).tolist() == expected.multinomial(1000, [0.2, 0.8]).tolist()
+            assert got.binomial(10**6, 0.3, size=3).tolist() == expected.binomial(10**6, 0.3, size=3).tolist()
 
 
 @pytest.fixture
@@ -270,6 +278,32 @@ def test_result_does_not_depend_on_workers(scheme, n, r, snr_db, rounds, monkeyp
     if n == 12:
         est = estimate(params, scheme, rounds, seed=13)
         assert est.relay_bler > 0.1
+
+
+def test_estimates_are_pinned():
+    # the repr of every estimate over a small grid that runs each kernel
+    # path: one group (n = 4, 6), a 1-bit last group (n = 7) and two equal
+    # groups (n = 12), both schemes, few and many relay errors, chunks
+    # beyond the round budget.  The digest holds the outputs of the kernel
+    # before its set-up was hoisted out of the chunks, so a change to how
+    # the streams are seeded or the law is set up may not move an estimate
+    digest = hashlib.sha256()
+    for n, scheme, snr_db, (rounds, chunks) in itertools.product(
+        (4, 6, 7, 12), ("hpnc", "conventional"), (0.0, 8.0), ((7, 8), (20_000, 3))
+    ):
+        params = SystemParams(n=n, r=0.8, gamma=10.0 ** (snr_db / 10.0))
+        digest.update(repr(estimate(params, scheme, rounds, 11, chunks)).encode())
+    assert digest.hexdigest() == "1f459dc6fdc0419181dfefde5a1421f3dba83574935b0a5dc19ed4f6ed7397b5"
+
+
+def test_rounds_per_chunk_are_bounded_by_int64_bits():
+    # a chunk counts its downlink bits in int64: 9e18 rounds of 6 bits in
+    # one chunk would wrap, so they are refused, and more chunks run
+    params = SystemParams(n=6, r=0.0, gamma=1e3)
+    with pytest.raises(ValueError, match=r"2\^63 - 1.*use more chunks"):
+        estimate(params, "hpnc", 9 * 10**18, 1, 1)
+    est = estimate(params, "hpnc", 9 * 10**18, 1, 8)
+    assert est.mean_downlink_bits == 6.0 and est.throughput == 1.0
 
 
 def test_pending_chunks_stay_bounded(monkeypatch):
@@ -683,6 +717,76 @@ def test_relay_wrong_tables_imply_the_conditioned_product_law(g, rho, errors):
             assert np.max(np.abs(implied - np.where(keep, law, 0.0) / law[keep].sum())) <= 1e-13
     (right0, wrong0), (right1, wrong1) = masses
     assert np.allclose(split, [wrong0, right0 * wrong1, right0 * right1], rtol=1e-12, atol=0.0)
+
+
+@pytest.fixture
+def alias_tables_made(monkeypatch):
+    """The laws that _alias_table is called on while the test runs."""
+    made = []
+    alias_table = sim._alias_table
+
+    def counted(law):
+        made.append(law)
+        return alias_table(law)
+
+    monkeypatch.setattr(sim, "_alias_table", counted)
+    return made
+
+
+@pytest.mark.parametrize(
+    "n,r,snr_db,sizes",
+    [
+        (12, 0.95, 30.0, []),  # no relay error: no table is made
+        # the 6-bit right, wrong and unconditioned laws, shared by both groups
+        (12, 0.95, 0.0, [64, 4032, 4096]),
+        # and the 4-bit group's wrong and unconditioned ones
+        (16, 0.8, 0.0, [64, 240, 256, 4032, 4096]),
+    ],
+)
+def test_alias_tables_are_made_once_per_group_size_and_when_drawn(n, r, snr_db, sizes, alias_tables_made):
+    params = SystemParams(n=n, r=r, gamma=10.0 ** (snr_db / 10.0))
+    est = estimate(params, "hpnc", 20_000, seed=3)
+    assert (est.relay_bler > 0) == bool(sizes)
+    assert sorted(law.size for law in alias_tables_made) == sizes
+
+
+def test_tables_made_on_the_pool_match_the_caller(monkeypatch, alias_tables_made):
+    # the chunks of one estimate run on three threads, which all reach for
+    # the tables at once: each is made once, and the estimate is the one
+    # its chunks give in the caller
+    params = SystemParams(n=12, r=0.95, gamma=1.0)
+    monkeypatch.setattr(sim, "_SUBBATCH", 50)
+    caller = estimate(params, "hpnc", 3000, seed=5, chunks=9)
+    made = len(alias_tables_made)
+    monkeypatch.setattr(sim, "_POOL_FROM", 0)
+    monkeypatch.setattr(sim, "_cores", lambda: 3)
+    sim._pool.cache_clear()  # the cached pool has the old size
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+    try:
+        assert estimate(params, "hpnc", 3000, seed=5, chunks=9) == caller
+    finally:
+        sys.setswitchinterval(interval)
+        sim._pool.cache_clear()
+    assert made == 3 and len(alias_tables_made) == 2 * made
+
+
+def test_class_keys_are_cached_per_code_and_read_only():
+    # the one-group class keys depend on the code alone: made once per code,
+    # shared by its estimates, never written, and never shared by two codes
+    # of one n
+    sim._class_keys.cache_clear()
+    for r in (0.4, 0.9, 0.4):
+        for snr_db in (0.0, 6.0):
+            estimate(SystemParams(n=6, r=r, gamma=10.0 ** (snr_db / 10.0)), "hpnc", 100, seed=1)
+    info = sim._class_keys.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    keys = [sim._class_keys(6, np.concatenate((cb.lengths, cb.tails), dtype=np.int64).tobytes())[0]
+            for cb in (build_codebook(6, 0.7), build_codebook(6, 0.95))]
+    assert all(not k.flags.writeable for k in keys)
+    with pytest.raises(ValueError):
+        keys[0][0] = 1
+    assert not np.array_equal(*keys)
 
 
 @pytest.mark.parametrize("rho,gamma", [(0.5, 1.0), (0.95, 2.0)])
