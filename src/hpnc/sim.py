@@ -5,8 +5,8 @@ independent PCG64 stream seeded with SeedSequence((seed, k, n, rho bits,
 gamma bits)), the float64 bit patterns of the design rho and of gamma, so
 the points of a sweep draw from different streams.  SeedSequence mixes
 those ints' little-endian 32-bit words, so an estimate works out all but
-k's once and hands SeedSequence one uint32 array: the same streams.  Results are
-commutative sums of per-chunk counters, so estimates are bit-identical for
+k's once and hands SeedSequence one uint32 array: the same streams.
+Results are commutative sums of per-chunk counters, so estimates are bit-identical for
 a fixed (params, scheme, rounds, seed, chunks) however the chunks are
 scheduled.  The non-empty chunks run in order over one set of work arrays
 in the calling thread, unless each chunk expects enough rounds drawn one
@@ -38,10 +38,10 @@ n.  Each chunk of R rounds draws, in this order:
    by (L, d) where cw(b) has L bits too, and relay wrong by L otherwise;
 2. for n > 6, the relay-wrong rounds one by one, in sub-batches of up to
    2^16, one uniform per (group, round) from Walker alias tables (Vose's
-   construction), each made when a chunk first needs it, once per group
-   size: all right before the first wrong group, at least one
-   wrong in it, unconditioned after it.  The uniforms lie on the 2^-53
-   grid, so a table's law is off by at most 4096 * 2^-53 in all;
+   construction), made once per group size: all right before the first
+   wrong group, at least one wrong in it, unconditioned after it.  The
+   uniforms lie on the 2^-53 grid, so a table's law is off by at most
+   4096 * 2^-53 in all;
 3. one binomial call of shape (2, classes) for both downlinks.  The
    directions are independent given (b, b_hat), so the call draws each
    direction's failures of the relay-right rounds of each L, with chance
@@ -58,10 +58,10 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -176,20 +176,6 @@ def _class_keys(n: int, code: bytes) -> tuple[np.ndarray, int]:
     return keys, size
 
 
-class _Tables:
-    """A group's alias tables given all right, given a wrong decision and
-    unconditioned, as items 0 to 2, each made by make(kind) when first read."""
-
-    def __init__(self, make, lock: threading.Lock):
-        self.make, self.lock, self.made = make, lock, {}
-
-    def __getitem__(self, kind: int):
-        with self.lock:  # made once, whichever thread reads it first
-            if kind not in self.made:
-                self.made[kind] = self.make(kind)
-            return self.made[kind]
-
-
 def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.ndarray, tails: np.ndarray) -> tuple:
     """_chunk's law of a round: (split, tables, sent, chances, nright).
 
@@ -209,53 +195,53 @@ def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.n
     chance p^d (1 - p)^(L - d) of the (L, d) ones.
 
     tables[j] (none for one group) holds group j's alias tables
-    (cuts, outcomes) given all right, given a wrong decision and
-    unconditioned: None where no round needs one, else made when a chunk
-    first draws from it, with cuts shared by the groups of one size.  A
-    uniform u draws bin i = floor(N u) and keeps i where
-    N u < cuts[i] = i + its threshold; outcomes[2 i + keep] is the outcome
-    packed into the block, b_hat's bits and b's n bits above them, so a
-    round's values add over its groups.
+    (cuts, outcomes) of its law given all right, given a wrong decision and
+    unconditioned, each None where no round needs it; the groups of one
+    size share its law and each table's cuts.  A uniform u draws bin
+    i = floor(N u) and keeps i where N u < cuts[i] = i + its threshold;
+    outcomes[2 i + keep] is the outcome packed into the block, b_hat's bits
+    and b's n bits above them, so a round's values add over its groups.
     """
     joint = np.array([[rho * (1.0 - e0), rho * e0], [(1.0 - rho) * e1, (1.0 - rho) * (1.0 - e1)]])
-    laws = {}  # per group size: its law and each outcome's b bits and b_hat bits
-    for g in {min(_GROUP, n - start) for start in range(0, n, _GROUP)}:
-        law = np.ones((1, 1))
-        for _ in range(g):  # law = kron(law, joint)
-            law = (law[:, None, :, None] * joint[None, :, None, :]).reshape(2 * law.shape[0], -1)
+    split, tables, shared = [], [], {}  # shared: per group size, its law and its tables' cuts and aliases
+    before = 1.0  # the chance that the groups so far are all right
+    for start in range(0, n, _GROUP):
+        g = min(_GROUP, n - start)
+        shift = n - start - g  # the group's lowest bit in the block, MSB first
+        if g not in shared:
+            law = np.ones((1, 1))
+            for _ in range(g):  # law = kron(law, joint)
+                law = (law[:, None, :, None] * joint[None, :, None, :]).reshape(2 * law.shape[0], -1)
+            shared[g] = law.ravel(), {}
+        law, made = shared[g]
         if g == n:
             keys, size = _class_keys(n, np.concatenate((lengths, tails), dtype=np.int64).tobytes())
-            mass = np.bincount(keys, law.ravel())
+            mass = np.bincount(keys, law)
             cells = np.flatnonzero(mass)
             kind, (sent, d) = cells // size, np.divmod(cells % size, n + 2)
             chances = np.where(kind == 0, -np.expm1(sent * math.log1p(-p)), p**d * (1.0 - p) ** (sent - d))
             return mass[cells], [], sent, chances[kind < 2], int(np.count_nonzero(kind == 0))
-        laws[g] = (law.ravel(), *np.divmod(np.arange(law.size), 1 << g))
-    lock, shared = threading.Lock(), {}  # per (group size, kind): cuts and aliases
-
-    def make(start: int, kind: int):
-        g = min(_GROUP, n - start)
-        law, true, hat = laws[g]
-        keep = (true == hat, true != hat, slice(None))[kind]
-        # all right before the first wrong group, unconditioned after it
-        if not (start + g < n, True, start > 0)[kind] or law[keep].sum() == 0.0:
-            return None
-        if (g, kind) not in shared:
-            thresholds, alias = _alias_table(law[keep] / law[keep].sum())
-            shared[g, kind] = np.arange(alias.size) + thresholds, alias
-        cuts, alias = shared[g, kind]
-        shift = n - start - g  # the group's lowest bit in the block, MSB first
-        values = ((true << (n + shift)) | (hat << shift))[keep]
-        return cuts, np.stack([values[alias], values], axis=1).ravel()
-
-    split, tables = [], []
-    before = 1.0  # the chance that the groups so far are all right
-    for start in range(0, n, _GROUP):
-        law, true, hat = laws[min(_GROUP, n - start)]
-        tables.append(_Tables(partial(make, start), lock))
-        # sums of products, so no chance is a difference near 1
-        split.append(before * law[true != hat].sum())
-        before *= law[true == hat].sum()
+        true, hat = np.divmod(np.arange(law.size), 1 << g)
+        packed = (true << (n + shift)) | (hat << shift)
+        right = true == hat
+        tables.append([])
+        masses = []  # sums of products, so no chance is a difference near 1
+        # the groups before the first wrong one are all right, the later
+        # ones unconditioned
+        for kind, (keep, needed) in enumerate(((right, start + g < n), (~right, True), (slice(None), start > 0))):
+            part = law[keep]
+            masses.append(part.sum())
+            table = None
+            if needed and masses[-1] > 0.0:
+                if kind not in made:
+                    thresholds, alias = _alias_table(part / masses[-1])
+                    made[kind] = np.arange(alias.size) + thresholds, alias
+                cuts, alias = made[kind]
+                values = packed[keep]
+                table = cuts, np.stack([values[alias], values], axis=1).ravel()
+            tables[-1].append(table)
+        split.append(before * masses[1])
+        before *= masses[0]
     # the relay decides a block with k ones right with chance
     # (rho (1 - e0))^(n - k) ((1 - rho)(1 - e1))^k.  A relay-right cell is
     # the all-right mass times its length's share: summed raw, the weights
@@ -303,12 +289,11 @@ def _chunk(
     counts = rng.multinomial(rounds, split)
     # Python ints: a loop over even an empty numpy array costs 0.5 us more
     firsts, counts = counts[: len(tables)].tolist(), counts[len(tables) :]
-    dl_bits = int(counts @ sent)
+    # Python ints: R rounds of max_len bits can pass int64
+    dl_bits = sum(map(mul, counts.tolist(), sent.tolist()))
     wrong = rounds - int(counts[:nright].sum())
     pairs = np.zeros(0, dtype=np.int64)  # drawn relay-wrong rounds by L (n + 2) + d
     for first, todo in enumerate(firsts):
-        if not todo:  # a table that no chunk draws from is never made
-            continue
         # all right before the first wrong group, unconditioned after it
         draw = [t[0] for t in tables[:first]] + [tables[first][1]] + [t[2] for t in tables[first + 1 :]]
         while todo:
@@ -403,8 +388,8 @@ def estimate(
     p = q_function(math.sqrt(2.0 * params.gamma))
     cb = build_codebook(params.n, rho)
     base, extra = divmod(rounds, chunks)
-    if (base + (extra > 0)) * cb.max_len >= 1 << 63:  # a chunk counts its downlink bits in int64
-        raise ValueError(f"rounds: over 2^63 - 1 downlink bits per chunk at max_len {cb.max_len}; use more chunks")
+    if base + (extra > 0) >= 1 << 63:  # numpy's multinomial takes an int64 count
+        raise ValueError("rounds: over 2^63 - 1 rounds per chunk; use more chunks")
     # the design point keys the streams, so the points of a sweep draw apart:
     # n and the float64 bit patterns of the design rho and of gamma
     seed_words, point = _words(seed), _words(params.n, *np.array([rho, params.gamma]).view(np.uint64).tolist())

@@ -91,7 +91,7 @@ def test_invalid_config_sets_exit_code(capsys):
         assert capsys.readouterr().err.startswith(f"error: {field}:")
 
 
-def test_rounds_past_int64_bits_per_chunk_exit_2(capsys):
+def test_rounds_past_int64_per_chunk_exit_2(capsys):
     # 10^20 rounds in one chunk overflow int64 counters: a clean exit 2,
     # and 10^12 rounds in one chunk still run
     base = ["bler-sweep", "--n", "6", "--r", "0.9", "--snr-db-start", "10", "--snr-db-stop", "10", "--chunks", "1"]

@@ -296,14 +296,21 @@ def test_estimates_are_pinned():
     assert digest.hexdigest() == "1f459dc6fdc0419181dfefde5a1421f3dba83574935b0a5dc19ed4f6ed7397b5"
 
 
-def test_rounds_per_chunk_are_bounded_by_int64_bits():
-    # a chunk counts its downlink bits in int64: 9e18 rounds of 6 bits in
-    # one chunk would wrap, so they are refused, and more chunks run
+def test_huge_chunks_count_their_downlink_bits_exactly():
+    # a chunk's downlink bits can pass int64 (9e18 rounds of 6 bits; 10^16
+    # rounds of a rho = 1 code whose max_len is 4095, though nearly all
+    # send L(0) = 1 bit), so they are summed exactly; only 2^63 rounds in
+    # one chunk, past numpy's multinomial, are refused
     params = SystemParams(n=6, r=0.0, gamma=1e3)
-    with pytest.raises(ValueError, match=r"2\^63 - 1.*use more chunks"):
-        estimate(params, "hpnc", 9 * 10**18, 1, 1)
-    est = estimate(params, "hpnc", 9 * 10**18, 1, 8)
+    est = estimate(params, "hpnc", 9 * 10**18, 1, 1)
     assert est.mean_downlink_bits == 6.0 and est.throughput == 1.0
+    deep = SystemParams(n=12, r=1.0, gamma=10.0)
+    assert build_codebook(12, deep.rho).max_len * 10**16 >= 2**63
+    est = estimate(deep, "hpnc", 10**16, 1, 1)
+    assert est.mean_downlink_bits == 1.0 and est.relay_bler == 0.0
+    with pytest.raises(ValueError, match=r"2\^63 - 1 rounds per chunk; use more chunks"):
+        estimate(params, "hpnc", 2**63, 1, 1)
+    assert estimate(params, "hpnc", 2**63, 1, 2).mean_downlink_bits == 6.0
 
 
 def test_pending_chunks_stay_bounded(monkeypatch):
@@ -734,26 +741,23 @@ def alias_tables_made(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n,r,snr_db,sizes",
+    "n,r,sizes",
     [
-        (12, 0.95, 30.0, []),  # no relay error: no table is made
         # the 6-bit right, wrong and unconditioned laws, shared by both groups
-        (12, 0.95, 0.0, [64, 4032, 4096]),
+        (12, 0.95, [64, 4032, 4096]),
         # and the 4-bit group's wrong and unconditioned ones
-        (16, 0.8, 0.0, [64, 240, 256, 4032, 4096]),
+        (16, 0.8, [64, 240, 256, 4032, 4096]),
     ],
 )
-def test_alias_tables_are_made_once_per_group_size_and_when_drawn(n, r, snr_db, sizes, alias_tables_made):
-    params = SystemParams(n=n, r=r, gamma=10.0 ** (snr_db / 10.0))
-    est = estimate(params, "hpnc", 20_000, seed=3)
-    assert (est.relay_bler > 0) == bool(sizes)
+def test_alias_tables_are_made_once_per_group_size(n, r, sizes, alias_tables_made):
+    estimate(SystemParams(n=n, r=r, gamma=1.0), "hpnc", 20_000, seed=3)
     assert sorted(law.size for law in alias_tables_made) == sizes
 
 
-def test_tables_made_on_the_pool_match_the_caller(monkeypatch, alias_tables_made):
-    # the chunks of one estimate run on three threads, which all reach for
-    # the tables at once: each is made once, and the estimate is the one
-    # its chunks give in the caller
+def test_estimates_on_the_pool_match_the_caller(monkeypatch, alias_tables_made):
+    # the chunks of one estimate run on three threads, which share its
+    # tables: the estimate is the one its chunks give in the caller, and
+    # each makes its tables once
     params = SystemParams(n=12, r=0.95, gamma=1.0)
     monkeypatch.setattr(sim, "_SUBBATCH", 50)
     caller = estimate(params, "hpnc", 3000, seed=5, chunks=9)
