@@ -30,7 +30,6 @@ import heapq
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -38,7 +37,6 @@ import numpy as np
 from .model import block_to_int, equal_factor, int_to_block
 
 MAX_BLOCK_LEN = 16
-_CHAIN = 1 << 17  # the zero-weight chain's mark in a shape: above any leaf count
 _BITS = frozenset((0, 1))
 
 
@@ -88,7 +86,7 @@ def _popcount_classes(n: int) -> list[np.ndarray]:
 def _class_weights(n: int, rho: float) -> list[int]:
     """Exact weight of a block with k ones, k = 0..n: rho^(n-k) (1-rho)^k
     scaled by a common denominator."""
-    num, den = Fraction(rho).as_integer_ratio()
+    num, den = rho.as_integer_ratio()
     return [num ** (n - k) * (den - num) ** k for k in range(n + 1)]
 
 
@@ -148,9 +146,11 @@ def _run_lengths(weights: list[int], classes: list[np.ndarray]) -> np.ndarray:
     merge into (a + b) << 32 and the root's shape is the length profile.
     The leaf heap pops the smallest weight w in key order, so for w > 0 a
     run pairs off in order into weight 2w, each pair keeping its first key,
-    and an odd last node merges with the next run's first.  For w = 0 the
-    run folds into one chain, which the shapes carry as one marked leaf.
-    Along (weight, key) the heap's lengths never increase.
+    and an odd last node merges with the next run's first.  The w = 0 run
+    folds into one chain, so it enters as one node, keyed by the smallest
+    key, whose shape is the chain's: of its c leaves the two with the
+    smallest keys sit c - 1 levels below its top, each later one a level
+    higher.  Along (weight, key) the heap's lengths never increase.
     """
     runs: dict[int, list[tuple]] = {}
 
@@ -161,16 +161,15 @@ def _run_lengths(weights: list[int], classes: list[np.ndarray]) -> np.ndarray:
         add(weight, leaves.size, 1, leaves, 0, 1)
     groups = [[leaves for _, _, leaves, _, _ in runs[weight]] for weight in sorted(runs)]
     ascending = np.concatenate([np.sort(np.concatenate(g)) if g[1:] else g[0] for g in groups])
+    if 0 in runs:
+        size = sum(count for count, *_ in runs[0])
+        profile = np.bincount(np.minimum(np.arange(size, 0, -1), size - 1)).astype("<u4")
+        runs[0] = [(1, int.from_bytes(profile.tobytes(), "little"), ascending, 0, 1)]
 
-    chain = 0
     while True:
         weight = min(runs)
         segments = runs.pop(weight)
-        if not weight:
-            chain = sum(count for count, *_ in segments)
-            _, _, keys, start, _ = min(segments, key=lambda segment: segment[2].item(segment[3]))
-            segments = [(1, _CHAIN, keys, start, 1)]
-        elif len(segments) > 1:
+        if len(segments) > 1:
             segments = _in_key_order(segments)
         carry = None  # (shape, keys, index) of a node left over for the next pair
         for count, shape, keys, start, step in segments:
@@ -199,14 +198,7 @@ def _run_lengths(weights: list[int], classes: list[np.ndarray]) -> np.ndarray:
         add(weight + next_weight, 1, (carry[0] + shape) << 32, keys, start, 1)
 
     root = carry[0]
-    fields = np.frombuffer(root.to_bytes(4 * ((root.bit_length() + 31) // 32), "little"), "<u4")
-    profile = np.concatenate((fields, np.zeros(chain, dtype=fields.dtype)))
-    if chain:
-        # the chain's first two leaves sit deepest, each later one a level higher
-        top = int(fields.argmax())
-        profile[top] -= _CHAIN
-        profile[top + 1 : top + chain] += 1
-        profile[top + chain - 1] += 1
+    profile = np.frombuffer(root.to_bytes(4 * ((root.bit_length() + 31) // 32), "little"), "<u4")
     lengths = np.empty(ascending.size, dtype=np.int32)
     lengths[ascending] = np.repeat(np.arange(profile.size, dtype=np.int32), profile)[::-1]
     return lengths

@@ -164,11 +164,12 @@ with open("/proc/self/status") as status:
 
 def test_cli_import_leaves_out_scipy_integrate():
     # scipy is a test dependency only: no module of the package, nor of
-    # what it imports, loads any scipy module at start-up
+    # what it imports, loads any scipy module at start-up; nor does any
+    # load fractions (and with it decimal), as exact weights need only ints
     code = """
 import json, sys
 import {module}
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m in ("scipy", "fractions") or m.startswith("scipy."))))
 """
     assert _fresh_interpreter(code.format(module="hpnc")) == []
     assert _fresh_interpreter(code.format(module="hpnc.cli")) == []

@@ -1,6 +1,7 @@
 """Codebook construction, coding round trips, length statistics, rates."""
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -383,6 +384,18 @@ def test_run_construction_matches_the_heap_up_to_n16(n, rho):
     assert sum(w * int(l) for w, l in zip(weights, runs)) == total
     assert np.array_equal(runs, heap)
     assert cross_check_optimality(n, rho)[0] == total
+
+
+def test_every_block_law_code_is_pinned():
+    # lengths and tails of all 224 codes, n = 1..16 at every design rho
+    # (rho = 1 included); the heap checks above compare lengths only
+    digest = hashlib.sha256()
+    for n in range(1, 17):
+        for rho in sorted(set(DESIGN_RHOS)):
+            cb = build_codebook(n, rho)
+            digest.update(cb.lengths.tobytes())
+            digest.update(cb.tails.tobytes())
+    assert digest.hexdigest() == "9d47e2065d04772538aacdb2a3f68b83cce9a1145ad24841189dbeb8de603b93"
 
 
 @pytest.mark.parametrize(

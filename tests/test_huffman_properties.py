@@ -105,6 +105,10 @@ def test_run_construction_gives_the_heap_lengths(n, rho):
 
 @settings(max_examples=400)
 @given(st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=48))
+@example([0, 3])  # a zero-weight chain of one leaf
+@example([0, 0])  # the chain is the root
+@example([5, 0, 0, 0])  # zero-weight leaves after a positive one
+@example([1] + [0] * 47)  # the rho = 1 pattern at the largest size drawn
 def test_run_construction_replays_the_heap_on_any_tied_weights(weights):
     # small weights tie often, within and across classes, and merged
     # nodes meet leaves of equal weight in ways the block law rarely shows

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hpnc.analysis import conv_bler_point, hpnc_bler
-from hpnc.huffman import build_codebook, decode_exact, encode, length_distribution
+from hpnc.huffman import build_codebook, compression_rate, decode_exact, encode, length_distribution
 from hpnc.model import SystemParams, block_to_int, int_to_block
 from hpnc.phy import q_function
 from hpnc.pnc import decision_errors, optimal_threshold
@@ -502,6 +502,53 @@ def test_conventional_agrees_with_analysis_at_high_snr():
     expected = conv_bler_point(gamma, 6).exact
     se = math.sqrt(expected * (1.0 - expected) / rounds)
     assert abs(est.bler_12 - expected) <= 3.0 * se
+
+
+def map_gain(n, rho):
+    """High-SNR BLER ratio baseline/hpnc at the MAP thresholds, written out:
+    the relay's symbol error tends to 2 sqrt(2 rho (1 - rho)) Q(sqrt(2 gamma))
+    and a codeword of mean length n (2C - 1) adds that many Q, so the
+    baseline's (1 + sqrt(2)) n Q over the compressed scheme's coefficient is
+    (1 + sqrt(2)) / (2 sqrt(2 rho (1 - rho)) + 2C - 1)."""
+    c = compression_rate(n, length_distribution(build_codebook(n, rho), rho).mean)
+    return (1.0 + math.sqrt(2.0)) / (2.0 * math.sqrt(2.0 * rho * (1.0 - rho)) + 2.0 * c - 1.0)
+
+
+@pytest.mark.parametrize("snr_db", [12.0, 14.0])
+def test_simulated_high_snr_gain_is_the_map_gain(snr_db):
+    # the paper's claim, simulated: 10^17 rounds hold at least 3.7 * 10^5
+    # block errors per point (10^9 and more at 12 dB), so each BLER is held
+    # to the exact chain and each simulated ratio to the MAP limit
+    rounds = 10**17
+    gamma = 10.0 ** (snr_db / 10.0)
+    conv_params = SystemParams(n=6, r=0.7, gamma=gamma)
+    conv = estimate(conv_params, "conventional", rounds, seed=1, chunks=8)
+    points = [(conv_params, conv)]
+    for r in (0.7, 0.8, 0.9):
+        params = SystemParams(n=6, r=r, gamma=gamma)
+        est = estimate(params, "hpnc", rounds, seed=1, chunks=8)
+        gain = map_gain(6, params.rho)
+        assert conv.bler_12 / est.bler_12 == pytest.approx(gain, rel=0.02)
+        assert conv.bler_21 / est.bler_21 == pytest.approx(gain, rel=0.02)
+        points.append((params, est))
+    for params, est in points:
+        expected, _ = exact_point_bler(params, est.scheme)
+        se = math.sqrt(expected * (1.0 - expected) / rounds)
+        assert abs(est.bler_12 - expected) <= 4.0 * se
+        assert abs(est.bler_21 - expected) <= 4.0 * se
+
+
+def test_high_snr_point_of_a_two_group_code():
+    # n = 12 draws its relay-wrong rounds one by one, a path the n = 6
+    # points above never take; the chain is too large to enumerate, so the
+    # product form stands in for it
+    gamma, rounds = 10.0**1.4, 10**16
+    params = SystemParams(n=12, r=0.95, gamma=gamma)
+    est = estimate(params, "hpnc", rounds, seed=1, chunks=8)
+    expected = hpnc_bler(gamma, params.rho, 12, length_distribution(build_codebook(12, params.rho), params.rho))
+    se = math.sqrt(expected * (1.0 - expected) / rounds)
+    assert abs(est.bler_12 - expected) <= 4.0 * se
+    assert abs(est.bler_21 - expected) <= 4.0 * se
 
 
 def test_conventional_ignores_correlation():

@@ -18,7 +18,7 @@ ROUNDS = 200_000
 
 @settings(max_examples=80)
 @given(
-    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=-2.0, max_value=10.0),
     st.sampled_from(["hpnc", "conventional"]),
