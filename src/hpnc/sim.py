@@ -6,13 +6,14 @@ gamma bits)), the float64 bit patterns of the design rho and of gamma, so
 the points of a sweep draw from different streams.  SeedSequence mixes
 those ints' little-endian 32-bit words, so an estimate works out all but
 k's once and hands SeedSequence one uint32 array: the same streams.
-Results are commutative sums of per-chunk counters, so estimates are bit-identical for
-a fixed (params, scheme, rounds, seed, chunks) however the chunks are
-scheduled.  The non-empty chunks run in order over one set of work arrays
-in the calling thread, unless each chunk expects enough rounds drawn one
-by one, the relay errors of a code of more than one group, to fill a whole
-sub-batch: then they split into one contiguous range per usable CPU, each
-with its own work arrays, on the process's one thread pool.
+Results are commutative sums of per-chunk counters, so estimates are
+bit-identical for a fixed (params, scheme, rounds, seed, chunks) however
+the chunks are scheduled.  The non-empty chunks run in order over one set
+of work arrays in the calling thread, unless each chunk expects enough
+rounds drawn one by one, the relay errors of a variable-length code of
+more than one group, to fill a whole sub-batch: then they split into one
+contiguous range per usable CPU, each with its own work arrays, on the
+process's one thread pool.
 
 Both schemes run the same chain kernel: the conventional baseline is the
 compressed scheme designed for r = 0, that is the rho = 0.5 threshold and
@@ -26,22 +27,25 @@ the codeword it sends.  Each sent bit flips with probability
 p = Q(sqrt(2 gamma)) and the receiver is granted the codeword length, so a
 direction delivers b with chance (1 - p)^L when b_hat = b, p^d (1 - p)^(L - d)
 when cw(b) also has L bits and differs from cw(b_hat) in d of them, and 0
-otherwise.  A code of one group of bits (n <= 6) holds the law of
-(b, b_hat) as 4^n products; a longer code draws its relay-wrong rounds by
+otherwise.  A fixed-length code is the identity, tails[b] = b, so a round's
+d = popcount(b ^ b_hat) is Binomial(n, P), P = rho e0 + (1 - rho) e1.  A
+variable-length code of one group of bits (n <= 6) holds the law of
+(b, b_hat) as 4^n products; a longer one draws its relay-wrong rounds by
 groups of 6 bits, MSB first, and one shorter group when 6 does not divide
 n.  Each chunk of R rounds draws, in this order:
 
-1. one multinomial whose first cells, for n > 6, count which group holds
-   a round's first wrong decision (the relay-wrong count is
-   Binomial(R, 1 - (1 - rho e0 - (1 - rho) e1)^n)), and whose other cells
-   are the round classes: relay right by L, then, for n <= 6, relay wrong
-   by (L, d) where cw(b) has L bits too, and relay wrong by L otherwise;
-2. for n > 6, the relay-wrong rounds one by one, in sub-batches of up to
-   2^16, one uniform per (group, round) from Walker alias tables (Vose's
-   construction), made once per group size: all right before the first
-   wrong group, at least one wrong in it, unconditioned after it.  The
-   uniforms lie on the 2^-53 grid, so a table's law is off by at most
-   4096 * 2^-53 in all;
+1. one multinomial whose first cells, for a longer variable-length code,
+   count which group holds a round's first wrong decision (the
+   relay-wrong count is Binomial(R, 1 - (1 - P)^n)), and whose other
+   cells are the round classes: relay right by L, then, for the other
+   codes, relay wrong by (L, d) where cw(b) has L bits too, and relay
+   wrong by L otherwise;
+2. for a longer variable-length code alone, the relay-wrong rounds one by
+   one, in sub-batches of up to 2^16, one uniform per (group, round) from
+   Walker alias tables (Vose's construction), made once per group size:
+   all right before the first wrong group, at least one wrong in it,
+   unconditioned after it.  The uniforms lie on the 2^-53 grid, so a
+   table's law is off by at most 4096 * 2^-53 in all;
 3. one binomial call of shape (2, classes) for both downlinks.  The
    directions are independent given (b, b_hat), so the call draws each
    direction's failures of the relay-right rounds of each L, with chance
@@ -49,9 +53,10 @@ n.  Each chunk of R rounds draws, in this order:
    each (L, d) that occurs.
 
 The alias draw, the per-round downlink draw, the per-class binomial with
-the per-point seed, the per-length counts of the relay-right rounds and
-the class counts of a one-group code each changed the stream layout, so
-estimates differ from those of earlier versions by sampling noise only.
+the per-point seed, the per-length counts of the relay-right rounds, the
+class counts of a one-group code and the closed-form counts of a
+fixed-length code each changed the stream layout, so estimates differ
+from those of earlier versions by sampling noise only.
 """
 
 from __future__ import annotations
@@ -181,28 +186,38 @@ def _chain_law(n: int, rho: float, e0: float, e1: float, p: float, lengths: np.n
 
     A g-bit group's law of (b, b_hat) is the g-fold Kronecker power of the
     bit's law (module docstring), over outcomes (b bits << g) | b_hat bits.
-    split is the law of _chunk's multinomial: for a code of more than one
-    group (n > _GROUP) one cell per group j first, the chance that j holds
-    the first wrong decision, then the round classes where they have mass:
-    relay right by sent length L, and for a code of one group relay wrong
-    by (L, d), d the popcount of tails[b_hat] ^ tails[b], where cw(b) has L
-    bits too, and by L otherwise.  Each is a sum of products, so no chance
-    is a difference near 1: a one-group class weighs the group's law over
-    the code's cached class keys (_class_keys), and a longer code's
-    relay-right class is the all-right mass times its share of a weighted
-    count of `lengths`.  sent holds each class's L, and chances the failure
-    chance -expm1(L log1p(-p)) of the first nright classes and the delivery
-    chance p^d (1 - p)^(L - d) of the (L, d) ones.
+    split is the law of _chunk's multinomial: for a variable-length code of
+    more than one group (n > _GROUP) one cell per group j first, the chance
+    that j holds the first wrong decision, then the round classes where
+    they have mass: relay right by sent length L, and for the other codes
+    relay wrong by (L, d), d the popcount of tails[b_hat] ^ tails[b], where
+    cw(b) has L bits too, and by L otherwise.  Each is a sum of products,
+    so no chance is a difference near 1: a fixed-length code (max_len = n)
+    is the identity, so its class d has mass C(n, d) P^d (1 - P)^(n - d),
+    P the bit law's wrong mass, and keeps its relay-right class at any
+    mass; a one-group class weighs the group's law over the code's cached
+    class keys (_class_keys); and a longer code's relay-right class is the
+    all-right mass times its share of a weighted count of `lengths`.  sent
+    holds each class's L, and chances the failure chance -expm1(L log1p(-p))
+    of the first nright classes and the delivery chance p^d (1 - p)^(L - d)
+    of the (L, d) ones.
 
-    tables[j] (none for one group) holds group j's alias tables
-    (cuts, outcomes) of its law given all right, given a wrong decision and
-    unconditioned, each None where no round needs it; the groups of one
-    size share its law and each table's cuts.  A uniform u draws bin
+    tables[j] (none for a fixed-length code or one group) holds group j's
+    alias tables (cuts, outcomes) of its law given all right, given a wrong
+    decision and unconditioned, each None where no round needs it; the
+    groups of one size share its law and each table's cuts.  A uniform u draws bin
     i = floor(N u) and keeps i where N u < cuts[i] = i + its threshold;
     outcomes[2 i + keep] is the outcome packed into the block, b_hat's bits
     and b's n bits above them, so a round's values add over its groups.
     """
     joint = np.array([[rho * (1.0 - e0), rho * e0], [(1.0 - rho) * e1, (1.0 - rho) * (1.0 - e1)]])
+    if int(lengths.max()) == n:  # fixed-length, so tails[b] = b and d is Binomial(n, P)
+        d = np.arange(n + 1)
+        wrong, right = joint[0, 1] + joint[1, 0], joint[0, 0] + joint[1, 1]
+        mass = np.array([math.comb(n, k) for k in range(n + 1)]) * wrong**d * right ** (n - d)
+        cells = np.flatnonzero((mass > 0.0) | (d == 0))  # the relay-right cell stays
+        chances = np.where(d == 0, -np.expm1(n * math.log1p(-p)), p**d * (1.0 - p) ** (n - d))
+        return mass[cells], [], np.full(cells.size, n), chances[cells], 1
     split, tables, shared = [], [], {}  # shared: per group size, its law and its tables' cuts and aliases
     before = 1.0  # the chance that the groups so far are all right
     for start in range(0, n, _GROUP):
@@ -367,9 +382,9 @@ def estimate(
 
     Rounds are split as evenly as possible over `chunks` independent streams;
     the result depends only on (params, scheme, rounds, seed, chunks), not on
-    how many threads run them.  Chunks that each expect at least 2^16 rounds
-    drawn one by one, which only codes of more than 6 bits draw, run on
-    min(non-empty chunks, usable CPUs) threads, others in the caller.
+    how many threads run them.  Chunks that each expect 2^16 or more rounds
+    drawn one by one, which only variable-length codes of more than 6 bits
+    draw, run on min(non-empty chunks, usable CPUs) threads, others in the caller.
     """
     if scheme not in (SCHEME_HPNC, SCHEME_CONVENTIONAL):
         raise ValueError(f"scheme must be 'hpnc' or 'conventional', got {scheme!r}")
@@ -410,9 +425,9 @@ def estimate(
         return totals
 
     # threads pay only when the rounds drawn one by one, the relay-wrong
-    # rounds of a code of more than one group, are expected to fill a whole
-    # sub-batch per chunk: fewer hand the interpreter lock back and forth
-    # more than they overlap
+    # rounds of a variable-length code of more than one group, are expected
+    # to fill a whole sub-batch per chunk: fewer hand the interpreter lock
+    # back and forth more than they overlap
     threads = min(active, _cores()) if base * split[: len(tables)].sum() >= _POOL_FROM else 1
     bounds = [active * t // threads for t in range(threads + 1)]
     ranges = (map if threads == 1 else _pool().map)(run, bounds[:-1], bounds[1:])

@@ -284,16 +284,19 @@ def test_estimates_are_pinned():
     # the repr of every estimate over a small grid that runs each kernel
     # path: one group (n = 4, 6), a 1-bit last group (n = 7) and two equal
     # groups (n = 12), both schemes, few and many relay errors, chunks
-    # beyond the round budget.  The digest holds the outputs of the kernel
-    # before its set-up was hoisted out of the chunks, so a change to how
-    # the streams are seeded or the law is set up may not move an estimate
+    # beyond the round budget.  The digest was first taken before the
+    # kernel's set-up was hoisted out of the chunks, so a change to how the
+    # streams are seeded or the law is set up may not move an estimate.  It
+    # was taken again when the fixed-length code came to count its rounds
+    # by wrong bits in closed form, which moved the draws of the n = 7 and
+    # n = 12 baselines alone
     digest = hashlib.sha256()
     for n, scheme, snr_db, (rounds, chunks) in itertools.product(
         (4, 6, 7, 12), ("hpnc", "conventional"), (0.0, 8.0), ((7, 8), (20_000, 3))
     ):
         params = SystemParams(n=n, r=0.8, gamma=10.0 ** (snr_db / 10.0))
         digest.update(repr(estimate(params, scheme, rounds, 11, chunks)).encode())
-    assert digest.hexdigest() == "1f459dc6fdc0419181dfefde5a1421f3dba83574935b0a5dc19ed4f6ed7397b5"
+    assert digest.hexdigest() == "f1fca07ed471fb4add56cb11909d5ad420ae81baf34173dc803b0dbaa2302cdf"
 
 
 def test_huge_chunks_count_their_downlink_bits_exactly():
@@ -458,6 +461,76 @@ def test_one_group_class_law_is_the_exact_chain(n, rho):
         assert mass @ sent == pytest.approx(expected_mean, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fixed_length_class_law_is_binomial(n):
+    # the baseline's rho = 0.5 code is the identity, every length n and
+    # tails[b] = b, so a round's d = popcount(b ^ b_hat) wrong decisions are
+    # Binomial(n, P), P = rho e0 + (1 - rho) e1: n + 1 classes, no tables.
+    # A bit arrives intact when the relay and the downlink are both right,
+    # with chance x = (1 - P)(1 - p), or both wrong, y = P p, so the BLER is
+    # 1 - (x + y)^n and the mass of relay errors delivered anyway
+    # (x + y)^n - x^n.  For one group the masses are the class-key
+    # bincount's, and the BLER and that mass exact_chain_bler's
+    cb = build_codebook(n, 0.5)
+    assert cb.max_len == n and np.array_equal(cb.tails, np.arange(1 << n))
+    lengths = cb.lengths.astype(np.intp)
+    for snr_db in (0.0, 4.0, 10.0):
+        gamma = 10.0 ** (snr_db / 10.0)
+        threshold = optimal_threshold(gamma, 0.5)
+        e0, e1 = decision_errors(gamma, threshold)
+        p = q_function(math.sqrt(2.0 * gamma))
+        mass, tables, sent, chances, nright = sim._chain_law(n, 0.5, e0, e1, p, lengths, cb.tails)
+        assert tables == [] and nright == 1 and mass.size == chances.size == n + 1
+        assert sent.tolist() == [n] * (n + 1)
+        wrong = 0.5 * e0 + 0.5 * e1
+        binomial = [math.comb(n, d) * wrong**d * (1.0 - wrong) ** (n - d) for d in range(n + 1)]
+        assert mass == pytest.approx(binomial, rel=1e-12, abs=0)
+        bler = mass[0] * chances[0] + mass[1:] @ (1.0 - chances[1:])
+        # 1 - ((1 - P)(1 - p) + P p)^n, without the cancellation
+        expected = -math.expm1(n * math.log1p(-(wrong + p - 2.0 * wrong * p)))
+        assert bler == pytest.approx(expected, rel=1e-12, abs=0)
+        # (x + y)^n - x^n as a sum of products: no cancellation at high SNR
+        x, y = (1.0 - wrong) * (1.0 - p), wrong * p
+        expected_anyway = sum(math.comb(n, k) * y**k * x ** (n - k) for k in range(1, n + 1))
+        anyway = mass[1:] @ chances[1:]
+        assert anyway == pytest.approx(expected_anyway, rel=1e-12, abs=0)
+        if n <= 6:
+            keys = sim._class_keys(n, np.concatenate((lengths, cb.tails), dtype=np.int64).tobytes())[0]
+            summed = np.bincount(keys, product_law(n, 0.5, e0, e1))
+            assert mass == pytest.approx(summed[np.flatnonzero(summed)], rel=1e-12, abs=0)
+            exact = exact_chain_bler(n, 0.5, gamma, threshold.tau, cb)
+            assert (bler, anyway) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_baseline_estimate_is_the_binomial_law(n):
+    # 4e6 rounds of the baseline at 0 dB, counted in closed form by wrong
+    # bits, against 1 - ((1 - P)(1 - p) + P p)^n
+    params = SystemParams(n=n, r=0.8, gamma=1.0)
+    e0, e1 = decision_errors(1.0, optimal_threshold(1.0, 0.5))
+    wrong, p = 0.5 * e0 + 0.5 * e1, q_function(math.sqrt(2.0))
+    expected = 1.0 - ((1.0 - wrong) * (1.0 - p) + wrong * p) ** n
+    rounds = 4 * 10**6
+    est = estimate(params, "conventional", rounds, seed=47)
+    se = math.sqrt(expected * (1.0 - expected) / rounds)
+    assert abs(est.bler_12 - expected) <= 4.0 * se
+    assert abs(est.bler_21 - expected) <= 4.0 * se
+    assert est.mean_downlink_bits == n
+
+
+def test_fixed_length_codes_run_in_the_caller(monkeypatch, started_threads):
+    # a fixed-length code draws no round one by one, so its chunks never
+    # reach the pool, however many relay errors they count: the n = 16
+    # baseline at 4e6 rounds and 0 dB errs in about 84 % of them
+    sim._pool.cache_clear()
+    params = SystemParams(n=16, r=0.8, gamma=1.0)
+    est = estimate(params, "conventional", 4 * 10**6, seed=5)
+    assert est.relay_bler > 0.8
+    assert started_threads == [] and sim._pool.cache_info().currsize == 0
+    monkeypatch.setattr(sim, "_cores", lambda: 1)
+    assert estimate(params, "conventional", 4 * 10**6, seed=5) == est
+
+
 def test_deep_code_downlink_is_ragged():
     # max_len is 2^10 - 1 = 1023, but only the all-zero block's codeword is sent
     params = SystemParams(n=10, r=1.0, gamma=1.0)
@@ -588,16 +661,20 @@ def test_rho_one_uses_zero_threshold():
 @pytest.mark.parametrize(
     "n,rho,gamma",
     [
-        (12, 0.5, 1.0),  # the baseline's 12-bit identity code: all tail, no ones
+        (12, 0.54, 1.0),  # a 12-bit code of 11 to 13 bits: all tail, no ones
         (7, 0.8, 0.5),  # a variable-length code of two groups: flips land in the ones
     ],
 )
 def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monkeypatch):
     # at these SNRs the downlink delivers some relay errors anyway, so the
     # kernel's tail comparison decides part of the classes.  The kernel gets
-    # only the lengths and tails: the code has no other format
+    # only the lengths and tails: the code has no other format.  Both codes
+    # are variable-length, so they draw their relay-wrong rounds one by one,
+    # and a codeword is all tail when it has at most n + 1 bits
     rounds = 4000
     cb = build_codebook(n, rho)
+    assert n < cb.max_len
+    assert (cb.max_len <= n + 1) == (n == 12)
     errors = decision_errors(gamma, optimal_threshold(gamma, rho))
     p = q_function(math.sqrt(2.0 * gamma))
     lengths = cb.lengths.astype(np.intp)
@@ -612,6 +689,42 @@ def test_chunk_matches_per_round_decoding_of_the_same_draws(n, rho, gamma, monke
         expected, delivered_anyway = replay_chunk(n, rho, errors, law, p, cb, rounds, sub, replay, rng.calls)
         assert delivered_anyway > 0
         assert got == expected
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_fixed_length_chunk_is_one_multinomial_and_one_binomial_call(n):
+    # the baseline's identity code, replayed: one multinomial over the
+    # Binomial(n, P) law of a round's wrong decisions d, then one binomial
+    # call over the relay-right rounds, with failure chance 1 - (1 - p)^n,
+    # and the relay-wrong rounds by d, with the delivery chance that the
+    # codeword text gives for two blocks d bits apart
+    rounds, gamma = 4000, 1.0
+    cb = build_codebook(n, 0.5)
+    errors = decision_errors(gamma, optimal_threshold(gamma, 0.5))
+    p = q_function(math.sqrt(2.0 * gamma))
+    lengths = cb.lengths.astype(np.intp)
+    law = sim._chain_law(n, 0.5, *errors, p, lengths, cb.tails)
+    rng = _CountingRng(np.random.default_rng(5))
+    got = _chunk(n, law, p, lengths, cb.tails, rounds, rng, ())
+    (name, (count, pvals), drawn), binomial = rng.calls
+    assert (name, binomial[0]) == ("multinomial", "binomial")
+    wrong = 0.5 * errors[0] + 0.5 * errors[1]
+    binomial_law = [math.comb(n, d) * wrong**d * (1.0 - wrong) ** (n - d) for d in range(n + 1)]
+    assert count == rounds and pvals == pytest.approx(binomial_law, rel=1e-12, abs=0)
+    replay = np.random.default_rng(5)
+    assert np.array_equal(replay.multinomial(rounds, pvals), drawn)
+    _, (counts, chances), draws = binomial
+    # the true codewords d = 1..n bits away from a sent codeword
+    sent = encode(cb, int_to_block(0, n))
+    words = [encode(cb, int_to_block((1 << d) - 1, n)) for d in range(1, n + 1)]
+    expected = [1.0 - delivery_chance(p, sent, sent)] + [delivery_chance(p, word, sent) for word in words]
+    assert counts.tolist() == drawn.tolist()
+    assert chances == pytest.approx(expected, rel=1e-12, abs=0)
+    assert np.array_equal(replay.binomial(counts, chances, size=(2, n + 1)), draws)
+    relay_err = rounds - int(drawn[0])
+    err = [int(row[0]) + relay_err - int(row[1:].sum()) for row in draws]
+    assert got == (err[1], err[0], relay_err, rounds * n)
+    assert draws[:, 1:].sum() > 0  # relay errors delivered anyway
 
 
 def replay_chunk(n, rho, errors, law, p, cb, rounds, sub, rng, calls):
@@ -865,6 +978,7 @@ def test_alias_draws_follow_the_product_law(rho, gamma):
         (6, 0.9, 0.0),  # one group: the rounds counted by class
         (12, 0.95, 0.0),  # two groups
         (13, 0.8, 3.0),  # three, the middle one drawn from all three tables
+        (12, 0.0, 0.0),  # the baseline's identity code: counted by wrong bits
     ],
 )
 def test_chunk_classes_follow_the_per_round_reference(n, r, snr_db):
@@ -915,23 +1029,31 @@ def test_chunk_classes_follow_the_per_round_reference(n, r, snr_db):
     bins = [pair for pair in both if sum(pair) >= 20] + [tuple(map(sum, zip(*rare)))] * bool(rare)
     chi2 = sum((a - b) ** 2 / (a + b) for a, b in bins)
     dof = len(bins) - 1
-    assert dof >= 10
+    # the identity code has n + 1 classes, and at 0 dB those with d <= 6
+    # wrong bits hold 300 rounds or more
+    assert dof >= (7 if cb.max_len == n else 10)
     assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof)
 
 
-@pytest.mark.parametrize("n", [7, 13, 16])  # groups of 6 + 1, 6 + 6 + 1, 6 + 6 + 4
-def test_relay_bler_matches_the_exact_block_law(n):
+@pytest.mark.parametrize(
+    "n,scheme",
+    [(7, "hpnc"), (13, "hpnc"), (16, "hpnc"), (16, "conventional")],  # groups of 6 + 1, 6 + 6 + 1, 6 + 6 + 4
+    ids=["7", "13", "16", "16-conventional"],
+)
+def test_relay_bler_matches_the_exact_block_law(n, scheme):
     # the relay gets a block right when every bit is decided right:
-    # 1 - sum_k C(n, k) rho^(n-k) (1-rho)^k (1-e0)^(n-k) (1-e1)^k
+    # 1 - sum_k C(n, k) rho^(n-k) (1-rho)^k (1-e0)^(n-k) (1-e1)^k, for the
+    # baseline at its rho = 0.5 design
     params = SystemParams(n=n, r=0.8, gamma=10.0 ** 0.3)
-    rho = params.rho
-    e0, e1 = decision_errors(params.gamma, relay_threshold(params))
+    design = params if scheme == "hpnc" else replace(params, r=0.0)
+    rho = design.rho
+    e0, e1 = decision_errors(params.gamma, relay_threshold(design))
     expected = 1.0 - sum(
         math.comb(n, k) * rho ** (n - k) * (1.0 - rho) ** k * (1.0 - e0) ** (n - k) * (1.0 - e1) ** k
         for k in range(n + 1)
     )
     rounds = 40_000
-    est = estimate(params, "hpnc", rounds, seed=61)
+    est = estimate(params, scheme, rounds, seed=61)
     se = math.sqrt(expected * (1.0 - expected) / rounds)
     assert abs(est.relay_bler - expected) <= 4.0 * se
 
