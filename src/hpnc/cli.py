@@ -55,6 +55,8 @@ THROUGHPUT_COLUMNS = ("thr_sim", "c_hpnc", "c_theo")
 
 # bound on a sweep's SNR grid, so a tiny step cannot ask for an endless sweep
 MAX_SNR_POINTS = 10_000
+# bound on the chunks per estimate: each costs tens of microseconds of Python
+MAX_CHUNKS = 10_000
 
 RATE_SCHEMA = ("n", "r", "mean_len", "c_hpnc", "c_theo", "gap")
 DEFAULT_R_GRID = tuple(round(0.1 * k, 1) for k in range(10))
@@ -123,8 +125,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name}: {snr_db!r} dB gives no positive finite linear SNR")
         if self.rounds < 1:
             raise ValueError(f"rounds: must be >= 1, got {self.rounds}")
-        if self.chunks < 1:
-            raise ValueError(f"chunks: must be >= 1, got {self.chunks}")
+        if not 1 <= self.chunks <= MAX_CHUNKS:
+            raise ValueError(f"chunks: must be in [1, {MAX_CHUNKS}], got {self.chunks}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if self.out is not None and not isinstance(self.out, str):
@@ -186,7 +188,8 @@ def _write_output(path: str | None, parts: Iterable[str]) -> None:
     to exist in memory as a whole.
     """
     if path:
-        with open(path, "w", newline="") as fh:
+        # 1 MiB buffers: a large table goes out in few writes
+        with open(path, "w", newline="", buffering=1 << 20) as fh:
             fh.writelines(parts)
 
 

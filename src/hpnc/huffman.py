@@ -277,6 +277,14 @@ class HuffmanCodebook:
         low = min(length, self.n + 1)
         return "1" * (length - low) + f"{self.tails.item(value):0{low}b}"
 
+    def codeword_texts(self) -> list[str]:
+        """Every block's codeword as '0'/'1' text, in block order, in one pass."""
+        low = self.n + 1
+        return [
+            f"{tail:0{length}b}" if length <= low else "1" * (length - low) + f"{tail:0{low}b}"
+            for length, tail in zip(self.lengths.tolist(), self.tails.tolist())
+        ]
+
     def codeword_bits(self, value: int) -> np.ndarray:
         """Codeword of the block with the given integer value, as a bit array."""
         return np.frombuffer(self.codeword_text(value).encode(), dtype=np.uint8) - ord("0")
@@ -373,9 +381,10 @@ def length_distribution(cb: HuffmanCodebook, rho: float) -> LengthDistribution:
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"equal factor rho must be in [0, 1], got {rho}")
     n = cb.n
-    ones = _popcounts(n).astype(np.float64)
-    probs = rho ** (n - ones) * (1.0 - rho) ** ones
-    mass = np.bincount(cb.lengths, weights=probs, minlength=cb.max_len + 1)
+    # a block's probability depends only on its number of ones k
+    ones = np.arange(n + 1, dtype=np.float64)
+    by_ones = rho ** (n - ones) * (1.0 - rho) ** ones
+    mass = np.bincount(cb.lengths, weights=by_ones[_popcounts(n)], minlength=cb.max_len + 1)
     support = tuple(np.flatnonzero(np.bincount(cb.lengths)).tolist())
     pmf = {k: float(mass[k]) for k in support}
     mean = math.fsum(k * pmf[k] for k in support)
@@ -385,9 +394,12 @@ def length_distribution(cb: HuffmanCodebook, rho: float) -> LengthDistribution:
 def codebook_table_lines(cb: HuffmanCodebook) -> Iterator[str]:
     """The text table's lines, one per block in block order: block bits,
     length, canonical codeword, each line ending in a newline."""
-    n = cb.n
-    for v, length in enumerate(cb.lengths.tolist()):
-        yield f"{v:0{n}b} {length} {cb.codeword_text(v)}\n"
+    n, low = cb.n, cb.n + 1
+    for v, (length, tail) in enumerate(zip(cb.lengths.tolist(), cb.tails.tolist())):
+        if length <= low:
+            yield f"{v:0{n}b} {length} {tail:0{length}b}\n"
+        else:
+            yield f"{v:0{n}b} {length} {'1' * (length - low)}{tail:0{low}b}\n"
 
 
 def codebook_to_table(cb: HuffmanCodebook) -> str:
@@ -408,7 +420,6 @@ def codebook_from_table(text: str) -> HuffmanCodebook:
     size = 1 << n
     if len(rows) != size:
         raise ValueError(f"expected {size} rows for n = {n}, got {len(rows)}")
-    lengths = np.zeros(size, dtype=np.int32)
     listed: list[str | None] = [None] * size
     for i, fields in enumerate(rows, 1):
         if len(fields) != 3:
@@ -417,17 +428,18 @@ def codebook_from_table(text: str) -> HuffmanCodebook:
         if len(bits_str) != n:
             raise ValueError(f"row {i}: block {bits_str} is not {n} bits wide")
         # int(x, 2) alone would also take signs, "0b" prefixes and underscores
-        if not set(bits_str + code_str) <= {"0", "1"}:
+        if (bits_str + code_str).strip("01"):
             raise ValueError(f"row {i}: block {bits_str} or codeword {code_str} is not binary")
         v = int(bits_str, 2)
         if listed[v] is not None:
             raise ValueError(f"row {i}: block {bits_str} is listed twice")
         if len_str != str(len(code_str)):
             raise ValueError(f"row {i}: length field {len_str} does not match codeword")
-        lengths[v] = len(code_str)
         listed[v] = code_str
-    cb = HuffmanCodebook(n, math.nan, lengths)
-    for v in range(size):
-        if listed[v] != cb.codeword_text(v):
-            raise ValueError(f"row {v:0{n}b}: codeword is not canonical")
+    # the rows are distinct n-bit blocks, 2^n of them, so every block is listed
+    cb = HuffmanCodebook(n, math.nan, [len(code) for code in listed])
+    texts = cb.codeword_texts()
+    if listed != texts:
+        v = next(v for v, (code, text) in enumerate(zip(listed, texts)) if code != text)
+        raise ValueError(f"row {v:0{n}b}: codeword is not canonical")
     return cb

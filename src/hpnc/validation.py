@@ -140,7 +140,7 @@ def codebook_checks() -> list[dict]:
             out.append(
                 _check("kraft_equality", point, abs(cb.kraft_terms() - (1 << cb.max_len)), 0)
             )
-            words = [cb.codeword_text(v) for v in range(1 << n)]
+            words = cb.codeword_texts()
             out.append(_check("prefix_free", point, _prefix_violations(words), 0))
             out.append(_check("round_trip_all_blocks", point, _round_trip_violations(cb, words), 0))
             rebuilt = codebook_from_table(codebook_to_table(cb))

@@ -12,7 +12,7 @@ import pytest
 
 import hpnc
 from hpnc import cli
-from hpnc.cli import MAX_SNR_POINTS, SWEEP_SCHEMA, ExperimentConfig, main
+from hpnc.cli import MAX_CHUNKS, MAX_SNR_POINTS, SWEEP_SCHEMA, ExperimentConfig, main
 
 FAST_SWEEP = [
     "--n", "6",
@@ -69,6 +69,19 @@ def test_snr_grid_at_the_cap_is_accepted():
     cfg = ExperimentConfig(snr_db_start=-3000.0, snr_db_stop=1999.5, snr_db_step=0.5)
     cfg.validate()
     assert len(cfg.snr_grid_db) == MAX_SNR_POINTS
+
+
+def test_chunks_at_the_cap_run_and_past_it_exit_2(capsys):
+    ExperimentConfig(chunks=MAX_CHUNKS).validate()
+    with pytest.raises(ValueError, match=r"chunks: must be in \[1, 10000\], got 10001"):
+        ExperimentConfig(chunks=MAX_CHUNKS + 1).validate()
+    # only min(chunks, rounds) chunks run, so the run at the cap stays short
+    base = ["bler-sweep", "--scheme", "hpnc", "--n", "6", "--r", "0.9",
+            "--snr-db-start", "10", "--snr-db-stop", "10", "--rounds", "100"]
+    assert main([*base, "--chunks", str(MAX_CHUNKS + 1)]) == 2
+    assert capsys.readouterr().err.startswith("error: chunks:")
+    assert main([*base, "--chunks", str(MAX_CHUNKS)]) == 0
+    capsys.readouterr()
 
 
 def test_invalid_config_sets_exit_code(capsys):

@@ -12,6 +12,7 @@ from hpnc.huffman import (
     binary_entropy,
     build_codebook,
     codebook_from_table,
+    codebook_table_lines,
     codebook_to_table,
     compression_rate,
     cross_check_optimality,
@@ -319,15 +320,37 @@ def test_table_import_names_a_malformed_block_row():
         ("1x1 3 110", r"row 6: block 1x1 or codeword 110 is not binary"),
         ("101 3 1_0", r"row 6: block 101 or codeword 1_0 is not binary"),
         ("101 3 12a", r"row 6: block 101 or codeword 12a is not binary"),
+        ("1²1 5 11101", r"row 6: block 1²1 or codeword 11101 is not binary"),
+        ("101 5 1110-", r"row 6: block 101 or codeword 1110- is not binary"),
+        ("101 5 0b101", r"row 6: block 101 or codeword 0b101 is not binary"),
         ("101 three 110", r"row 6: length field three does not match codeword"),
         ("101 2.5 110", r"row 6: length field 2.5 does not match codeword"),
         ("101 2 110", r"row 6: length field 2 does not match codeword"),
+        ("101 05 11101", r"row 6: length field 05 does not match codeword"),
     ],
 )
 def test_table_import_names_a_malformed_field_row(row, message):
     lines = codebook_to_table(build_codebook(3, 0.9)).splitlines()
     with pytest.raises(ValueError, match=message):
         codebook_from_table("\n".join(lines[:5] + [row] + lines[6:]))
+
+
+def _swap_codewords(lines, a, b):
+    """The table with the codewords of lines a and b traded."""
+    rows = [line.split() for line in lines]
+    rows[a][2], rows[b][2] = rows[b][2], rows[a][2]
+    return [" ".join(row) for row in rows]
+
+
+# in the n = 3, rho = 0.9 table blocks 001 and 100 have length 3, and
+# 011, 101, 110 and 111 length 5: two of them trade codewords, and the
+# lower block is named wherever its row sits in the table
+@pytest.mark.parametrize("a,b,lower", [(1, 4, "001"), (4, 1, "001"), (3, 7, "011"), (6, 5, "101")])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_table_import_names_the_lower_of_two_non_canonical_rows(a, b, lower, reverse):
+    lines = _swap_codewords(codebook_to_table(build_codebook(3, 0.9)).splitlines(), a, b)
+    with pytest.raises(ValueError, match=f"^row {lower}: codeword is not canonical$"):
+        codebook_from_table("\n".join(lines[::-1] if reverse else lines))
 
 
 def test_codeword_bits_rejects_out_of_range_values():
@@ -396,6 +419,29 @@ def test_every_block_law_code_is_pinned():
             digest.update(cb.lengths.tobytes())
             digest.update(cb.tails.tobytes())
     assert digest.hexdigest() == "9d47e2065d04772538aacdb2a3f68b83cce9a1145ad24841189dbeb8de603b93"
+
+
+def test_every_length_law_is_pinned():
+    # the length law of every code n = 1..13 at every design rho, weighed
+    # under its design rho, under 0.5 and 1 and under a mismatched 0.77
+    digest = hashlib.sha256()
+    for n in range(1, 14):
+        for design in sorted(set(DESIGN_RHOS)):
+            cb = build_codebook(n, design)
+            for rho in (design, 0.5, 0.77, 1.0):
+                ld = length_distribution(cb, rho)
+                digest.update(repr((ld.support, ld.pmf, ld.mean)).encode())
+    assert digest.hexdigest() == "ab961548bc26c7524d516b916fbf91c0d1a7b3bb8fc9b000a4de82c67f8587a7"
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_codeword_texts_and_table_lines_match_the_per_block_formatter(n):
+    for rho in DESIGN_RHOS:
+        cb = build_codebook(n, rho)
+        words = [cb.codeword_text(v) for v in range(1 << n)]
+        assert cb.codeword_texts() == words, rho
+        lines = (f"{v:0{n}b} {length} {words[v]}\n" for v, length in enumerate(cb.lengths.tolist()))
+        assert "".join(codebook_table_lines(cb)) == "".join(lines), rho
 
 
 @pytest.mark.parametrize(
